@@ -1,54 +1,33 @@
-"""``python -m repro`` — a self-contained demonstration run.
+"""``python -m repro`` — a self-contained demonstration run, plus tools.
 
-Builds the default testbed and runs the paper's two §4 experiments plus a
-clock-sync pass, printing what a first-time user should see. The richer
-scenarios live in ``examples/``.
+With no arguments, builds the default testbed and runs the paper's two §4
+experiments plus a clock-sync pass, printing what a first-time user
+should see. The richer scenarios live in ``examples/``.
 
-Subcommands:
-
-- ``python -m repro`` — the demo run below.
-- ``python -m repro observability [--export PATH | JSONL_PATH]`` — run a
-  short instrumented experiment and print the per-layer telemetry
-  report; or format an existing JSONL export without running anything.
-- ``python -m repro fleet [--endpoints N] [--shards K] [...]`` — run a
-  fleet ping campaign over sharded rendezvous and print the aggregate
-  report.
-- ``python -m repro analysis [paths ...]`` — run the simlint
-  determinism & sim-safety static analyzer and print its report
-  (exit 1 on any unsuppressed, non-baselined finding).
-- ``python -m repro warehouse {ls,ingest,query,rollup,compact} ...`` —
-  operate the durable results warehouse (persisted campaign output:
-  columnar segments, materialized rollups, zone-map-pruned queries).
+``python -m repro --help`` lists the subcommands (``demo``,
+``observability``, ``fleet``, ``analysis``, ``warehouse``); the parser
+built in :func:`main` is the one place they are defined.
 """
 
 from __future__ import annotations
 
+import argparse
 import sys
+from importlib import import_module
+
+# Subcommands whose whole command line belongs to another module's
+# ``main(argv)``.
+DELEGATED = {"analysis": "repro.analysis.cli",
+             "warehouse": "repro.warehouse.cli"}
 
 
-def observability_main(argv: list[str]) -> int:
+def observability_main(args: argparse.Namespace) -> int:
     """Run an instrumented experiment (or format an existing JSONL export)
     and print the per-layer telemetry report."""
     from repro.obs.report import format_report
     from repro.obs.sinks import read_jsonl
 
-    export_path = None
-    jsonl_path = None
-    args = list(argv)
-    while args:
-        arg = args.pop(0)
-        if arg == "--export":
-            if not args:
-                print("error: --export requires a path", file=sys.stderr)
-                return 2
-            export_path = args.pop(0)
-        elif arg in ("-h", "--help"):
-            print("usage: python -m repro observability "
-                  "[--export PATH | JSONL_PATH]")
-            return 0
-        else:
-            jsonl_path = arg
-
+    jsonl_path = args.jsonl_path
     if jsonl_path is not None:
         try:
             records = read_jsonl(jsonl_path)
@@ -78,22 +57,15 @@ def observability_main(argv: list[str]) -> int:
     _, snapshot = testbed.run_experiment(
         experiment, "observability-demo", collect_telemetry=True
     )
-    if export_path:
-        snapshot.export_jsonl(export_path)
+    if args.export:
+        snapshot.export_jsonl(args.export)
         print(f"exported {len(snapshot.to_jsonl_lines())} records "
-              f"to {export_path}\n")
+              f"to {args.export}\n")
     print(format_report(snapshot, title="Telemetry report (demo experiment)"))
     return 0
 
 
-def fleet_main(argv: list[str]) -> int:
-    """Run a ping campaign over a generated fleet and print the report."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro fleet",
-        description="Run a measurement campaign over a simulated fleet.",
-    )
+def add_fleet_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--endpoints", type=int, default=20,
                         help="fleet size (default 20)")
     parser.add_argument("--jobs", type=int, default=0,
@@ -120,8 +92,10 @@ def fleet_main(argv: list[str]) -> int:
     parser.add_argument("--warehouse", metavar="DIR", default=None,
                         help="persist the campaign (per-job rows, raw "
                              "samples, rollups) into this warehouse")
-    args = parser.parse_args(argv)
 
+
+def fleet_main(args: argparse.Namespace) -> int:
+    """Run a ping campaign over a generated fleet and print the report."""
     from repro.experiments.campaign import ping_job
     from repro.fleet import FleetTestbed
 
@@ -157,7 +131,7 @@ def fleet_main(argv: list[str]) -> int:
     return 0
 
 
-def main() -> int:
+def demo_main(args: argparse.Namespace) -> int:
     from repro.controller.clocksync import estimate_clock
     from repro.core import Testbed
     from repro.experiments import measure_uplink_bandwidth, ping, traceroute
@@ -205,17 +179,51 @@ def main() -> int:
     return 0
 
 
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro",
+        description="PacketLab reproduction: demo run and tools.",
+    )
+    parser.set_defaults(run=demo_main)
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND")
+    commands.add_parser(
+        "demo", help="the demonstration run (the default with no COMMAND)")
+    observability = commands.add_parser(
+        "observability",
+        help="run a short instrumented experiment and print the per-layer "
+             "telemetry report, or format an existing JSONL export",
+    )
+    observability.set_defaults(run=observability_main)
+    source = observability.add_mutually_exclusive_group()
+    source.add_argument("--export", metavar="PATH",
+                        help="also write the run's telemetry as JSONL")
+    source.add_argument("jsonl_path", metavar="JSONL_PATH", nargs="?",
+                        help="format this export instead of running anything")
+    fleet = commands.add_parser(
+        "fleet",
+        help="run a ping campaign over a simulated fleet (sharded "
+             "rendezvous) and print the aggregate report",
+    )
+    fleet.set_defaults(run=fleet_main)
+    add_fleet_arguments(fleet)
+    # No arguments of their own (not even -h): everything after the name
+    # comes back unparsed and goes to the module's main(argv).
+    commands.add_parser(
+        "analysis", add_help=False,
+        help="run the simlint determinism & sim-safety static analyzer "
+             "(exit 1 on any unsuppressed, non-baselined finding)")
+    commands.add_parser(
+        "warehouse", add_help=False,
+        help="operate the durable results warehouse: "
+             "{ls,ingest,query,rollup,compact}")
+
+    args, rest = parser.parse_known_args(argv)
+    if args.command in DELEGATED:
+        return import_module(DELEGATED[args.command]).main(rest)
+    if rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
+    return args.run(args)
+
+
 if __name__ == "__main__":
-    if len(sys.argv) > 1 and sys.argv[1] == "observability":
-        sys.exit(observability_main(sys.argv[2:]))
-    if len(sys.argv) > 1 and sys.argv[1] == "fleet":
-        sys.exit(fleet_main(sys.argv[2:]))
-    if len(sys.argv) > 1 and sys.argv[1] == "analysis":
-        from repro.analysis.cli import main as analysis_main
-
-        sys.exit(analysis_main(sys.argv[2:]))
-    if len(sys.argv) > 1 and sys.argv[1] == "warehouse":
-        from repro.warehouse.cli import main as warehouse_main
-
-        sys.exit(warehouse_main(sys.argv[2:]))
     sys.exit(main())

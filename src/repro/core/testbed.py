@@ -3,7 +3,9 @@
 A :class:`Testbed` wires a full deployment on a simulated network: an
 endpoint behind an access link, a controller host, a measurement target, an
 endpoint operator key, and an experimenter with a delegation — the Figure 1
-cast. Experiments, examples, and benchmarks all build on it.
+cast. Experiments, examples, and benchmarks all build on it. It is the
+one-endpoint :class:`~repro.fleet.testbed.World`: ports, controllers,
+telemetry and ``run_campaign`` are the shared definitions there.
 
 Typical use::
 
@@ -19,30 +21,25 @@ from __future__ import annotations
 
 from typing import Callable, Generator, Optional
 
-from repro.controller.client import ControllerServer, EndpointHandle
+from repro.controller.client import EndpointHandle
 from repro.controller.recovery import ResilientHandle
 from repro.controller.session import Experimenter
 from repro.crypto.certificate import Restrictions
 from repro.crypto.keys import KeyPair
 from repro.endpoint.config import EndpointConfig
 from repro.endpoint.endpoint import Endpoint
+from repro.fleet.testbed import World
 from repro.netsim.faults import FaultPlan
-from repro.netsim.kernel import SimError
 from repro.netsim.node import Node
 from repro.netsim.topology import Network, access_topology
-from repro.obs import TelemetrySnapshot
 from repro.rendezvous.descriptor import ExperimentDescriptor
 from repro.rendezvous.server import RendezvousServer
-from repro.util.retry import RetryPolicy
 
-DEFAULT_CONTROLLER_PORT = 7000
 DEFAULT_RENDEZVOUS_PORT = 7100
 
 
-class Testbed:
+class Testbed(World):
     """A ready-to-run PacketLab deployment on a simulated access network."""
-
-    __test__ = False  # not a pytest test class despite the name
 
     def __init__(
         self,
@@ -60,7 +57,6 @@ class Testbed:
         controller_host: Optional[Node] = None,
         target_host: Optional[Node] = None,
         endpoint_reconnect: bool = False,
-        endpoint_reconnect_policy: Optional[RetryPolicy] = None,
     ) -> None:
         self.access_link = None
         if network is None:
@@ -77,11 +73,9 @@ class Testbed:
         assert endpoint_host is not None
         assert controller_host is not None
         assert target_host is not None
-        self.net = network
-        self.sim = network.sim
+        super().__init__(network, controller_host, target_host,
+                         Experimenter("experimenter"))
         self.endpoint_host = endpoint_host
-        self.controller_host = controller_host
-        self.target_host = target_host
         # Endpoint clocks are deliberately imperfect (§3.1 Timekeeping).
         self.endpoint_host.clock.offset = endpoint_clock_offset
         self.endpoint_host.clock.skew = endpoint_clock_skew
@@ -89,7 +83,6 @@ class Testbed:
         # Figure 1 cast.
         self.operator = KeyPair.from_name("endpoint-operator")
         self.rendezvous_operator = KeyPair.from_name("rendezvous-operator")
-        self.experimenter = Experimenter("experimenter")
         self.experimenter.granted_endpoint_access(self.operator)
         self.experimenter.granted_publish_access(self.rendezvous_operator)
 
@@ -100,63 +93,12 @@ class Testbed:
             allow_raw=allow_raw,
             reconnect=endpoint_reconnect,
         )
-        if endpoint_reconnect_policy is not None:
-            self.endpoint_config.reconnect_policy = endpoint_reconnect_policy
         self.endpoint = Endpoint(self.endpoint_host, self.endpoint_config)
+        self.endpoints.append(self.endpoint)
         self.rendezvous: Optional[RendezvousServer] = None
         self.rendezvous_servers: list[RendezvousServer] = []
-        self._next_port = DEFAULT_CONTROLLER_PORT
-        # Ports already claimed on the controller host. Controllers
-        # allocate upward from 7000 and rendezvous servers historically
-        # sat at 7100, so the 101st controller used to collide with the
-        # rendezvous listener; tracking reservations closes that hole.
-        self._used_ports: set[int] = set()
 
     # -- component helpers --------------------------------------------------
-
-    def allocate_port(self) -> int:
-        while self._next_port in self._used_ports:
-            self._next_port += 1
-        port = self._next_port
-        self._used_ports.add(port)
-        self._next_port += 1
-        return port
-
-    def reserve_port(self, port: int) -> int:
-        """Claim a specific controller-host port; raises if already taken."""
-        if port in self._used_ports:
-            raise RuntimeError(f"port {port} already in use on "
-                               f"{self.controller_host.name}")
-        self._used_ports.add(port)
-        return port
-
-    def make_controller(
-        self,
-        experiment_name: str = "experiment",
-        priority: int = 0,
-        port: Optional[int] = None,
-        experiment_restrictions: Optional[Restrictions] = None,
-        controller_host: Optional[Node] = None,
-        experimenter: Optional[Experimenter] = None,
-        rpc_timeout: Optional[float] = None,
-    ) -> tuple[ControllerServer, ExperimentDescriptor]:
-        """Start a ControllerServer for a named experiment."""
-        host = controller_host or self.controller_host
-        who = experimenter or self.experimenter
-        if port is None:
-            port = self.allocate_port()
-        elif host is self.controller_host:
-            self._used_ports.add(port)
-        descriptor = who.make_descriptor(host, port, experiment_name)
-        identity = who.identity(
-            descriptor,
-            priority=priority,
-            experiment_restrictions=experiment_restrictions,
-        )
-        server = ControllerServer(
-            host, port, identity, rpc_timeout=rpc_timeout
-        ).start()
-        return server, descriptor
 
     def start_rendezvous(self, port: Optional[int] = DEFAULT_RENDEZVOUS_PORT,
                          host: Optional[Node] = None) -> RendezvousServer:
@@ -188,26 +130,11 @@ class Testbed:
             descriptor.hash(),
         )
 
-    @property
-    def target_address(self) -> int:
-        return self.target_host.primary_address()
+    def _attach_endpoints(self, descriptor, experiment_restrictions):
+        self.connect_endpoint(descriptor)
+        yield from ()  # a generator step with nothing to wait for
 
     # -- experiment driving ----------------------------------------------------
-
-    def enable_telemetry(self, ring_capacity: Optional[int] = None):
-        """Switch on the observability layer for this testbed's simulator.
-
-        Returns the in-memory ring sink that will collect structured
-        events. Idempotent; ``run_experiment(collect_telemetry=True)``
-        calls this automatically.
-        """
-        obs = self.sim.obs
-        obs.enabled = True
-        return obs.ensure_ring_sink(ring_capacity)
-
-    def telemetry_snapshot(self) -> TelemetrySnapshot:
-        """Bundle the current metrics + buffered events for export."""
-        return self.sim.obs.telemetry_snapshot()
 
     def run_experiment(
         self,
@@ -216,12 +143,10 @@ class Testbed:
         priority: int = 0,
         experiment_restrictions: Optional[Restrictions] = None,
         timeout: float = 600.0,
-        send_bye: bool = True,
         collect_telemetry: bool = False,
         fault_plan: Optional[FaultPlan] = None,
         resilient: bool = False,
         rpc_timeout: Optional[float] = None,
-        recovery_policy: Optional[RetryPolicy] = None,
         recovery_seed: int = 0,
     ):
         """Run one experiment function against the testbed endpoint.
@@ -267,14 +192,13 @@ class Testbed:
                 handle = ResilientHandle(
                     server,
                     handle,
-                    policy=recovery_policy,
                     seed=recovery_seed,
                     controller_clock=self.controller_host.clock,
                 )
             try:
                 result = yield from experiment(handle)
             finally:
-                if send_bye and not handle.closed:
+                if not handle.closed:
                     handle.bye()
             return result
 
@@ -289,81 +213,3 @@ class Testbed:
         if collect_telemetry:
             return result, self.telemetry_snapshot()
         return result
-
-    def run_campaign(
-        self,
-        jobs: list,
-        campaign_name: str = "campaign",
-        max_concurrency: int = 4,
-        rate: Optional[float] = None,
-        burst: float = 1.0,
-        retry_policy: Optional[RetryPolicy] = None,
-        pool_policy: Optional[RetryPolicy] = None,
-        priority: int = 0,
-        rpc_timeout: Optional[float] = 5.0,
-        max_concurrent_per_endpoint: int = 1,
-        seed: int = 0,
-        timeout: float = 3600.0,
-    ):
-        """Run a list of :class:`~repro.fleet.scheduler.CampaignJob`\\ s
-        against this testbed's (single) endpoint.
-
-        The fleet scheduler treats the one-endpoint testbed as a pool of
-        size one: jobs queue up, sessions are reused, failures reschedule
-        with backoff, and the returned
-        :class:`~repro.fleet.scheduler.CampaignReport` carries the same
-        deterministic rollups a full :class:`~repro.fleet.FleetTestbed`
-        campaign produces. For many-endpoint campaigns use
-        :class:`repro.fleet.FleetTestbed` directly.
-        """
-        # Imported lazily: repro.fleet builds on the controller layer,
-        # which this module also feeds — a top-level import would cycle.
-        from repro.fleet.aggregate import ResultAggregator
-        from repro.fleet.pool import EndpointPool
-        from repro.fleet.scheduler import CampaignContext, CampaignScheduler
-
-        server, descriptor = self.make_controller(
-            campaign_name, priority=priority, rpc_timeout=rpc_timeout
-        )
-        self.connect_endpoint(descriptor)
-        pool = EndpointPool(
-            server,
-            policy=pool_policy,
-            seed=seed,
-            max_concurrent_per_endpoint=max_concurrent_per_endpoint,
-        )
-        context = CampaignContext(
-            sim=self.sim,
-            controller_host=self.controller_host,
-            target_address=self.target_address,
-            allocate_port=self.allocate_port,
-        )
-        scheduler = CampaignScheduler(
-            pool,
-            jobs,
-            name=campaign_name,
-            max_concurrency=max_concurrency,
-            rate=rate,
-            burst=burst,
-            retry_policy=retry_policy,
-            seed=seed,
-            context=context,
-            aggregator=ResultAggregator(campaign=campaign_name),
-        )
-
-        def driver() -> Generator:
-            yield from pool.populate(1)
-            report = yield from scheduler.run()
-            return report
-
-        try:
-            report = self.sim.run_process(
-                driver(), name=f"campaign-{campaign_name}", timeout=timeout
-            )
-        finally:
-            pool.shutdown()
-            server.stop()
-        return report
-
-    def run(self, until: Optional[float] = None) -> None:
-        self.sim.run(until=until)

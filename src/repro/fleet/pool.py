@@ -32,7 +32,7 @@ explicit state machine instead of a pair of one-way booleans::
                  v
               DEPARTED (popped from the pool; rejoining re-adopts)
 
-- **ACTIVE** endpoints take work subject to their concurrency cap.
+- **ACTIVE** endpoints take work, one job per session at a time.
 - **DRAINING** endpoints take no *new* work (in-flight jobs finish or
   fail on their own); a :class:`~repro.fleet.heartbeat.HeartbeatMonitor`
   drains endpoints whose liveness beacons go stale — before an RPC ever
@@ -124,6 +124,13 @@ class MisbehaviorPolicy:
     depart_score: float = 20.0
 
 
+# One session carries one job at a time. sktids are a per-session
+# namespace, and CampaignScheduler._scrub_session closes *every* socket
+# left open on the handle after a failed job, so two jobs sharing a
+# session would collide on sktids and tear each other's sockets down.
+JOBS_PER_SESSION = 1
+
+
 class PoolError(Exception):
     """Raised when the pool cannot satisfy a population/acquire request."""
 
@@ -132,19 +139,17 @@ class PooledEndpoint:
     """One fleet endpoint: its resilient handle plus scheduling state."""
 
     __slots__ = (
-        "name", "handle", "queue", "max_concurrent", "inflight",
+        "name", "handle", "queue", "inflight",
         "jobs_completed", "failures", "state", "quarantines", "drains",
         "adopted_at", "deferred_reported", "_avail_queued",
         "_readmit_timer", "score", "score_at", "violations_reported",
         "exhaustions_reported", "abandons_reported", "timeouts_reported",
     )
 
-    def __init__(self, name: str, queue: Queue,
-                 max_concurrent: int = 1) -> None:
+    def __init__(self, name: str, queue: Queue) -> None:
         self.name = name
         self.handle: Optional[ResilientHandle] = None
         self.queue = queue
-        self.max_concurrent = max_concurrent
         self.inflight = 0
         self.jobs_completed = 0
         self.failures = 0
@@ -181,7 +186,7 @@ class PooledEndpoint:
         return (
             self.handle is not None
             and self.state == ACTIVE
-            and self.inflight < self.max_concurrent
+            and self.inflight < JOBS_PER_SESSION
         )
 
 
@@ -193,7 +198,6 @@ class EndpointPool:
         server: "ControllerServer",
         policy: Optional["RetryPolicy"] = None,
         seed: int = 0,
-        max_concurrent_per_endpoint: int = 1,
         quarantine_after: Optional[int] = None,
         quarantine_backoff: Optional["RetryPolicy"] = None,
         reacquire_timeout: float = 30.0,
@@ -203,7 +207,6 @@ class EndpointPool:
         self.sim = server.node.sim
         self.policy = policy
         self.seed = seed
-        self.max_concurrent_per_endpoint = max_concurrent_per_endpoint
         # How long a handle waits for its endpoint to re-dial before
         # giving up (-> removal). Churn-heavy campaigns set this low so
         # stuck jobs fail over to alternates instead of riding out the
@@ -284,9 +287,7 @@ class EndpointPool:
         pooled = self.endpoints.get(name)
         if pooled is None:
             pooled = PooledEndpoint(
-                name,
-                self.sim.queue(name=f"pool-{name}"),
-                max_concurrent=self.max_concurrent_per_endpoint,
+                name, self.sim.queue(name=f"pool-{name}")
             )
             pooled.handle = ResilientHandle(
                 self.server,

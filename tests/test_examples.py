@@ -66,3 +66,20 @@ def test_cpf_cli_reports_errors(tmp_path):
     )
     assert result.returncode == 1
     assert "undefined identifier" in result.stderr
+
+
+@pytest.mark.parametrize("argv, returncode, expected", [
+    (["flet"], 2, "usage:"),  # a typo must not run the demo
+    (["observability", "--exprt", "x"], 2, "usage:"),
+    (["--help"], 0, "warehouse"),  # lists the subcommands, runs nothing
+], ids=["typo", "misspelt-flag", "help"])
+def test_unknown_cli_input_does_not_run_the_demo(argv, returncode, expected):
+    result = subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == returncode, result.stderr[-2000:]
+    assert expected in result.stdout + result.stderr
+    assert "PacketLab reproduction demo" not in result.stdout

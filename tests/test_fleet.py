@@ -7,9 +7,14 @@ port-allocation collisions with multiple rendezvous servers, and
 deferred ``nsend_nowait`` errors surfacing in campaign results.
 """
 
+import hashlib
+import inspect
+
 import pytest
 
-from repro.controller.client import SessionClosed
+import repro.core
+import repro.fleet
+from repro.controller.client import SessionBudget, SessionClosed
 from repro.controller.session import Experimenter
 from repro.core.testbed import Testbed
 from repro.experiments.campaign import ping_job
@@ -18,11 +23,14 @@ from repro.fleet import (
     CampaignScheduler,
     CounterSet,
     EndpointPool,
+    CrossValidation,
     FleetTestbed,
+    MisbehaviorPolicy,
     QuantileSketch,
     TokenBucket,
     shard_for,
 )
+from repro.netsim.faults import FaultPlan
 from repro.netsim.topology import fleet_topology
 from repro.util.retry import RetryPolicy
 
@@ -267,6 +275,133 @@ class TestFleetCampaign:
         assert endpoint_rollup.counters.get("deferred_send_errors") == 1
 
 
+# -- one driver, pinned --------------------------------------------------------
+
+# sha256(report.to_json()) of one small seeded campaign per shape the
+# campaign driver serves, recorded before the two testbeds' drivers were
+# folded into World.run_campaign. A change to the driver, the pool or
+# the world assembly that moves any of these changed behaviour.
+
+# Fail over fast: one transport retry, short reacquire, then the job
+# moves to another endpoint.
+_FAILOVER = dict(
+    pool_policy=RetryPolicy(max_attempts=1, base_delay=0.5, jitter=0.1),
+    reacquire_timeout=2.0, rpc_timeout=2.0,
+)
+
+
+def _golden_sharded_star():
+    fleet = FleetTestbed(endpoint_count=8, shards=2, operator_count=3, seed=3)
+    return fleet.run_campaign(
+        [ping_job(f"ping-{i}", count=2) for i in range(8)], max_concurrency=4,
+    )
+
+
+def _golden_heartbeat_churn():
+    fleet = FleetTestbed(endpoint_count=12, seed=4, heartbeat_interval=1.0)
+    FaultPlan(seed=4).install(fleet.sim).endpoint_churn(
+        fleet.endpoints, rate_per_min=6.0, start=1.0, duration=60.0,
+        downtime=(2.0, 4.0),
+    )
+    return fleet.run_campaign(
+        [ping_job(f"ping-{i}", count=3, interval=0.5) for i in range(24)],
+        max_concurrency=6,
+        retry_policy=RetryPolicy(max_attempts=4, base_delay=0.5, jitter=0.1),
+        **_FAILOVER,
+    )
+
+
+def _golden_byzantine():
+    fleet = FleetTestbed(endpoint_count=16, seed=7)
+    FaultPlan(seed=7).install(fleet.sim).byzantine(fleet.endpoints, count=3)
+    jobs = [ping_job(f"ping-{i}", count=2, interval=0.25) for i in range(16)]
+    jobs += [ping_job(f"audit-ep{i}", count=2, interval=0.25,
+                      endpoint=f"ep{i}") for i in range(16)]
+    return fleet.run_campaign(
+        jobs, max_concurrency=8,
+        retry_policy=RetryPolicy(max_attempts=3, base_delay=0.5, jitter=0.1),
+        **_FAILOVER,
+        session_budget=SessionBudget(), misbehavior=MisbehaviorPolicy(),
+        cross_validate=CrossValidation(fraction=0.25, k=3),
+    )
+
+
+def _golden_single_endpoint_retry():
+    attempts = []
+
+    def run(handle, ctx):
+        attempts.append(ctx.attempt)
+        if len(attempts) < 3:
+            raise SessionClosed("synthetic fleet fault")
+        return (yield from handle.read_clock())
+
+    flaky = CampaignJob(name="flaky", run=run,
+                        metrics=lambda ticks: {"counters": {"runs": 1}})
+    return Testbed().run_campaign(
+        [flaky, ping_job("ping", count=2)], max_concurrency=4,
+        retry_policy=RetryPolicy(max_attempts=4, base_delay=0.1, jitter=0.0),
+    )
+
+
+RETIRED_OPTIONS = {
+    "populate_count", "populate_timeout", "heartbeat_stale_after",
+    "heartbeat_sweep_interval", "warehouse_segment_rows",
+    "max_concurrent_per_endpoint", "access_delay_spread", "send_bye",
+    "recovery_policy", "endpoint_reconnect_policy",
+}
+
+
+def _public_functions(package):
+    """Every public function, method and constructor a package exports."""
+    for name in package.__all__:
+        member = getattr(package, name)
+        if inspect.isfunction(member):
+            yield name, member
+        elif inspect.isclass(member):
+            for attr, function in inspect.getmembers(
+                    member, inspect.isfunction):
+                if not attr.startswith("_") or attr == "__init__":
+                    yield f"{name}.{attr}", function
+
+
+class TestOneCampaignDriver:
+    @pytest.mark.parametrize("campaign, digest", [
+        (_golden_sharded_star,
+         "61c3708b5cd20016a00a5e4afc3cd853d339bad1daa2c891b2ac395b9604dcde"),
+        (_golden_heartbeat_churn,
+         "410e94ca171995d8bbdc1def28b5db058d1c14559ee17eb2823052b1cc371054"),
+        (_golden_byzantine,
+         "2ba03858fc41c6196bbd15076da52d0846fed57895b36724d7578293da09d419"),
+        (_golden_single_endpoint_retry,
+         "60f3ee7c3c24bb7b8221571b94eb4ce1e8e348c303febc3d6be260db6eb17a64"),
+    ], ids=["sharded-star", "heartbeat-churn", "byzantine", "single-retry"])
+    def test_golden_report_digests(self, campaign, digest):
+        report = campaign()
+        assert hashlib.sha256(
+            report.to_json().encode()).hexdigest() == digest
+
+    def test_testbeds_share_the_driver_and_retired_options_stay_gone(self):
+        assert Testbed.run_campaign is FleetTestbed.run_campaign
+        # <= 20 campaign parameters, plus self.
+        assert len(inspect.signature(Testbed.run_campaign).parameters) <= 21
+        for package in (repro.core, repro.fleet):
+            for name, function in _public_functions(package):
+                parameters = set(inspect.signature(function).parameters)
+                assert not parameters & RETIRED_OPTIONS, name
+
+    def test_single_endpoint_campaign_persists_to_a_warehouse(self, tmp_path):
+        from repro.warehouse import Query, Warehouse
+
+        report = Testbed().run_campaign(
+            [ping_job(f"ping-{i}", count=2) for i in range(3)],
+            campaign_name="solo", warehouse=tmp_path,
+        )
+        assert report.jobs_completed == report.jobs_total == 3
+        rows = (Query(Warehouse(str(tmp_path)), "results", ["solo"])
+                .agg(n="count").run().rows)
+        assert rows[0]["n"] == report.jobs_total
+
+
 class TestCampaignContention:
     def test_two_campaigns_share_endpoint_via_arbitration(self):
         """S4: two campaigns on one endpoint — the higher-priority
@@ -338,8 +473,11 @@ class TestPortAllocation:
         with pytest.raises(RuntimeError):
             testbed.start_rendezvous()  # same default port
 
-    def test_explicit_controller_port_reserved(self):
-        testbed = Testbed()
+    @pytest.mark.parametrize("make_testbed", [
+        Testbed, lambda: FleetTestbed(endpoint_count=2),
+    ], ids=["Testbed", "FleetTestbed"])
+    def test_explicit_controller_port_reserved(self, make_testbed):
+        testbed = make_testbed()
         server, _ = testbed.make_controller(port=7010)
         try:
             ports = [testbed.allocate_port() for _ in range(50)]
