@@ -7,8 +7,8 @@ structurally symmetric:
 
 - PROTO001 — message class with ``encode_body`` but no ``decode_body``
   (or vice versa)
-- PROTO002 — Message subclass defining a codec but never ``@register``ed,
-  so ``decode_message`` cannot round-trip it
+- PROTO002 — Message subclass not created through ``@message(TYPE)``,
+  so it has no codec and ``decode_message`` cannot round-trip it
 - PROTO003 — a module compares against MAX_FRAME on only one side of the
   wire (send xor recv)
 """
@@ -51,7 +51,7 @@ class CodecPairRule(Rule):
 class UnregisteredMessageRule(Rule):
     id = "PROTO002"
     name = "unregistered-message"
-    summary = ("Message subclass with a codec but no @register decorator; "
+    summary = ("Message subclass not created through the @message decorator; "
                "decode_message() will reject its TYPE on the wire")
     scope = "all"
 
@@ -59,16 +59,13 @@ class UnregisteredMessageRule(Rule):
         for cls in module.classes.values():
             if "Message" not in cls.bases:
                 continue
-            methods = set(cls.methods)
-            if "encode_body" not in methods and "decode_body" not in methods:
-                continue
-            if any(dec.split(".")[-1] == "register" for dec in cls.decorators):
+            if any(dec.split(".")[-1] == "message" for dec in cls.decorators):
                 continue
             node = _class_node(module, cls.name)
             yield self.finding(
                 module, node,
-                f"Message subclass {cls.name} is never @register-ed; its "
-                f"frames will decode as 'unknown message type'",
+                f"Message subclass {cls.name} is not declared with @message; "
+                f"its frames will decode as 'unknown message type'",
             )
 
 

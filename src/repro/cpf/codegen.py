@@ -35,6 +35,7 @@ from repro.cpf.types import (
 )
 from repro.filtervm.isa import Instruction, Op
 from repro.filtervm.program import FilterProgram, Function
+from repro.filtervm.vm import VmFault, evaluate
 
 SPACE_PACKET = "packet"
 SPACE_INFO = "info"
@@ -77,6 +78,8 @@ _CMP_BINOPS = {
     ">": (Op.GTU, Op.GTS),
     ">=": (Op.GEU, Op.GES),
 }
+
+_UNARY_OPS = {"-": Op.NEG, "~": Op.BNOT, "!": Op.LNOT}
 
 
 class CpfCompileError(Exception):
@@ -139,12 +142,13 @@ class CodeGen:
         for decl in self._ast.globals:
             var = self._declare_global(decl)
             if decl.init is not None:
-                value = self._fold_constant(decl.init)
-                if value is None:
+                folded = self._fold_constant(decl.init)
+                if folded is None:
                     raise CpfCompileError(
                         f"global {decl.name!r} initializer must be constant",
                         decl.line,
                     )
+                value, _ = folded
                 if value != 0:
                     init_stores.append((var, value))
         for index, node in enumerate(self._ast.functions):
@@ -426,16 +430,7 @@ class CodeGen:
     def _compile_expr(self, expr: ast.Expr) -> CpfType:
         if isinstance(expr, ast.Number):
             self._emit(Op.PUSH, self._wrap_signed(expr.value))
-            if expr.unsigned:
-                # C: a 'u'-suffixed literal is unsigned; an unsuffixed
-                # decimal too large for int32 is also unsigned here (the
-                # common uint32 case in packet-header code).
-                return IntType(4, False) if expr.value < (1 << 32) else U64
-            if -(1 << 31) <= expr.value < (1 << 31):
-                return I32
-            if expr.value < (1 << 32):
-                return IntType(4, False)
-            return I64 if expr.value < (1 << 63) else U64
+            return self._number_type(expr)
         if isinstance(expr, ast.Ident):
             return self._compile_ident(expr)
         if isinstance(expr, ast.Unary):
@@ -458,6 +453,19 @@ class CodeGen:
             self._normalize_to(expr.target_type, operand_type)
             return expr.target_type
         raise CpfCompileError(f"unhandled expression {type(expr).__name__}", expr.line)
+
+    @staticmethod
+    def _number_type(expr: ast.Number) -> IntType:
+        if expr.unsigned:
+            # C: a 'u'-suffixed literal is unsigned; an unsuffixed
+            # decimal too large for int32 is also unsigned here (the
+            # common uint32 case in packet-header code).
+            return IntType(4, False) if expr.value < (1 << 32) else U64
+        if -(1 << 31) <= expr.value < (1 << 31):
+            return I32
+        if expr.value < (1 << 32):
+            return IntType(4, False)
+        return I64 if expr.value < (1 << 63) else U64
 
     def _compile_ident(self, expr: ast.Ident) -> CpfType:
         resolved = self._lookup_local(expr.name)
@@ -492,17 +500,20 @@ class CodeGen:
         raise CpfCompileError(f"undefined identifier {expr.name!r}", expr.line)
 
     def _compile_unary(self, expr: ast.Unary) -> CpfType:
-        operand_type = self._compile_expr(expr.operand)
+        result = self._unary_type(expr, self._compile_expr(expr.operand))
+        if expr.op in _UNARY_OPS:
+            self._emit(_UNARY_OPS[expr.op])
+        return result
+
+    def _unary_type(self, expr: ast.Unary, operand_type: CpfType) -> CpfType:
+        """Result type of a unary operator (``_UNARY_OPS`` has its opcode)."""
         if expr.op == "+":
             return operand_type
         if expr.op == "-":
-            self._emit(Op.NEG)
             return IntType(8, True)
         if expr.op == "~":
-            self._emit(Op.BNOT)
             return self._promote(operand_type) if isinstance(operand_type, IntType) else U64
         if expr.op == "!":
-            self._emit(Op.LNOT)
             return I32
         raise CpfCompileError(f"unhandled unary operator {expr.op!r}", expr.line)
 
@@ -517,6 +528,14 @@ class CodeGen:
             return self._compile_expr(expr.right)
         left_type = self._compile_expr(expr.left)
         right_type = self._compile_expr(expr.right)
+        op, result = self._binary_op(expr, left_type, right_type)
+        self._emit(op)
+        return result
+
+    def _binary_op(
+        self, expr: ast.Binary, left_type: CpfType, right_type: CpfType
+    ) -> tuple[Op, IntType]:
+        """The opcode ``expr.op`` means over these operand types, and its type."""
         if not isinstance(left_type, IntType) or not isinstance(right_type, IntType):
             raise CpfCompileError(
                 f"operator {expr.op!r} requires integer operands", expr.line
@@ -524,12 +543,10 @@ class CodeGen:
         result = common_type(left_type, right_type)
         if expr.op in _ARITH_BINOPS:
             unsigned_op, signed_op = _ARITH_BINOPS[expr.op]
-            self._emit(signed_op if result.signed else unsigned_op)
-            return IntType(8, result.signed)
+            return (signed_op if result.signed else unsigned_op), IntType(8, result.signed)
         if expr.op in _CMP_BINOPS:
             unsigned_op, signed_op = _CMP_BINOPS[expr.op]
-            self._emit(signed_op if result.signed else unsigned_op)
-            return I32
+            return (signed_op if result.signed else unsigned_op), I32
         raise CpfCompileError(f"unhandled binary operator {expr.op!r}", expr.line)
 
     def _compile_short_circuit(self, expr: ast.Binary, is_and: bool) -> CpfType:
@@ -856,33 +873,36 @@ class CodeGen:
             self._emit(Op.PUSH, (1 << target.bits) - 1)
             self._emit(Op.AND)
 
-    def _fold_constant(self, expr: ast.Expr) -> Optional[int]:
+    def _fold_constant(self, expr: ast.Expr) -> Optional[tuple[int, CpfType]]:
+        """Value and type of a constant expression; None if it is not one.
+
+        Typed the way ``_compile_expr`` types it and computed by the VM's
+        own operator table with the opcode codegen would emit, so an
+        initializer equals the same expression evaluated at run time.
+        """
         if isinstance(expr, ast.Number):
-            return expr.value
+            return expr.value, self._number_type(expr)
         if isinstance(expr, ast.Ident) and expr.name in self._constants:
-            return self._constants[expr.name]
+            return self._constants[expr.name], I64
         if isinstance(expr, ast.Unary):
             inner = self._fold_constant(expr.operand)
             if inner is None:
                 return None
-            return {"-": -inner, "~": ~inner, "!": int(not inner), "+": inner}[expr.op]
-        if isinstance(expr, ast.Binary):
+            value, operand_type = inner
+            if expr.op in _UNARY_OPS:
+                value = evaluate(_UNARY_OPS[expr.op], value)
+            return value, self._unary_type(expr, operand_type)
+        if isinstance(expr, ast.Binary) and (
+            expr.op in _ARITH_BINOPS or expr.op in _CMP_BINOPS
+        ):
             left = self._fold_constant(expr.left)
             right = self._fold_constant(expr.right)
             if left is None or right is None:
                 return None
+            op, result = self._binary_op(expr, left[1], right[1])
             try:
-                return {
-                    "+": left + right, "-": left - right, "*": left * right,
-                    "/": left // right if right else None,
-                    "%": left % right if right else None,
-                    "&": left & right, "|": left | right, "^": left ^ right,
-                    "<<": left << right, ">>": left >> right,
-                    "==": int(left == right), "!=": int(left != right),
-                    "<": int(left < right), "<=": int(left <= right),
-                    ">": int(left > right), ">=": int(left >= right),
-                }[expr.op]
-            except (KeyError, TypeError, ZeroDivisionError):
+                return evaluate(op, left[0], right[0]), result
+            except VmFault:  # division by a constant zero
                 return None
         return None
 

@@ -50,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.filtervm.isa import BINARY_OPS, UNARY_OPS, Instruction, Op
+from repro.filtervm.isa import BINARY_OPS, MASK64, UNARY_OPS, Instruction, Op, to_signed
 from repro.filtervm.program import (
     ENTRY_INIT,
     ENTRY_RECV,
@@ -62,7 +62,7 @@ from repro.filtervm.program import (
     FilterProgram,
     Function,
 )
-from repro.filtervm.vm import DEFAULT_FUEL, MAX_CALL_DEPTH, MAX_STACK
+from repro.filtervm.vm import DEFAULT_FUEL, MAX_CALL_DEPTH, MAX_STACK, evaluate
 
 SEV_ERROR = "error"
 SEV_WARNING = "warning"
@@ -633,7 +633,8 @@ class _Verifier:
         tracked only where the depth interval is exact; a merge of
         different depths falls back to an all-Top stack of the lower
         depth, which loses precision but never misses a *guaranteed*
-        fault on the precise paths.
+        fault on the precise paths. Constants are folded by the VM's own
+        operator table (``vm.evaluate``), so this believes what runs.
         """
         code = self.program.code
         function = extent.function
@@ -690,7 +691,7 @@ class _Verifier:
                               f"{op.name.lower()} divides by constant zero")
                         stack.append(None)
                     elif lhs is not None and rhs is not None:
-                        stack.append(_fold_binary(op, lhs, rhs))
+                        stack.append(evaluate(op, lhs, rhs))
                     else:
                         stack.append(None)
                     pc += 1
@@ -709,19 +710,18 @@ class _Verifier:
                 elif op in _STORE_SIZES:
                     offset = popped[0]
                     size = _STORE_SIZES[op]
-                    if offset is not None and not (
-                        0 <= _as_signed(offset)
-                        and _as_signed(offset) + size <= globals_size
-                    ):
-                        fault(pc, "oob-globals",
-                              f"{op.name.lower()} at constant offset "
-                              f"{_as_signed(offset)} outside the "
-                              f"{globals_size}-byte globals")
+                    if offset is not None:
+                        signed = to_signed(offset & MASK64)
+                        if not 0 <= signed <= globals_size - size:
+                            fault(pc, "oob-globals",
+                                  f"{op.name.lower()} at constant offset "
+                                  f"{signed} outside the "
+                                  f"{globals_size}-byte globals")
                 elif op in _LOAD_SIZES:
                     offset = popped[0]
                     size = _LOAD_SIZES[op]
                     if offset is not None:
-                        signed = _as_signed(offset)
+                        signed = to_signed(offset & MASK64)
                         if op in (Op.GLD8, Op.GLD16, Op.GLD32, Op.GLD64):
                             if not 0 <= signed <= globals_size - size:
                                 fault(pc, "oob-globals",
@@ -743,7 +743,7 @@ class _Verifier:
                                       f"{op.name.lower()} at constant "
                                       f"negative offset {signed}")
                 elif op in UNARY_OPS and popped[0] is not None:
-                    result = [_fold_unary(op, popped[0])]
+                    result = [evaluate(op, popped[0])]
                 stack.extend(reversed(result))
                 pc += 1
             if imprecise:
@@ -962,65 +962,6 @@ class _Verifier:
                     f"{self.fuel_limit}; some paths would be aborted",
                     function=entry,
                 )
-
-
-# ---------------------------------------------------------------------------
-# Constant folding helpers (mirror vm.py semantics, but pure)
-# ---------------------------------------------------------------------------
-
-_MASK64 = (1 << 64) - 1
-
-
-def _as_signed(value: int) -> int:
-    value &= _MASK64
-    return value - (1 << 64) if value & (1 << 63) else value
-
-
-def _fold_binary(op: Op, lhs: int, rhs: int) -> Optional[int]:
-    """Fold a binary op over constants; None for faulting/unknown cases."""
-    lhs &= _MASK64
-    rhs &= _MASK64
-    signed_l, signed_r = _as_signed(lhs), _as_signed(rhs)
-    shift = rhs & 63
-    table = {
-        Op.ADD: lhs + rhs, Op.SUB: lhs - rhs, Op.MUL: lhs * rhs,
-        Op.AND: lhs & rhs, Op.OR: lhs | rhs, Op.XOR: lhs ^ rhs,
-        Op.SHL: lhs << shift, Op.SHRU: lhs >> shift,
-        Op.SHRS: signed_l >> shift,
-        Op.EQ: int(lhs == rhs), Op.NE: int(lhs != rhs),
-        Op.LTU: int(lhs < rhs), Op.LEU: int(lhs <= rhs),
-        Op.GTU: int(lhs > rhs), Op.GEU: int(lhs >= rhs),
-        Op.LTS: int(signed_l < signed_r), Op.LES: int(signed_l <= signed_r),
-        Op.GTS: int(signed_l > signed_r), Op.GES: int(signed_l >= signed_r),
-    }
-    if op in table:
-        return table[op] & _MASK64
-    if rhs == 0:
-        return None  # division fault; reported separately
-    if op == Op.DIVU:
-        return (lhs // rhs) & _MASK64
-    if op == Op.MODU:
-        return (lhs % rhs) & _MASK64
-    if op == Op.DIVS:
-        quotient = abs(signed_l) // abs(signed_r)
-        if (signed_l < 0) != (signed_r < 0):
-            quotient = -quotient
-        return quotient & _MASK64
-    if op == Op.MODS:
-        remainder = abs(signed_l) % abs(signed_r)
-        if signed_l < 0:
-            remainder = -remainder
-        return remainder & _MASK64
-    return None  # pragma: no cover
-
-
-def _fold_unary(op: Op, value: int) -> int:
-    value &= _MASK64
-    if op == Op.BNOT:
-        return ~value & _MASK64
-    if op == Op.NEG:
-        return -value & _MASK64
-    return 0 if value else 1  # LNOT
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ overflow — aborts with verdict 0 (deny). Monitors therefore fail closed.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Protocol
+from typing import TYPE_CHECKING, Callable, Optional, Protocol
 
 from repro.filtervm.isa import MASK64, Op, to_signed, to_unsigned
 from repro.filtervm.program import FilterProgram, ProgramError
@@ -180,12 +180,8 @@ class FilterVM:
                 rhs = pop()
                 lhs = pop()
                 push(_BINARY_HANDLERS[op](lhs, rhs))
-            elif op == Op.BNOT:
-                push(~pop())
-            elif op == Op.NEG:
-                push(-pop())
-            elif op == Op.LNOT:
-                push(0 if pop() else 1)
+            elif op in _UNARY_HANDLERS:
+                push(_UNARY_HANDLERS[op](pop()))
             elif op == Op.JMP:
                 pc = instruction.operand
             elif op == Op.JZ:
@@ -314,3 +310,24 @@ _BINARY_HANDLERS = {
     Op.GTS: lambda a, b: int(to_signed(a) > to_signed(b)),
     Op.GES: lambda a, b: int(to_signed(a) >= to_signed(b)),
 }
+
+_UNARY_HANDLERS = {
+    Op.BNOT: lambda a: ~a,
+    Op.NEG: lambda a: -a,
+    Op.LNOT: lambda a: 0 if a else 1,
+}
+
+
+def evaluate(op: Op, *operands: int) -> int:
+    """What the VM leaves on the stack for ALU ``op`` over ``operands``.
+
+    The handler tables above are the one definition of 64-bit arithmetic:
+    ``_execute`` dispatches through them, and the verifier's constant
+    propagation and the Cpf compiler's constant folding call this, so
+    neither can disagree with what runs. Operands are taken mod 2^64; a
+    zero divisor raises :class:`VmFault`.
+    """
+    handler: Callable[..., int] = (
+        _BINARY_HANDLERS[op] if len(operands) == 2 else _UNARY_HANDLERS[op]
+    )
+    return handler(*(value & MASK64 for value in operands)) & MASK64

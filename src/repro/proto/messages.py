@@ -1,10 +1,12 @@
 """PacketLab wire messages.
 
-Each message is a frozen dataclass with a class-level ``TYPE`` tag and
-symmetric ``encode_body``/``decode_body``. The endpoint commands mirror
-Table 1 exactly (``nopen``, ``nclose``, ``nsend``, ``ncap``, ``npoll``,
-``mread``, ``mwrite``); the rest is session management (hello/auth),
-contention notifications (§3.3), and the rendezvous protocol (§3.2).
+Each message is one decorated field table: ``@message(TYPE)`` over fields
+that each name their codec once with :func:`wire`, in wire order. Encoder,
+decoder and registration are derived from that table, so there is nothing
+to keep in step. The endpoint commands mirror Table 1 exactly (``nopen``,
+``nclose``, ``nsend``, ``ncap``, ``npoll``, ``mread``, ``mwrite``); the
+rest is session management (hello/auth), contention notifications (§3.3),
+and the rendezvous protocol (§3.2).
 
 Times on the wire are **endpoint-local 64-bit nanosecond ticks**, exactly
 as the paper specifies: the endpoint never interprets controller wall time.
@@ -12,19 +14,85 @@ as the paper specifies: the endpoint never interprets controller wall time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import ClassVar, Type
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Any, Callable, ClassVar, Type, TypeVar
 
 from repro.util.byteio import ByteReader, ByteWriter, DecodeError
 
+_T = TypeVar("_T", bound=type)
 _REGISTRY: dict[int, Type["Message"]] = {}
 
 
-def register(cls: Type["Message"]) -> Type["Message"]:
-    if cls.TYPE in _REGISTRY:
-        raise ValueError(f"duplicate message type {cls.TYPE}")
-    _REGISTRY[cls.TYPE] = cls
+def wire(codec: Any, default: Any = MISSING) -> Any:
+    """A dataclass field that travels as ``codec``.
+
+    ``codec`` names a :class:`ByteWriter`/:class:`ByteReader` method pair
+    (``"u32"``, ``"bytes_u16"``, ...). A pair ``(count, item)`` is a counted
+    tuple: a ``count`` codec, then that many items, each a codec name or a
+    :func:`record` class.
+    """
+    return field(default=default, metadata={"wire": codec})
+
+
+def record(cls: _T) -> _T:
+    """Make ``cls`` a frozen dataclass whose field table is its wire format.
+
+    ``encode_body``/``decode_body`` are compiled here, once per class, from
+    the fields' codecs in declaration order (the way ``dataclasses`` builds
+    ``__init__``; interpreting the table per call measurably slowed every
+    RPC). The generated code only calls ``ByteWriter``/``ByteReader``, so
+    range and underrun checks stay where they are.
+    """
+    cls = dataclass(frozen=True)(cls)
+    scope: dict[str, Any] = {}
+
+    def io(codec: Any, value: str) -> tuple[str, str]:
+        """Source text that writes ``value`` as ``codec``, and that reads it."""
+        if isinstance(codec, type):  # a nested record
+            scope[codec.__name__] = codec
+            return f"{value}.encode_body(writer)", f"{codec.__name__}.decode_body(reader)"
+        if isinstance(codec, str) and hasattr(ByteWriter, codec) and hasattr(ByteReader, codec):
+            return f"writer.{codec}({value})", f"reader.{codec}()"
+        raise TypeError(f"{cls.__name__}: no wire codec {codec!r} for {value}")
+
+    writes: list[str] = []
+    reads: list[str] = []
+    for spec in fields(cls):
+        codec = spec.metadata.get("wire")
+        if isinstance(codec, tuple):
+            count, item = codec
+            put_count, get_count = io(count, f"len(self.{spec.name})")
+            put_item, get_item = io(item, "item")
+            writes += [put_count, f"for item in self.{spec.name}: {put_item}"]
+            reads.append(f"tuple([{get_item} for _ in range({get_count})])")
+        else:
+            put, get = io(codec, f"self.{spec.name}")
+            writes.append(put)
+            reads.append(get)
+    source = (
+        "def encode_body(self, writer):\n    " + "\n    ".join(writes or ["pass"])
+        + "\ndef decode_body(cls, reader):\n    return cls(" + ", ".join(reads) + ")\n"
+    )
+    # compiled under this file's name so profilers attribute it to proto
+    exec(compile(source, __file__, "exec"), scope)
+    cls.encode_body = scope["encode_body"]
+    cls.decode_body = classmethod(scope["decode_body"])
     return cls
+
+
+def message(type_code: int) -> Callable[[_T], _T]:
+    """Class decorator: a :func:`record` that ``decode_message`` accepts
+    under the one-byte tag ``type_code`` (also readable as ``cls.TYPE``)."""
+
+    def decorate(cls: _T) -> _T:
+        if type_code in _REGISTRY:
+            raise ValueError(f"duplicate message type {type_code}")
+        cls = record(cls)
+        cls.TYPE = type_code
+        _REGISTRY[type_code] = cls
+        return cls
+
+    return decorate
 
 
 @dataclass(frozen=True)
@@ -34,15 +102,8 @@ class Message:
     def encode(self) -> bytes:
         writer = ByteWriter()
         writer.u8(self.TYPE)
-        self.encode_body(writer)
+        self.encode_body(writer)  # built by @message from the field table
         return writer.getvalue()
-
-    def encode_body(self, writer: ByteWriter) -> None:  # pragma: no cover
-        raise NotImplementedError
-
-    @classmethod
-    def decode_body(cls, reader: ByteReader) -> "Message":  # pragma: no cover
-        raise NotImplementedError
 
 
 def decode_message(data: bytes) -> Message:
@@ -51,9 +112,9 @@ def decode_message(data: bytes) -> Message:
     cls = _REGISTRY.get(msg_type)
     if cls is None:
         raise DecodeError(f"unknown message type {msg_type}")
-    message = cls.decode_body(reader)
+    decoded = cls.decode_body(reader)
     reader.expect_end()
-    return message
+    return decoded
 
 
 # ---------------------------------------------------------------------------
@@ -61,35 +122,17 @@ def decode_message(data: bytes) -> Message:
 # ---------------------------------------------------------------------------
 
 
-@register
-@dataclass(frozen=True)
+@message(1)
 class Hello(Message):
     """Endpoint -> controller, first message after connecting."""
 
-    TYPE: ClassVar[int] = 1
-    version: int = 1
-    caps: int = 0
-    endpoint_name: str = ""
-    descriptor_hash: bytes = b""  # which published experiment prompted this
-
-    def encode_body(self, writer: ByteWriter) -> None:
-        writer.u8(self.version)
-        writer.u16(self.caps)
-        writer.str_u16(self.endpoint_name)
-        writer.bytes_u16(self.descriptor_hash)
-
-    @classmethod
-    def decode_body(cls, reader: ByteReader) -> "Hello":
-        return cls(
-            version=reader.u8(),
-            caps=reader.u16(),
-            endpoint_name=reader.str_u16(),
-            descriptor_hash=reader.bytes_u16(),
-        )
+    version: int = wire("u8", 1)
+    caps: int = wire("u16", 0)
+    endpoint_name: str = wire("str_u16", "")
+    descriptor_hash: bytes = wire("bytes_u16", b"")  # which published experiment prompted this
 
 
-@register
-@dataclass(frozen=True)
+@message(2)
 class Auth(Message):
     """Controller -> endpoint: descriptor + certificate chains + priority.
 
@@ -99,64 +142,25 @@ class Auth(Message):
     chain verifies against its trust store.
     """
 
-    TYPE: ClassVar[int] = 2
-    descriptor: bytes = b""
-    chains: tuple[bytes, ...] = ()
-    priority: int = 0
-
-    def encode_body(self, writer: ByteWriter) -> None:
-        writer.bytes_u32(self.descriptor)
-        writer.u8(len(self.chains))
-        for chain in self.chains:
-            writer.bytes_u32(chain)
-        writer.u8(self.priority)
-
-    @classmethod
-    def decode_body(cls, reader: ByteReader) -> "Auth":
-        descriptor = reader.bytes_u32()
-        count = reader.u8()
-        chains = tuple(reader.bytes_u32() for _ in range(count))
-        return cls(descriptor=descriptor, chains=chains, priority=reader.u8())
+    descriptor: bytes = wire("bytes_u32", b"")
+    chains: tuple[bytes, ...] = wire(("u8", "bytes_u32"), ())
+    priority: int = wire("u8", 0)
 
 
-@register
-@dataclass(frozen=True)
+@message(3)
 class AuthOk(Message):
-    TYPE: ClassVar[int] = 3
-    session_id: int = 0
-    buffer_limit: int = 0  # effective capture buffer for this session
-
-    def encode_body(self, writer: ByteWriter) -> None:
-        writer.u32(self.session_id)
-        writer.u32(self.buffer_limit)
-
-    @classmethod
-    def decode_body(cls, reader: ByteReader) -> "AuthOk":
-        return cls(session_id=reader.u32(), buffer_limit=reader.u32())
+    session_id: int = wire("u32", 0)
+    buffer_limit: int = wire("u32", 0)  # effective capture buffer for this session
 
 
-@register
-@dataclass(frozen=True)
+@message(4)
 class AuthFail(Message):
-    TYPE: ClassVar[int] = 4
-    reason: str = ""
+    reason: str = wire("str_u16", "")
     # Machine-readable failure class (0 = generic auth failure,
     # ERR_MONITOR_REJECTED = a certificate monitor failed static
     # verification); ``report`` carries the full verifier report text.
-    code: int = 0
-    report: str = ""
-
-    def encode_body(self, writer: ByteWriter) -> None:
-        writer.str_u16(self.reason)
-        writer.u8(self.code)
-        writer.str_u16(self.report)
-
-    @classmethod
-    def decode_body(cls, reader: ByteReader) -> "AuthFail":
-        reason = reader.str_u16()
-        code = reader.u8()
-        report = reader.str_u16()
-        return cls(reason=reason, code=code, report=report)
+    code: int = wire("u8", 0)
+    report: str = wire("str_u16", "")
 
 
 # ---------------------------------------------------------------------------
@@ -164,160 +168,63 @@ class AuthFail(Message):
 # ---------------------------------------------------------------------------
 
 
-@register
-@dataclass(frozen=True)
+@message(10)
 class NOpen(Message):
-    TYPE: ClassVar[int] = 10
-    reqid: int = 0
-    sktid: int = 0
-    proto: int = 0  # SOCK_RAW / SOCK_TCP / SOCK_UDP
-    locport: int = 0
-    remaddr: int = 0
-    remport: int = 0
-
-    def encode_body(self, writer: ByteWriter) -> None:
-        writer.u32(self.reqid)
-        writer.u32(self.sktid)
-        writer.u8(self.proto)
-        writer.u16(self.locport)
-        writer.u32(self.remaddr)
-        writer.u16(self.remport)
-
-    @classmethod
-    def decode_body(cls, reader: ByteReader) -> "NOpen":
-        return cls(
-            reqid=reader.u32(),
-            sktid=reader.u32(),
-            proto=reader.u8(),
-            locport=reader.u16(),
-            remaddr=reader.u32(),
-            remport=reader.u16(),
-        )
+    reqid: int = wire("u32", 0)
+    sktid: int = wire("u32", 0)
+    proto: int = wire("u8", 0)  # SOCK_RAW / SOCK_TCP / SOCK_UDP
+    locport: int = wire("u16", 0)
+    remaddr: int = wire("u32", 0)
+    remport: int = wire("u16", 0)
 
 
-@register
-@dataclass(frozen=True)
+@message(11)
 class NClose(Message):
-    TYPE: ClassVar[int] = 11
-    reqid: int = 0
-    sktid: int = 0
-
-    def encode_body(self, writer: ByteWriter) -> None:
-        writer.u32(self.reqid)
-        writer.u32(self.sktid)
-
-    @classmethod
-    def decode_body(cls, reader: ByteReader) -> "NClose":
-        return cls(reqid=reader.u32(), sktid=reader.u32())
+    reqid: int = wire("u32", 0)
+    sktid: int = wire("u32", 0)
 
 
-@register
-@dataclass(frozen=True)
+@message(12)
 class NSend(Message):
     """Queue data to be sent on a socket at a particular endpoint-local
     time (ticks). A time in the past means "send immediately" (§3.1)."""
 
-    TYPE: ClassVar[int] = 12
-    reqid: int = 0
-    sktid: int = 0
-    time: int = 0  # endpoint-local ns ticks
-    data: bytes = b""
-
-    def encode_body(self, writer: ByteWriter) -> None:
-        writer.u32(self.reqid)
-        writer.u32(self.sktid)
-        writer.u64(self.time)
-        writer.bytes_u32(self.data)
-
-    @classmethod
-    def decode_body(cls, reader: ByteReader) -> "NSend":
-        return cls(
-            reqid=reader.u32(),
-            sktid=reader.u32(),
-            time=reader.u64(),
-            data=reader.bytes_u32(),
-        )
+    reqid: int = wire("u32", 0)
+    sktid: int = wire("u32", 0)
+    time: int = wire("u64", 0)  # endpoint-local ns ticks
+    data: bytes = wire("bytes_u32", b"")
 
 
-@register
-@dataclass(frozen=True)
+@message(13)
 class NCap(Message):
     """Install a packet filter on a raw socket; capture until ``time``."""
 
-    TYPE: ClassVar[int] = 13
-    reqid: int = 0
-    sktid: int = 0
-    time: int = 0  # endpoint-local ns ticks; capture deadline
-    filt: bytes = b""  # serialized FilterProgram
-
-    def encode_body(self, writer: ByteWriter) -> None:
-        writer.u32(self.reqid)
-        writer.u32(self.sktid)
-        writer.u64(self.time)
-        writer.bytes_u32(self.filt)
-
-    @classmethod
-    def decode_body(cls, reader: ByteReader) -> "NCap":
-        return cls(
-            reqid=reader.u32(),
-            sktid=reader.u32(),
-            time=reader.u64(),
-            filt=reader.bytes_u32(),
-        )
+    reqid: int = wire("u32", 0)
+    sktid: int = wire("u32", 0)
+    time: int = wire("u64", 0)  # endpoint-local ns ticks; capture deadline
+    filt: bytes = wire("bytes_u32", b"")  # serialized FilterProgram
 
 
-@register
-@dataclass(frozen=True)
+@message(14)
 class NPoll(Message):
     """Poll for buffered network data; wait until ``time`` if none."""
 
-    TYPE: ClassVar[int] = 14
-    reqid: int = 0
-    time: int = 0  # endpoint-local ns ticks
-
-    def encode_body(self, writer: ByteWriter) -> None:
-        writer.u32(self.reqid)
-        writer.u64(self.time)
-
-    @classmethod
-    def decode_body(cls, reader: ByteReader) -> "NPoll":
-        return cls(reqid=reader.u32(), time=reader.u64())
+    reqid: int = wire("u32", 0)
+    time: int = wire("u64", 0)  # endpoint-local ns ticks
 
 
-@register
-@dataclass(frozen=True)
+@message(15)
 class MRead(Message):
-    TYPE: ClassVar[int] = 15
-    reqid: int = 0
-    memaddr: int = 0
-    bytecnt: int = 0
-
-    def encode_body(self, writer: ByteWriter) -> None:
-        writer.u32(self.reqid)
-        writer.u32(self.memaddr)
-        writer.u32(self.bytecnt)
-
-    @classmethod
-    def decode_body(cls, reader: ByteReader) -> "MRead":
-        return cls(reqid=reader.u32(), memaddr=reader.u32(), bytecnt=reader.u32())
+    reqid: int = wire("u32", 0)
+    memaddr: int = wire("u32", 0)
+    bytecnt: int = wire("u32", 0)
 
 
-@register
-@dataclass(frozen=True)
+@message(16)
 class MWrite(Message):
-    TYPE: ClassVar[int] = 16
-    reqid: int = 0
-    memaddr: int = 0
-    data: bytes = b""
-
-    def encode_body(self, writer: ByteWriter) -> None:
-        writer.u32(self.reqid)
-        writer.u32(self.memaddr)
-        writer.bytes_u32(self.data)
-
-    @classmethod
-    def decode_body(cls, reader: ByteReader) -> "MWrite":
-        return cls(reqid=reader.u32(), memaddr=reader.u32(), data=reader.bytes_u32())
+    reqid: int = wire("u32", 0)
+    memaddr: int = wire("u32", 0)
+    data: bytes = wire("bytes_u32", b"")
 
 
 # ---------------------------------------------------------------------------
@@ -325,74 +232,30 @@ class MWrite(Message):
 # ---------------------------------------------------------------------------
 
 
-@register
-@dataclass(frozen=True)
+@message(20)
 class Result(Message):
-    TYPE: ClassVar[int] = 20
-    reqid: int = 0
-    status: int = 0
-    payload: bytes = b""
-
-    def encode_body(self, writer: ByteWriter) -> None:
-        writer.u32(self.reqid)
-        writer.u8(self.status)
-        writer.bytes_u32(self.payload)
-
-    @classmethod
-    def decode_body(cls, reader: ByteReader) -> "Result":
-        return cls(reqid=reader.u32(), status=reader.u8(), payload=reader.bytes_u32())
+    reqid: int = wire("u32", 0)
+    status: int = wire("u8", 0)
+    payload: bytes = wire("bytes_u32", b"")
 
 
-@dataclass(frozen=True)
+@record
 class CaptureRecord:
     """One captured unit: a raw packet, a UDP datagram, or a TCP chunk."""
 
-    sktid: int
-    timestamp: int  # endpoint-local ns ticks at receipt
-    data: bytes
-
-    def encode(self, writer: ByteWriter) -> None:
-        writer.u32(self.sktid)
-        writer.u64(self.timestamp)
-        writer.bytes_u32(self.data)
-
-    @classmethod
-    def decode(cls, reader: ByteReader) -> "CaptureRecord":
-        return cls(sktid=reader.u32(), timestamp=reader.u64(), data=reader.bytes_u32())
+    sktid: int = wire("u32")
+    timestamp: int = wire("u64")  # endpoint-local ns ticks at receipt
+    data: bytes = wire("bytes_u32")
 
 
-@register
-@dataclass(frozen=True)
+@message(21)
 class PollData(Message):
     """Response to NPoll: buffered records plus drop accounting (§3.1)."""
 
-    TYPE: ClassVar[int] = 21
-    reqid: int = 0
-    dropped_packets: int = 0
-    dropped_bytes: int = 0
-    records: tuple[CaptureRecord, ...] = ()
-
-    def encode_body(self, writer: ByteWriter) -> None:
-        writer.u32(self.reqid)
-        writer.u32(self.dropped_packets)
-        writer.u64(self.dropped_bytes)
-        writer.u32(len(self.records))
-        for record in self.records:
-            record.encode(writer)
-
-    @classmethod
-    def decode_body(cls, reader: ByteReader) -> "PollData":
-        reqid = reader.u32()
-        dropped_packets = reader.u32()
-        dropped_bytes = reader.u64()
-        count = reader.u32()
-        records = tuple(CaptureRecord.decode(reader) for _ in range(count))
-        return cls(
-            reqid=reqid,
-            dropped_packets=dropped_packets,
-            dropped_bytes=dropped_bytes,
-            records=records,
-        )
+    reqid: int = wire("u32", 0)
+    dropped_packets: int = wire("u32", 0)
+    dropped_bytes: int = wire("u64", 0)
+    records: tuple[CaptureRecord, ...] = wire(("u32", CaptureRecord), ())
 
 
 # ---------------------------------------------------------------------------
@@ -400,77 +263,31 @@ class PollData(Message):
 # ---------------------------------------------------------------------------
 
 
-@register
-@dataclass(frozen=True)
+@message(30)
 class Interrupted(Message):
     """Endpoint -> controller: a higher-priority experiment preempted you."""
 
-    TYPE: ClassVar[int] = 30
-    by_priority: int = 0
-
-    def encode_body(self, writer: ByteWriter) -> None:
-        writer.u8(self.by_priority)
-
-    @classmethod
-    def decode_body(cls, reader: ByteReader) -> "Interrupted":
-        return cls(by_priority=reader.u8())
+    by_priority: int = wire("u8", 0)
 
 
-@register
-@dataclass(frozen=True)
+@message(31)
 class Resumed(Message):
-    TYPE: ClassVar[int] = 31
-
-    def encode_body(self, writer: ByteWriter) -> None:
-        pass
-
-    @classmethod
-    def decode_body(cls, reader: ByteReader) -> "Resumed":
-        return cls()
+    """Endpoint -> controller: the preempting experiment ended; carry on."""
 
 
-@register
-@dataclass(frozen=True)
+@message(32)
 class SessionEnd(Message):
-    TYPE: ClassVar[int] = 32
-    reason: str = ""
-
-    def encode_body(self, writer: ByteWriter) -> None:
-        writer.str_u16(self.reason)
-
-    @classmethod
-    def decode_body(cls, reader: ByteReader) -> "SessionEnd":
-        return cls(reason=reader.str_u16())
+    reason: str = wire("str_u16", "")
 
 
-@register
-@dataclass(frozen=True)
+@message(33)
 class Yield(Message):
     """Controller -> endpoint: voluntarily suspend (give back control)."""
 
-    TYPE: ClassVar[int] = 33
 
-    def encode_body(self, writer: ByteWriter) -> None:
-        pass
-
-    @classmethod
-    def decode_body(cls, reader: ByteReader) -> "Yield":
-        return cls()
-
-
-@register
-@dataclass(frozen=True)
+@message(34)
 class Bye(Message):
     """Controller -> endpoint: experiment finished."""
-
-    TYPE: ClassVar[int] = 34
-
-    def encode_body(self, writer: ByteWriter) -> None:
-        pass
-
-    @classmethod
-    def decode_body(cls, reader: ByteReader) -> "Bye":
-        return cls()
 
 
 # ---------------------------------------------------------------------------
@@ -478,8 +295,7 @@ class Bye(Message):
 # ---------------------------------------------------------------------------
 
 
-@register
-@dataclass(frozen=True)
+@message(40)
 class RdzPublish(Message):
     """Experimenter -> rendezvous: publish a signed experiment.
 
@@ -489,82 +305,33 @@ class RdzPublish(Message):
     the experiment (§3.3, Rendezvous Publish/Subscribe Channels).
     """
 
-    TYPE: ClassVar[int] = 40
-    descriptor: bytes = b""
-    chain: bytes = b""
-    delivery_chains: tuple[bytes, ...] = ()
-
-    def encode_body(self, writer: ByteWriter) -> None:
-        writer.bytes_u32(self.descriptor)
-        writer.bytes_u32(self.chain)
-        writer.u16(len(self.delivery_chains))
-        for chain in self.delivery_chains:
-            writer.bytes_u32(chain)
-
-    @classmethod
-    def decode_body(cls, reader: ByteReader) -> "RdzPublish":
-        descriptor = reader.bytes_u32()
-        chain = reader.bytes_u32()
-        count = reader.u16()
-        delivery = tuple(reader.bytes_u32() for _ in range(count))
-        return cls(descriptor=descriptor, chain=chain, delivery_chains=delivery)
+    descriptor: bytes = wire("bytes_u32", b"")
+    chain: bytes = wire("bytes_u32", b"")
+    delivery_chains: tuple[bytes, ...] = wire(("u16", "bytes_u32"), ())
 
 
-@register
-@dataclass(frozen=True)
+@message(41)
 class RdzPublishResult(Message):
-    TYPE: ClassVar[int] = 41
-    ok: bool = False
-    reason: str = ""
-
-    def encode_body(self, writer: ByteWriter) -> None:
-        writer.u8(1 if self.ok else 0)
-        writer.str_u16(self.reason)
-
-    @classmethod
-    def decode_body(cls, reader: ByteReader) -> "RdzPublishResult":
-        return cls(ok=bool(reader.u8()), reason=reader.str_u16())
+    ok: bool = wire("flag", False)
+    reason: str = wire("str_u16", "")
 
 
-@register
-@dataclass(frozen=True)
+@message(42)
 class RdzSubscribe(Message):
     """Endpoint -> rendezvous: subscribe to channels (trusted key hashes)."""
 
-    TYPE: ClassVar[int] = 42
-    channels: tuple[bytes, ...] = ()
-
-    def encode_body(self, writer: ByteWriter) -> None:
-        writer.u16(len(self.channels))
-        for channel in self.channels:
-            writer.bytes_u16(channel)
-
-    @classmethod
-    def decode_body(cls, reader: ByteReader) -> "RdzSubscribe":
-        count = reader.u16()
-        return cls(channels=tuple(reader.bytes_u16() for _ in range(count)))
+    channels: tuple[bytes, ...] = wire(("u16", "bytes_u16"), ())
 
 
-@register
-@dataclass(frozen=True)
+@message(43)
 class RdzExperiment(Message):
     """Rendezvous -> endpoint: a published experiment on your channels."""
 
-    TYPE: ClassVar[int] = 43
-    descriptor: bytes = b""
-    chain: bytes = b""
-
-    def encode_body(self, writer: ByteWriter) -> None:
-        writer.bytes_u32(self.descriptor)
-        writer.bytes_u32(self.chain)
-
-    @classmethod
-    def decode_body(cls, reader: ByteReader) -> "RdzExperiment":
-        return cls(descriptor=reader.bytes_u32(), chain=reader.bytes_u32())
+    descriptor: bytes = wire("bytes_u32", b"")
+    chain: bytes = wire("bytes_u32", b"")
 
 
-@register
-@dataclass(frozen=True)
+@message(44)
 class RdzHeartbeat(Message):
     """Endpoint -> rendezvous: periodic liveness beacon.
 
@@ -574,14 +341,6 @@ class RdzHeartbeat(Message):
     value signals the endpoint restarted since its last beacon.
     """
 
-    TYPE: ClassVar[int] = 44
-    endpoint_name: str = ""
-    seq: int = 0
+    endpoint_name: str = wire("str_u16", "")
+    seq: int = wire("u32", 0)
 
-    def encode_body(self, writer: ByteWriter) -> None:
-        writer.str_u16(self.endpoint_name)
-        writer.u32(self.seq)
-
-    @classmethod
-    def decode_body(cls, reader: ByteReader) -> "RdzHeartbeat":
-        return cls(endpoint_name=reader.str_u16(), seq=reader.u32())

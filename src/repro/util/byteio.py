@@ -60,6 +60,9 @@ class ByteWriter:
         self._append(struct.pack(">d", value))
         return self
 
+    def flag(self, value: bool) -> "ByteWriter":
+        return self.u8(1 if value else 0)
+
     def raw(self, data: bytes) -> "ByteWriter":
         self._append(bytes(data))
         return self
@@ -141,6 +144,9 @@ class ByteReader:
 
     def f64(self) -> float:
         return struct.unpack(">d", self._take(8))[0]
+
+    def flag(self) -> bool:
+        return bool(self.u8())
 
     def raw(self, count: int) -> bytes:
         return self._take(count)

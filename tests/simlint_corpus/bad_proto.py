@@ -7,8 +7,8 @@ class Message:
     pass
 
 
-def register(cls):
-    return cls
+def message(type_code):
+    return lambda cls: cls
 
 
 class HalfCodec:                               # PROTO001 line 14

@@ -10,20 +10,13 @@ class Message:
     pass
 
 
-def register(cls):
-    return cls
+def message(type_code):
+    return lambda cls: cls
 
 
-@register
-class Probe(Message):
-    TYPE = 7
-
-    def encode_body(self, writer):
-        writer.u8(self.TYPE)
-
-    @classmethod
-    def decode_body(cls, reader):
-        return cls()
+@message(7)
+class Probe(Message):                        # one decorated field table: clean
+    sktid: int = 0
 
 
 def send(payload):

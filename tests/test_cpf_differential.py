@@ -4,15 +4,16 @@ Hypothesis generates random C expression trees; we compile them with the
 Cpf compiler, run them on the filter VM, and compare against a reference
 evaluator implementing C's semantics (64-bit wrapping arithmetic, unsigned
 -wins conversions, short-circuit logic, truncating division). Any mismatch
-is a code-generation bug.
+is a code-generation bug. A constant expression is also used as a global
+initializer, so the compiler's constant folding is held to the same
+reference and to what the VM computes at run time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.cpf import compile_cpf
 from repro.filtervm import FilterVM
@@ -138,6 +139,44 @@ class Binary:
         raise AssertionError(self.op)
 
 
+def is_constant(expr) -> bool:
+    """Whether Cpf accepts ``expr`` as a global initializer (it folds
+    literals under unary and non-short-circuit binary operators)."""
+    if isinstance(expr, Unary):
+        return is_constant(expr.operand)
+    if isinstance(expr, Binary):
+        return (expr.op not in ("&&", "||")
+                and is_constant(expr.left) and is_constant(expr.right))
+    return isinstance(expr, Lit)
+
+
+def _neg(value: int) -> Unary:
+    return Unary("-", Lit(value))
+
+
+# Constant expressions whose folding once disagreed with the VM (floor vs
+# truncating division), crashed the compiler (any negative right operand),
+# or pin the rest of the shared operator table.
+_FOLD_CASES = [
+    Binary("/", _neg(7), Lit(2)),
+    Binary("%", _neg(7), Lit(2)),
+    Binary("/", Lit(7), _neg(2)),
+    Binary("+", Lit(5), _neg(2)),
+    Binary("*", Lit(3), _neg(1)),
+    Binary(">>", _neg(8), Lit(1)),
+    Binary("<<", Lit(1), Lit(63)),
+    Binary("<", _neg(1), Lit(0)),
+    Binary("<<", Lit(1), _neg(1)),
+    Binary(">>", _neg(8), Lit(65)),
+]
+
+
+def _fold_examples(test):
+    for case in _FOLD_CASES:
+        test = example(expr=case, a=0, b=0, c=0)(test)
+    return test
+
+
 _VAR_NAMES = ["a", "b", "c"]
 
 _SAFE_BINOPS = ["+", "-", "*", "&", "|", "^", "<<", ">>",
@@ -173,6 +212,7 @@ def expressions(max_depth: int = 4):
     b=st.integers(0, MASK64),
     c=st.integers(0, MASK64),
 )
+@_fold_examples
 def test_compiled_expression_matches_reference(expr, a, b, c):
     env = {"a": a, "b": b, "c": c}
     try:
@@ -184,13 +224,22 @@ def test_compiled_expression_matches_reference(expr, a, b, c):
         f"    return {expr.render()};\n"
         "}\n"
     )
+    folds = expected is not None and is_constant(expr)
+    if folds:
+        source += (
+            f"uint64_t g = {expr.render()};\n"
+            "uint64_t folded() { return g; }\n"
+        )
     program = compile_cpf(source)
     vm = FilterVM(program, fuel_limit=100_000)
+    vm.run_init()
     result = vm.invoke("main", args=(a, b, c))
     if expected is None:
         assert result == 0  # VM faults closed on division by zero
     else:
         assert result == expected, f"\nsource:\n{source}\nenv: {env}"
+    if folds:
+        assert vm.invoke("folded") == expected, f"\nsource:\n{source}"
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.netsim.topology import Network
+from repro.proto import messages
 from repro.proto.framing import FramingError, MessageStream
 from repro.proto.messages import (
     Auth,
@@ -22,6 +23,7 @@ from repro.proto.messages import (
     NSend,
     PollData,
     RdzExperiment,
+    RdzHeartbeat,
     RdzPublish,
     RdzPublishResult,
     RdzSubscribe,
@@ -37,7 +39,7 @@ ALL_MESSAGES = [
     Hello(version=1, caps=7, endpoint_name="ep-九", descriptor_hash=b"\x01" * 32),
     Auth(descriptor=b"DESC", chains=(b"CHAIN1", b"CHAIN2"), priority=3),
     AuthOk(session_id=42, buffer_limit=65536),
-    AuthFail(reason="chain rejected: expired"),
+    AuthFail(reason="chain rejected: expired", code=2, report="recv: oob at pc 3"),
     NOpen(reqid=1, sktid=2, proto=1, locport=80, remaddr=0x0A000001, remport=443),
     NClose(reqid=2, sktid=2),
     NSend(reqid=3, sktid=0, time=2**63, data=b"\x00\xffdata"),
@@ -64,6 +66,7 @@ ALL_MESSAGES = [
     RdzPublishResult(ok=True, reason=""),
     RdzSubscribe(channels=(b"\x01" * 32, b"\x02" * 32)),
     RdzExperiment(descriptor=b"D", chain=b"C"),
+    RdzHeartbeat(endpoint_name="ep-九", seq=2**32 - 1),
 ]
 
 
@@ -73,6 +76,27 @@ class TestMessageCodecs:
     )
     def test_round_trip(self, message):
         assert decode_message(message.encode()) == message
+
+    def test_every_decodable_type_is_round_tripped(self):
+        def accepted(tag):
+            try:
+                decode_message(bytes([tag]))
+            except DecodeError as exc:
+                return "unknown message type" not in str(exc)
+            return True
+
+        assert {m.TYPE for m in ALL_MESSAGES} == set(filter(accepted, range(256)))
+
+    @pytest.mark.parametrize(
+        "tag, field, error",
+        [(250, 0, TypeError), (Bye.TYPE, messages.wire("u8", 0), ValueError)],
+        ids=["field-names-no-codec", "type-reused"],
+    )
+    def test_bad_declaration_raises_at_class_creation(self, tag, field, error):
+        with pytest.raises(error):
+            @messages.message(tag)
+            class Bad(messages.Message):
+                value: int = field
 
     def test_unknown_type_rejected(self):
         with pytest.raises(DecodeError, match="unknown message type"):
