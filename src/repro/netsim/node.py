@@ -11,8 +11,8 @@ from repro.netsim.stack.icmp import IcmpLayer
 from repro.netsim.stack.ip import IpLayer
 from repro.netsim.stack.tcp import TcpLayer
 from repro.netsim.stack.udp import UdpLayer
-from repro.packet.ipv4 import IPv4Packet
-from repro.util.inet import format_ip, ip_in_network
+from repro.packet.ipv4 import PROTO_ICMP, PROTO_TCP, PROTO_UDP, IPv4Packet
+from repro.util.inet import format_ip, prefix_mask
 
 
 class Interface:
@@ -23,6 +23,7 @@ class Interface:
         self.name = name
         self.addr = 0
         self.prefix_len = 32
+        self.mask = prefix_mask(32)
         self._tx: Optional[LinkDirection] = None
 
     @property
@@ -34,10 +35,12 @@ class Interface:
         return self._tx is not None
 
     def configure(self, addr: int, prefix_len: int = 24) -> "Interface":
+        mask = prefix_mask(prefix_len)  # rejects a bad length before any edit
         if self.addr:
             self.node._local_addrs.discard(self.addr)
         self.addr = addr
         self.prefix_len = prefix_len
+        self.mask = mask
         if addr:
             self.node._local_addrs.add(addr)
         return self
@@ -62,15 +65,13 @@ class Interface:
 class Route:
     """A routing table entry (longest-prefix match, point-to-point links)."""
 
-    __slots__ = ("prefix", "prefix_len", "iface")
+    __slots__ = ("prefix", "prefix_len", "mask", "iface")
 
     def __init__(self, prefix: int, prefix_len: int, iface: Interface) -> None:
         self.prefix = prefix
         self.prefix_len = prefix_len
+        self.mask = prefix_mask(prefix_len)
         self.iface = iface
-
-    def matches(self, addr: int) -> bool:
-        return ip_in_network(addr, self.prefix, self.prefix_len)
 
 
 class Node:
@@ -137,7 +138,13 @@ class Node:
     def lookup_route(self, dst: int) -> Optional[Interface]:
         """True longest-prefix-match across connected networks and the
         routing table (a /32 host route beats a directly connected /30,
-        so globally computed shortest paths override link adjacency)."""
+        so globally computed shortest paths override link adjacency).
+
+        Masks are fixed when an interface is configured or a route is
+        made, so each candidate costs one ``(dst ^ addr) & mask``.
+        Nothing is remembered per destination: ``routes`` and
+        ``route_table`` are edited in place by the topology builders.
+        """
         exact = self.route_table.get(dst)
         if exact is not None:
             return exact
@@ -146,14 +153,14 @@ class Node:
         for iface in self.interfaces:
             if (
                 iface.addr
-                and iface.connected
+                and iface._tx is not None
                 and iface.prefix_len > best_len
-                and ip_in_network(dst, iface.addr, iface.prefix_len)
+                and not (dst ^ iface.addr) & iface.mask
             ):
                 best_iface = iface
                 best_len = iface.prefix_len
         for route in self.routes:
-            if route.prefix_len > best_len and route.matches(dst):
+            if route.prefix_len > best_len and not (dst ^ route.prefix) & route.mask:
                 best_iface = route.iface
                 best_len = route.prefix_len
         return best_iface
@@ -165,8 +172,6 @@ class Node:
 
     def local_deliver(self, packet: IPv4Packet) -> None:
         """Dispatch a packet addressed to this node to its L4 handler."""
-        from repro.packet.ipv4 import PROTO_ICMP, PROTO_TCP, PROTO_UDP
-
         if packet.proto == PROTO_ICMP:
             self.icmp.receive(packet)
         elif packet.proto == PROTO_UDP:

@@ -22,6 +22,7 @@ class IcmpLayer:
         self._node = node
         self._listeners: list[IcmpListener] = []
         self.echo_requests_answered = 0
+        self.rx_rejected = 0
 
     def add_listener(self, listener: IcmpListener) -> None:
         self._listeners.append(listener)
@@ -36,6 +37,10 @@ class IcmpLayer:
         try:
             message = IcmpMessage.decode(packet.payload)
         except DecodeError:
+            self.rx_rejected += 1
+            obs = self._node.sim.obs
+            if obs.enabled:
+                obs.counter("icmp.rx_rejected", node=self._node.name).inc()
             return
         for listener in list(self._listeners):
             listener(packet, message)

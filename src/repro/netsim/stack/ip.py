@@ -78,12 +78,13 @@ class IpLayer:
         node = self._node
         if node.is_local_address(packet.dst):
             consumed = False
-            for tap in list(self._taps):
-                if not tap.active:
-                    continue
-                verdict = tap.callback(packet)
-                if verdict == VERDICT_CONSUME:
-                    consumed = True
+            if self._taps:
+                for tap in list(self._taps):
+                    if not tap.active:
+                        continue
+                    verdict = tap.callback(packet)
+                    if verdict == VERDICT_CONSUME:
+                        consumed = True
             if not consumed:
                 self.packets_delivered += 1
                 node.local_deliver(packet)
@@ -96,7 +97,7 @@ class IpLayer:
         node = self._node
         if packet.ttl <= 1:
             self._send_icmp_error(
-                packet, in_iface, IcmpMessage.time_exceeded(packet.encode())
+                packet, in_iface, IcmpMessage.time_exceeded(packet.quoted())
             )
             return
         out = node.lookup_route(packet.dst)
@@ -105,7 +106,7 @@ class IpLayer:
             self._send_icmp_error(
                 packet,
                 in_iface,
-                IcmpMessage.dest_unreachable(UNREACH_NET, packet.encode()),
+                IcmpMessage.dest_unreachable(UNREACH_NET, packet.quoted()),
             )
             return
         self.packets_forwarded += 1

@@ -725,6 +725,7 @@ class TcpLayer:
         self._next_port = EPHEMERAL_PORT_BASE
         self._isn_counter = 1000
         self.rsts_sent = 0
+        self.rx_rejected = 0
 
     def _next_isn(self) -> int:
         self._isn_counter = (self._isn_counter + 64001) % SEQ_MOD
@@ -787,6 +788,10 @@ class TcpLayer:
         try:
             segment = TcpSegment.decode(packet.payload, packet.src, packet.dst)
         except DecodeError:
+            self.rx_rejected += 1
+            obs = self.node.sim.obs
+            if obs.enabled:
+                obs.counter("tcp.rx_rejected", node=self.node.name).inc()
             return
         key = (packet.dst, segment.dst_port, packet.src, segment.src_port)
         conn = self._connections.get(key)

@@ -76,6 +76,7 @@ class UdpLayer:
         self._next_ephemeral = EPHEMERAL_PORT_BASE
         self.datagrams_received = 0
         self.port_unreachable_sent = 0
+        self.rx_rejected = 0
 
     def bind(self, port: int = 0) -> UdpSocket:
         if port == 0:
@@ -103,11 +104,15 @@ class UdpLayer:
         try:
             datagram = UdpDatagram.decode(packet.payload, packet.src, packet.dst)
         except DecodeError:
+            self.rx_rejected += 1
+            obs = self.node.sim.obs
+            if obs.enabled:
+                obs.counter("udp.rx_rejected", node=self.node.name).inc()
             return
         socket = self._sockets.get(datagram.dst_port)
         if socket is None or socket.closed:
             self.port_unreachable_sent += 1
-            error = IcmpMessage.dest_unreachable(UNREACH_PORT, packet.encode())
+            error = IcmpMessage.dest_unreachable(UNREACH_PORT, packet.quoted())
             self.node.send_ip(
                 IPv4Packet(
                     src=packet.dst,

@@ -5,7 +5,7 @@ socket interface, the filter VM, and the capture path all operate on the
 bytes these produce.
 """
 
-from repro.packet.checksum import internet_checksum, pseudo_header
+from repro.packet.checksum import internet_checksum
 from repro.packet.dns import DnsMessage, DnsQuestion, DnsRecord
 from repro.packet.icmp import (
     ICMP_DEST_UNREACH,
@@ -63,5 +63,4 @@ __all__ = [
     "UNREACH_PORT",
     "UdpDatagram",
     "internet_checksum",
-    "pseudo_header",
 ]

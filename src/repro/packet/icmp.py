@@ -22,6 +22,9 @@ TTL_EXPIRED_IN_TRANSIT = 0
 
 ICMP_HEADER_LEN = 8
 
+# Type+code, checksum, rest-of-header.
+_HEADER = struct.Struct(">HHI")
+
 
 @dataclass(frozen=True)
 class IcmpMessage:
@@ -39,22 +42,20 @@ class IcmpMessage:
     body: bytes
 
     def encode(self) -> bytes:
-        header = struct.pack(
-            ">BBHI", self.icmp_type & 0xFF, self.code & 0xFF, 0, self.rest & 0xFFFFFFFF
-        )
-        checksum = internet_checksum(header + self.body)
-        return (
-            header[:2] + struct.pack(">H", checksum) + header[4:] + self.body
-        )
+        type_code = (self.icmp_type & 0xFF) << 8 | self.code & 0xFF
+        rest = self.rest & 0xFFFFFFFF
+        checksum = internet_checksum(self.body, type_code + rest)
+        return _HEADER.pack(type_code, checksum, rest) + self.body
 
     @classmethod
     def decode(cls, data: bytes, verify_checksum: bool = True) -> "IcmpMessage":
         if len(data) < ICMP_HEADER_LEN:
             raise DecodeError(f"ICMP message too short: {len(data)} bytes")
-        icmp_type, code, _checksum, rest = struct.unpack(">BBHI", data[:ICMP_HEADER_LEN])
+        type_code, _checksum, rest = _HEADER.unpack_from(data)
         if verify_checksum and internet_checksum(data) != 0:
             raise DecodeError("bad ICMP checksum")
-        return cls(icmp_type=icmp_type, code=code, rest=rest, body=bytes(data[ICMP_HEADER_LEN:]))
+        return cls(icmp_type=type_code >> 8, code=type_code & 0xFF, rest=rest,
+                   body=bytes(data[ICMP_HEADER_LEN:]))
 
     # -- echo helpers -----------------------------------------------------
 

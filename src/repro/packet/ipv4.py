@@ -14,7 +14,7 @@ are rejected loudly rather than mis-parsed.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.packet.checksum import internet_checksum
 from repro.util.byteio import DecodeError
@@ -31,6 +31,10 @@ PROTO_RAW_TEST = 253  # RFC 3692 experimental; used by tests for opaque payloads
 PROTO_NAMES = {PROTO_ICMP: "icmp", PROTO_TCP: "tcp", PROTO_UDP: "udp"}
 
 DEFAULT_TTL = 64
+
+# version/IHL+TOS, total length, ident, flags/fragment, TTL+proto, checksum,
+# src, dst — the 16-bit words the header checksum sums.
+_HEADER = struct.Struct(">HHHHHHII")
 
 
 @dataclass(frozen=True)
@@ -54,54 +58,58 @@ class IPv4Packet:
         """Copy with TTL reduced by one (router forwarding)."""
         if self.ttl <= 0:
             raise ValueError("cannot decrement TTL below zero")
-        return replace(self, ttl=self.ttl - 1)
+        return IPv4Packet(
+            self.src, self.dst, self.proto, self.payload, self.ttl - 1,
+            self.ident, self.dscp, self.dont_fragment,
+        )
+
+    def _header(self) -> bytes:
+        total_length = IP_HEADER_LEN + len(self.payload)
+        if total_length > IP_MAX_PACKET:
+            raise ValueError(f"packet too large: {total_length}")
+        ver_tos = 0x4500 | (self.dscp << 2) & 0xFF  # version 4, IHL 5
+        ident = self.ident & 0xFFFF
+        flags_frag = 0x4000 if self.dont_fragment else 0
+        ttl_proto = (self.ttl & 0xFF) << 8 | self.proto & 0xFF
+        src = self.src & 0xFFFFFFFF
+        dst = self.dst & 0xFFFFFFFF
+        checksum = internet_checksum(
+            b"", ver_tos + total_length + ident + flags_frag + ttl_proto + src + dst
+        )
+        return _HEADER.pack(
+            ver_tos, total_length, ident, flags_frag, ttl_proto, checksum, src, dst
+        )
 
     def encode(self) -> bytes:
         """Serialize to wire bytes with a correct header checksum."""
-        if self.total_length > IP_MAX_PACKET:
-            raise ValueError(f"packet too large: {self.total_length}")
-        flags_frag = 0x4000 if self.dont_fragment else 0
-        header = struct.pack(
-            ">BBHHHBBHII",
-            (4 << 4) | 5,  # version 4, IHL 5
-            self.dscp << 2,
-            self.total_length,
-            self.ident & 0xFFFF,
-            flags_frag,
-            self.ttl & 0xFF,
-            self.proto & 0xFF,
-            0,  # checksum placeholder
-            self.src & 0xFFFFFFFF,
-            self.dst & 0xFFFFFFFF,
-        )
-        checksum = internet_checksum(header)
-        header = header[:10] + struct.pack(">H", checksum) + header[12:]
-        return header + self.payload
+        return self._header() + self.payload
+
+    def quoted(self) -> bytes:
+        """Header plus the first 8 payload bytes: what an ICMP error quotes
+        (``encode()[:28]`` without serialising the rest of the datagram)."""
+        return self._header() + self.payload[:8]
 
     @classmethod
     def decode(cls, data: bytes, verify_checksum: bool = True) -> "IPv4Packet":
         """Parse wire bytes into a packet, validating structure."""
         if len(data) < IP_HEADER_LEN:
             raise DecodeError(f"IPv4 packet too short: {len(data)} bytes")
-        ver_ihl = data[0]
-        version = ver_ihl >> 4
-        ihl = ver_ihl & 0x0F
+        (
+            ver_tos,
+            total_length,
+            ident,
+            flags_frag,
+            ttl_proto,
+            _checksum,
+            src,
+            dst,
+        ) = _HEADER.unpack_from(data)
+        version = ver_tos >> 12
+        ihl = (ver_tos >> 8) & 0x0F
         if version != 4:
             raise DecodeError(f"not an IPv4 packet (version={version})")
         if ihl != 5:
             raise DecodeError(f"IP options unsupported (ihl={ihl})")
-        (
-            _vi,
-            tos,
-            total_length,
-            ident,
-            flags_frag,
-            ttl,
-            proto,
-            checksum,
-            src,
-            dst,
-        ) = struct.unpack(">BBHHHBBHII", data[:IP_HEADER_LEN])
         if total_length < IP_HEADER_LEN or total_length > len(data):
             raise DecodeError(
                 f"bad total length {total_length} for {len(data)} byte buffer"
@@ -114,11 +122,11 @@ class IPv4Packet:
         return cls(
             src=src,
             dst=dst,
-            proto=proto,
+            proto=ttl_proto & 0xFF,
             payload=bytes(data[IP_HEADER_LEN:total_length]),
-            ttl=ttl,
+            ttl=ttl_proto >> 8,
             ident=ident,
-            dscp=tos >> 2,
+            dscp=(ver_tos & 0xFF) >> 2,
             dont_fragment=bool(flags_frag & 0x4000),
         )
 

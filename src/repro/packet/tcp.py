@@ -5,11 +5,15 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from repro.packet.checksum import internet_checksum, pseudo_header
+from repro.packet.checksum import internet_checksum, pseudo_header_sum
 from repro.packet.ipv4 import PROTO_TCP
 from repro.util.byteio import DecodeError
 
 TCP_HEADER_LEN = 20
+
+# Ports, seq, ack, data offset+flags, window, checksum, urgent pointer.
+_HEADER = struct.Struct(">HHIIHHHH")
+_MSS_OPTION = struct.Struct(">HH")
 
 FLAG_FIN = 0x01
 FLAG_SYN = 0x02
@@ -63,26 +67,33 @@ class TcpSegment:
         )
 
     def encode(self, src_ip: int, dst_ip: int) -> bytes:
-        options = b""
-        if self.mss is not None:
-            options = struct.pack(">BBH", 2, 4, self.mss & 0xFFFF)
-        data_offset = (TCP_HEADER_LEN + len(options)) // 4
-        header = struct.pack(
-            ">HHIIBBHHH",
-            self.src_port & 0xFFFF,
-            self.dst_port & 0xFFFF,
-            self.seq & 0xFFFFFFFF,
-            self.ack & 0xFFFFFFFF,
-            data_offset << 4,
-            self.flags & 0x3F,
-            self.window & 0xFFFF,
-            0,  # checksum placeholder
+        src_port = self.src_port & 0xFFFF
+        dst_port = self.dst_port & 0xFFFF
+        seq = self.seq & 0xFFFFFFFF
+        ack = self.ack & 0xFFFFFFFF
+        window = self.window & 0xFFFF
+        payload = self.payload
+        if self.mss is None:
+            options, options_sum = b"", 0
+        else:
+            mss = self.mss & 0xFFFF
+            options = _MSS_OPTION.pack(0x0204, mss)  # kind 2, length 4
+            options_sum = 0x0204 + mss
+        header_len = TCP_HEADER_LEN + len(options)
+        offset_flags = (header_len // 4) << 12 | self.flags & 0x3F
+        # The checksum field's own word is zero, so the header and the
+        # pseudo-header enter the sum as integers and the payload is
+        # summed in place.
+        checksum = internet_checksum(
+            payload,
+            pseudo_header_sum(src_ip, dst_ip, PROTO_TCP, header_len + len(payload))
+            + src_port + dst_port + seq + ack + offset_flags + window + options_sum,
+        )
+        header = _HEADER.pack(
+            src_port, dst_port, seq, ack, offset_flags, window, checksum,
             0,  # urgent pointer
         )
-        segment = header + options + self.payload
-        pseudo = pseudo_header(src_ip, dst_ip, PROTO_TCP, len(segment))
-        checksum = internet_checksum(pseudo + segment)
-        return segment[:16] + struct.pack(">H", checksum) + segment[18:]
+        return header + options + payload
 
     @classmethod
     def decode(
@@ -95,18 +106,17 @@ class TcpSegment:
             dst_port,
             seq,
             ack,
-            offset_byte,
-            flags,
+            offset_flags,
             window,
             _checksum,
             _urgent,
-        ) = struct.unpack(">HHIIBBHHH", data[:TCP_HEADER_LEN])
-        header_len = (offset_byte >> 4) * 4
+        ) = _HEADER.unpack_from(data)
+        header_len = (offset_flags >> 12) * 4
         if header_len < TCP_HEADER_LEN or header_len > len(data):
             raise DecodeError(f"bad TCP data offset: {header_len}")
         if verify_checksum:
-            pseudo = pseudo_header(src_ip, dst_ip, PROTO_TCP, len(data))
-            if internet_checksum(pseudo + data) != 0:
+            pseudo = pseudo_header_sum(src_ip, dst_ip, PROTO_TCP, len(data))
+            if internet_checksum(data, pseudo) != 0:
                 raise DecodeError("bad TCP checksum")
         mss = None
         options = data[TCP_HEADER_LEN:header_len]
@@ -131,7 +141,7 @@ class TcpSegment:
             dst_port=dst_port,
             seq=seq,
             ack=ack,
-            flags=flags & 0x3F,
+            flags=offset_flags & 0x3F,
             window=window,
             payload=bytes(data[header_len:]),
             mss=mss,

@@ -5,11 +5,13 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from repro.packet.checksum import internet_checksum, pseudo_header
+from repro.packet.checksum import internet_checksum, pseudo_header_sum
 from repro.packet.ipv4 import PROTO_UDP
 from repro.util.byteio import DecodeError
 
 UDP_HEADER_LEN = 8
+
+_HEADER = struct.Struct(">HHHH")
 
 
 @dataclass(frozen=True)
@@ -24,14 +26,17 @@ class UdpDatagram:
 
     def encode(self, src_ip: int, dst_ip: int) -> bytes:
         """Serialize; the checksum covers the IPv4 pseudo-header."""
-        header = struct.pack(
-            ">HHHH", self.src_port & 0xFFFF, self.dst_port & 0xFFFF, self.length, 0
+        src_port = self.src_port & 0xFFFF
+        dst_port = self.dst_port & 0xFFFF
+        length = self.length
+        checksum = internet_checksum(
+            self.payload,
+            pseudo_header_sum(src_ip, dst_ip, PROTO_UDP, length)
+            + src_port + dst_port + length,
         )
-        pseudo = pseudo_header(src_ip, dst_ip, PROTO_UDP, self.length)
-        checksum = internet_checksum(pseudo + header + self.payload)
         if checksum == 0:
             checksum = 0xFFFF  # RFC 768: transmitted zero means "no checksum"
-        return header[:6] + struct.pack(">H", checksum) + self.payload
+        return _HEADER.pack(src_port, dst_port, length, checksum) + self.payload
 
     @classmethod
     def decode(
@@ -39,11 +44,11 @@ class UdpDatagram:
     ) -> "UdpDatagram":
         if len(data) < UDP_HEADER_LEN:
             raise DecodeError(f"UDP datagram too short: {len(data)} bytes")
-        src_port, dst_port, length, checksum = struct.unpack(">HHHH", data[:UDP_HEADER_LEN])
+        src_port, dst_port, length, checksum = _HEADER.unpack_from(data)
         if length < UDP_HEADER_LEN or length > len(data):
             raise DecodeError(f"bad UDP length {length} for {len(data)} byte buffer")
         if verify_checksum and checksum != 0:
-            pseudo = pseudo_header(src_ip, dst_ip, PROTO_UDP, length)
-            if internet_checksum(pseudo + data[:length]) != 0:
+            pseudo = pseudo_header_sum(src_ip, dst_ip, PROTO_UDP, length)
+            if internet_checksum(data[:length], pseudo) != 0:
                 raise DecodeError("bad UDP checksum")
         return cls(src_port=src_port, dst_port=dst_port, payload=bytes(data[UDP_HEADER_LEN:length]))

@@ -17,7 +17,9 @@ import repro.fleet
 from repro.controller.client import SessionBudget, SessionClosed
 from repro.controller.session import Experimenter
 from repro.core.testbed import Testbed
-from repro.experiments.campaign import ping_job
+from repro.cpf import figure2_monitor
+from repro.crypto.certificate import Restrictions
+from repro.experiments.campaign import bandwidth_job, ping_job, traceroute_job
 from repro.fleet import (
     CampaignJob,
     CampaignScheduler,
@@ -343,6 +345,48 @@ def _golden_single_endpoint_retry():
     )
 
 
+# The three below were recorded before the packet path was rewritten
+# (folded checksum, copy-free L4 codecs): between them they cover
+# 1400-byte segments of odd and even length, ICMP time-exceeded quoting
+# under the Figure-2 monitor with raw ncap, and retransmission, duplicate
+# and out-of-order handling under link faults and an outage.
+
+
+def _golden_bandwidth():
+    fleet = FleetTestbed(endpoint_count=4, seed=5)
+    sizes = (1400, 1399, 1400, 333)
+    return fleet.run_campaign(
+        [bandwidth_job(f"bw-{i}", packet_count=12, payload_size=size,
+                       lead_time=2.0, settle_time=2.0)
+         for i, size in enumerate(sizes)],
+        max_concurrency=2,
+    )
+
+
+def _golden_traceroute_monitor():
+    fleet = FleetTestbed(endpoint_count=6, topology="tree", fanout=2,
+                         shards=2, operator_count=2, seed=6)
+    monitor = figure2_monitor(corrected=True).encode()
+    return fleet.run_campaign(
+        [traceroute_job(f"trace-{i}") for i in range(6)], max_concurrency=3,
+        experiment_restrictions=Restrictions(monitor=monitor),
+    )
+
+
+def _golden_lossy_reuse():
+    fleet = FleetTestbed(endpoint_count=4, seed=8)
+    plan = FaultPlan(seed=9)
+    for link in fleet.net.links:
+        plan.link_impairment(link, corrupt=0.03, duplicate=0.02,
+                             reorder=0.05, reorder_delay=0.02)
+    plan.link_outage(fleet.net.links[-1], start=3.0, duration=4.0)
+    plan.install(fleet.sim)
+    return fleet.run_campaign(
+        [ping_job(f"ping-{i}", count=3) for i in range(24)],
+        max_concurrency=4,
+    )
+
+
 RETIRED_OPTIONS = {
     "populate_count", "populate_timeout", "heartbeat_stale_after",
     "heartbeat_sweep_interval", "warehouse_segment_rows",
@@ -374,7 +418,14 @@ class TestOneCampaignDriver:
          "2ba03858fc41c6196bbd15076da52d0846fed57895b36724d7578293da09d419"),
         (_golden_single_endpoint_retry,
          "60f3ee7c3c24bb7b8221571b94eb4ce1e8e348c303febc3d6be260db6eb17a64"),
-    ], ids=["sharded-star", "heartbeat-churn", "byzantine", "single-retry"])
+        (_golden_bandwidth,
+         "2d269a4f42082907f1ed6247a559d5d9e2bc85d948309e8a374427c6e2bfb16e"),
+        (_golden_traceroute_monitor,
+         "b9084e6a10e2ff004496a57cfbe2c557a05ec5e1620c76b31109334d90c3ceb0"),
+        (_golden_lossy_reuse,
+         "0b3d226c8591a476450e13a1c5285f27842fc240aa82a33c2cfd4cb2f3b30980"),
+    ], ids=["sharded-star", "heartbeat-churn", "byzantine", "single-retry",
+            "bandwidth", "traceroute-monitor", "lossy-reuse"])
     def test_golden_report_digests(self, campaign, digest):
         report = campaign()
         assert hashlib.sha256(

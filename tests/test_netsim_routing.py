@@ -165,3 +165,101 @@ def test_clock_offset_and_skew():
     assert host.clock.now() == pytest.approx(expected_local)
     assert host.clock.ticks() == pytest.approx(expected_local * 1e9, rel=1e-9)
     assert host.clock.to_true_time(host.clock.now()) == pytest.approx(5.0)
+
+
+# -- route lookup: longest prefix, and no stale precomputed masks ---------------
+
+
+class TestLookupRoute:
+    def triangle(self):
+        """r has three neighbours; every interface is a connected /30."""
+        net = Network()
+        r = net.add_router("r")
+        for name in ("a", "b", "c"):
+            net.link(r, net.add_host(name))
+        to_a, to_b, to_c = r.interfaces
+        return net, r, to_a, to_b, to_c
+
+    def test_host_route_beats_connected_network_and_default_is_last(self):
+        _net, r, to_a, to_b, to_c = self.triangle()
+        neighbour = to_a.addr + 1  # a's end of the /30 connected via to_a
+        assert r.lookup_route(neighbour) is to_a
+        r.set_default_route(to_c)
+        assert r.lookup_route(neighbour) is to_a  # /30 beats /0
+        assert r.lookup_route(parse_ip("198.51.100.7")) is to_c
+        r.add_route(parse_ip("198.51.100.0"), 24, to_b)
+        assert r.lookup_route(parse_ip("198.51.100.7")) is to_b  # /24 beats /0
+        assert r.lookup_route(parse_ip("198.51.101.7")) is to_c
+        r.add_route(neighbour, 32, to_b)
+        assert r.lookup_route(neighbour) is to_b  # /32 beats connected /30
+        r.add_exact_route(parse_ip("198.51.100.7"), to_a)
+        assert r.lookup_route(parse_ip("198.51.100.7")) is to_a  # /32 beats /24
+        assert r.lookup_route(parse_ip("198.51.100.8")) is to_b
+
+    def test_no_match_and_unattached_interfaces(self):
+        _net, r, to_a, _to_b, _to_c = self.triangle()
+        assert r.lookup_route(parse_ip("203.0.113.1")) is None
+        spare = r.add_interface().configure(parse_ip("203.0.113.2"), 24)
+        assert not spare.connected
+        assert r.lookup_route(parse_ip("203.0.113.1")) is None
+
+    def test_reconfigure_is_seen_by_the_next_lookup(self):
+        _net, r, to_a, _to_b, _to_c = self.triangle()
+        inside_24 = parse_ip("192.0.2.200")
+        to_a.configure(parse_ip("192.0.2.1"), 24)
+        assert r.lookup_route(inside_24) is to_a
+        to_a.configure(parse_ip("192.0.2.1"), 30)  # same address, narrower
+        assert r.lookup_route(inside_24) is None
+        assert r.lookup_route(parse_ip("192.0.2.2")) is to_a
+        to_a.configure(parse_ip("192.0.3.1"), 16)  # new address, wider
+        assert r.lookup_route(inside_24) is to_a
+        assert r.is_local_address(parse_ip("192.0.3.1"))
+        assert not r.is_local_address(parse_ip("192.0.2.1"))
+
+    def test_route_edits_are_seen_by_the_next_lookup(self):
+        _net, r, to_a, to_b, to_c = self.triangle()
+        far = parse_ip("198.51.100.7")
+        assert r.lookup_route(far) is None
+        r.set_default_route(to_a)
+        assert r.lookup_route(far) is to_a
+        r.add_route(parse_ip("198.51.100.0"), 24, to_b)
+        assert r.lookup_route(far) is to_b
+        r.add_route(far, 32, to_c)
+        assert r.lookup_route(far) is to_c
+        # The topology builders edit both tables in place.
+        del r.route_table[far]
+        assert r.lookup_route(far) is to_b
+        r.routes.clear()
+        assert r.lookup_route(far) is None
+
+    def test_second_compute_routes_after_a_topology_edit(self):
+        net = Network()
+        a, r1, r2, b = (net.add_host("a"), net.add_router("r1"),
+                        net.add_router("r2"), net.add_host("b"))
+        net.link(a, r1)
+        net.link(r1, r2, delay=0.010)
+        net.link(r2, b)
+        net.compute_routes()
+        assert net.path_to(a, b) == ["a", "r1", "r2", "b"]
+        slow = r1.lookup_route(b.primary_address())
+        r3 = net.add_router("r3")  # a faster detour r1 -> r3 -> r2
+        net.link(r1, r3, delay=0.001)
+        net.link(r3, r2, delay=0.001)
+        assert r1.lookup_route(b.primary_address()) is slow  # not until asked
+        net.compute_routes()
+        assert net.path_to(a, b) == ["a", "r1", "r3", "r2", "b"]
+        assert r1.lookup_route(b.primary_address()) is not slow
+
+
+def test_decremented_changes_only_the_ttl():
+    packet = IPv4Packet(src=1, dst=2, proto=PROTO_RAW_TEST, payload=b"xyz",
+                        ttl=9, ident=0xBEEF, dscp=46, dont_fragment=False)
+    copy = packet.decremented()
+    assert copy is not packet
+    assert copy == IPv4Packet(src=1, dst=2, proto=PROTO_RAW_TEST, payload=b"xyz",
+                              ttl=8, ident=0xBEEF, dscp=46, dont_fragment=False)
+    assert packet.ttl == 9
+    assert copy.payload is packet.payload
+    for ttl in (0, -1):
+        with pytest.raises(ValueError):
+            IPv4Packet(src=1, dst=2, proto=1, payload=b"", ttl=ttl).decremented()

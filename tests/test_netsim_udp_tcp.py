@@ -8,7 +8,10 @@ from repro.netsim.stack.tcp import (
     ESTABLISHED,
 )
 from repro.netsim.topology import Network, linear_topology
-from repro.packet.icmp import ICMP_DEST_UNREACH, UNREACH_PORT
+from repro.packet.icmp import ICMP_DEST_UNREACH, UNREACH_PORT, IcmpMessage
+from repro.packet.ipv4 import PROTO_ICMP, PROTO_TCP, PROTO_UDP, IPv4Packet
+from repro.packet.tcp import FLAG_SYN, TcpSegment
+from repro.packet.udp import UdpDatagram
 
 
 def simple_pair(loss=0.0, seed=0, **kwargs):
@@ -350,3 +353,53 @@ def test_tcp_works_across_routers():
 
     net.sim.spawn(server())
     assert net.sim.run_process(client(), timeout=30.0) == b"datadata"
+
+
+class TestRejectedOnReceive:
+    """A packet whose L4 checksum is bad is counted and otherwise ignored:
+    no RST, no port-unreachable, no echo reply. Raw `nsend` can put any
+    bytes on the wire, so receivers verify every time."""
+
+    def inject(self, proto, good_l4, layer):
+        """Send `good_l4` a -> b with its last bit flipped, then intact;
+        only the first is rejected. Returns b's `layer`."""
+        net, a, b = simple_pair()
+        net.sim.obs.enabled = True
+        src, dst = a.primary_address(), b.primary_address()
+        raw = good_l4(src, dst)
+        corrupted = raw[:-1] + bytes([raw[-1] ^ 0x01])
+        stack = getattr(b, layer)
+        seen = []
+        for l4 in (corrupted, raw):
+            a.send_ip(IPv4Packet(src=src, dst=dst, proto=proto, payload=l4))
+            net.run()
+            seen.append(stack.rx_rejected)
+        assert seen == [1, 1]
+        assert net.sim.obs.counter(f"{layer}.rx_rejected", node="b").value == 1
+        assert getattr(a, layer).rx_rejected == 0
+        return stack
+
+    def test_tcp_bad_checksum_counted_and_elicits_no_rst(self):
+        def syn_to_closed_port(src, dst):
+            return TcpSegment(4000, 81, seq=7, ack=0, flags=FLAG_SYN,
+                              window=1000, payload=b"x").encode(src, dst)
+
+        tcp = self.inject(PROTO_TCP, syn_to_closed_port, "tcp")
+        # Only the intact copy reached the demultiplexer and was refused.
+        assert tcp.rsts_sent == 1
+
+    def test_udp_bad_checksum_counted_and_elicits_no_port_unreachable(self):
+        udp = self.inject(
+            PROTO_UDP,
+            lambda src, dst: UdpDatagram(4000, 4444, b"nobody").encode(src, dst),
+            "udp",
+        )
+        assert udp.port_unreachable_sent == 1
+
+    def test_icmp_bad_checksum_counted_and_not_answered(self):
+        icmp = self.inject(
+            PROTO_ICMP,
+            lambda src, dst: IcmpMessage.echo_request(1, 1, b"ping").encode(),
+            "icmp",
+        )
+        assert icmp.echo_requests_answered == 1
