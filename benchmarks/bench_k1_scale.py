@@ -3,10 +3,10 @@
 Two claims from the kernel scale-out refactor:
 
 1. **Kernel event throughput** — the refactored kernel (deque-backed
-   Queue, batched event resume, lazy cancelled-timer purge, pluggable
-   scheduler) sustains >= 5x the event throughput of the seed kernel on
-   fleet-shaped workloads: deep queues, broadcast wakeups, and timer
-   churn. A faithful miniature of the seed kernel (list-based Queue with
+   Queue, batched event resume, lazy cancelled-timer purge) sustains
+   >= 5x the event throughput of the seed kernel on fleet-shaped
+   workloads: deep queues, broadcast wakeups, and timer churn. A
+   faithful miniature of the seed kernel (list-based Queue with
    ``pop(0)``, one resume timer per waiter, heap that never drops
    cancelled entries) is embedded here as the baseline so the comparison
    survives future kernel changes.
@@ -33,7 +33,7 @@ _BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
 if __name__ == "__main__":
     sys.path.insert(0, os.path.join(_BENCH_DIR, "..", "src"))
 
-from repro.netsim.kernel import Event, HeapScheduler, Queue, Simulator
+from repro.netsim.kernel import Event, Queue, Simulator
 
 SMOKE_ENDPOINTS = 1000
 SMOKE_BUDGET_S = 300.0
@@ -85,7 +85,7 @@ class _SeedEvent(Event):
             self._sim._resume_soon(proc, value)
 
 
-class _NoPurgeHeap(HeapScheduler):
+class _NoPurgeSimulator(Simulator):
     """The seed heap: cancelled timers ride along until their deadline."""
 
     def _note_cancel(self):
@@ -166,7 +166,7 @@ def _broadcast(seed: bool):
 def _churn(seed: bool):
     """Timers armed and mostly cancelled — the RPC-timeout pattern. The
     seed heap carries every cancelled entry to its deadline."""
-    sim = Simulator(scheduler=_NoPurgeHeap() if seed else "heap")
+    sim = _NoPurgeSimulator() if seed else Simulator()
     fired = [0]
 
     def tick(_index):
@@ -232,8 +232,7 @@ def kernel_micro_comparison() -> tuple[list[list], dict]:
 # -- the fleet size curve -------------------------------------------------
 
 
-def run_campaign_point(endpoint_count: int, kind: str,
-                       scheduler: str = "heap") -> dict:
+def run_campaign_point(endpoint_count: int, kind: str) -> dict:
     from repro.experiments.campaign import ping_job
     from repro.fleet.testbed import FleetTestbed
 
@@ -242,7 +241,6 @@ def run_campaign_point(endpoint_count: int, kind: str,
         endpoint_count=endpoint_count,
         topology=kind,
         seed=7,
-        scheduler=scheduler,
     )
     build_s = time.perf_counter() - build_start
     jobs = [ping_job(f"ping-{index}", count=3)
@@ -257,7 +255,6 @@ def run_campaign_point(endpoint_count: int, kind: str,
     return {
         "endpoints": endpoint_count,
         "topology": kind,
-        "scheduler": scheduler,
         "jobs_completed": report.jobs_completed,
         "jobs_failed": report.jobs_failed,
         "build_s": round(build_s, 3),

@@ -65,6 +65,14 @@ def observability_main(args: argparse.Namespace) -> int:
     return 0
 
 
+def positive_rate(text: str) -> float:
+    """argparse type for ``--rate``; `not value > 0` also refuses NaN."""
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be greater than 0, got {text}")
+    return value
+
+
 def add_fleet_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--endpoints", type=int, default=20,
                         help="fleet size (default 20)")
@@ -78,7 +86,7 @@ def add_fleet_arguments(parser: argparse.ArgumentParser) -> None:
                         choices=("star", "tree", "mesh"))
     parser.add_argument("--concurrency", type=int, default=16,
                         help="max concurrent sessions (default 16)")
-    parser.add_argument("--rate", type=float, default=None,
+    parser.add_argument("--rate", type=positive_rate, default=None,
                         help="session starts per simulated second "
                              "(default unlimited)")
     parser.add_argument("--count", type=int, default=3,

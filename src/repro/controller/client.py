@@ -133,6 +133,12 @@ class RpcTimeout(Exception):
         self.timeout = timeout
 
 
+# Faults a driver degrades gracefully on — an experiment returns a partial
+# result, a campaign requeues the job: the session died, a command went
+# unanswered, or the endpoint refused a command.
+RECOVERABLE = (SessionClosed, RpcTimeout, CommandError)
+
+
 @dataclass
 class DeferredError:
     """A pipelined (``*_nowait``) command that later reported failure.

@@ -165,6 +165,9 @@ class ResilientHandle:
                 if self.handle.closed:
                     yield from self._reacquire(op)
                 return (yield from factory(self.handle))
+            # Narrower than client.RECOVERABLE on purpose: a CommandError
+            # is the endpoint's answer, not a transport fault — retrying
+            # would repeat the refusal, so it passes through to the caller.
             except (SessionClosed, RpcTimeout) as exc:
                 if attempt >= self.policy.max_attempts:
                     raise

@@ -22,22 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Generator, Optional
 
-from repro.controller.client import (
-    CommandError,
-    EndpointHandle,
-    RpcTimeout,
-    SessionClosed,
-)
+from repro.controller.client import RECOVERABLE, EndpointHandle
 from repro.experiments.servers import UdpSink
 from repro.netsim.clock import NANOSECONDS
 from repro.netsim.node import Node
 
 # Per-packet wire overhead: UDP(8) + IPv4(20) + link(14).
 WIRE_OVERHEAD = 42
-
-# Faults an experiment driver degrades gracefully on: the session died,
-# a command went unanswered, or the endpoint refused a command.
-_RECOVERABLE = (SessionClosed, RpcTimeout, CommandError)
 
 
 @dataclass
@@ -105,7 +96,7 @@ def measure_uplink_bandwidth(
                 status = yield from handle.nsend(sktid, due, data)
                 handle.expect_ok(status, "nsend")
             issued += 1
-    except _RECOVERABLE as exc:
+    except RECOVERABLE as exc:
         # Partial result: report what the sink observed of the packets
         # that were scheduled before the session/command failed.
         error = f"{type(exc).__name__}: {exc}"
@@ -117,7 +108,7 @@ def measure_uplink_bandwidth(
     try:
         if not handle.closed:
             yield from handle.nclose(sktid)
-    except _RECOVERABLE:
+    except RECOVERABLE:
         pass
     arrivals = sink.arrivals
     measured = sink.observed_rate_bps(WIRE_OVERHEAD)

@@ -14,20 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Generator, Optional
 
-from repro.controller.client import (
-    CommandError,
-    EndpointHandle,
-    RpcTimeout,
-    SessionClosed,
-)
+from repro.controller.client import RECOVERABLE, EndpointHandle
 from repro.netsim.clock import NANOSECONDS
 from repro.netsim.links import LINK_OVERHEAD_BYTES
 from repro.netsim.node import Node
 from repro.packet.ipv4 import IP_HEADER_LEN
 from repro.packet.udp import UDP_HEADER_LEN
-
-
-_RECOVERABLE = (SessionClosed, RpcTimeout, CommandError)
 
 
 @dataclass
@@ -89,13 +81,13 @@ def measure_downlink_dispersion(
                 now = yield from handle.read_clock()
                 if now >= deadline:
                     break
-    except _RECOVERABLE as exc:
+    except RECOVERABLE as exc:
         # Partial result: whatever pairs were timestamped still count.
         error = f"{type(exc).__name__}: {exc}"
     try:
         if not handle.closed:
             yield from handle.nclose(sktid)
-    except _RECOVERABLE:
+    except RECOVERABLE:
         pass
     wire_bits = (
         payload_size + 2 + UDP_HEADER_LEN + IP_HEADER_LEN + LINK_OVERHEAD_BYTES

@@ -11,12 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Generator, Optional
 
-from repro.controller.client import (
-    CommandError,
-    EndpointHandle,
-    RpcTimeout,
-    SessionClosed,
-)
+from repro.controller.client import RECOVERABLE, EndpointHandle
 from repro.endpoint.memory import OFF_ADDR_IP
 from repro.filtervm import builtins
 from repro.netsim.clock import NANOSECONDS
@@ -29,9 +24,6 @@ from repro.util.byteio import DecodeError
 class PingProbe:
     seq: int
     rtt: Optional[float]  # endpoint-clock seconds; None = lost
-
-
-_RECOVERABLE = (SessionClosed, RpcTimeout, CommandError)
 
 
 @dataclass
@@ -120,14 +112,14 @@ def ping(
             now = yield from handle.read_clock()
             if now >= deadline:
                 break
-    except _RECOVERABLE as exc:
+    except RECOVERABLE as exc:
         # Partial result: probes scheduled before the failure still count.
         result.partial = True
         result.error = f"{type(exc).__name__}: {exc}"
     try:
         if not handle.closed:
             yield from handle.nclose(sktid)
-    except _RECOVERABLE:
+    except RECOVERABLE:
         pass
     for seq in sorted(send_times):
         result.probes.append(PingProbe(seq=seq, rtt=rtts.get(seq)))

@@ -16,12 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Generator, Optional
 
-from repro.controller.client import (
-    CommandError,
-    EndpointHandle,
-    RpcTimeout,
-    SessionClosed,
-)
+from repro.controller.client import RECOVERABLE, EndpointHandle
 from repro.endpoint.memory import OFF_ADDR_IP
 from repro.filtervm import builtins
 from repro.netsim.clock import NANOSECONDS
@@ -34,8 +29,6 @@ from repro.packet.ipv4 import IPv4Packet, PROTO_ICMP
 from repro.util.byteio import DecodeError
 
 MAX_TTL = 40
-
-_RECOVERABLE = (SessionClosed, RpcTimeout, CommandError)
 
 
 @dataclass
@@ -110,14 +103,14 @@ def traceroute(
             if hop.reached_destination:
                 result.reached = True
                 break
-    except _RECOVERABLE as exc:
+    except RECOVERABLE as exc:
         # Partial result: keep the hops discovered before the failure.
         result.partial = True
         result.error = f"{type(exc).__name__}: {exc}"
     try:
         if not handle.closed:
             yield from handle.nclose(sktid)
-    except _RECOVERABLE:
+    except RECOVERABLE:
         pass
     return result
 

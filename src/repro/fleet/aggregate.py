@@ -182,19 +182,6 @@ class Rollup:
             sketch = self.sketches[name] = QuantileSketch()
         return sketch
 
-    def absorb(self, metrics: dict) -> None:
-        """Fold one job's metrics dict into this rollup.
-
-        ``metrics`` uses the campaign convention::
-
-            {"counters": {name: amount, ...},
-             "values": {stream: [floats], ...}}
-        """
-        for name, amount in (metrics.get("counters") or {}).items():
-            self.counters.add(name, amount)
-        for name, values in (metrics.get("values") or {}).items():
-            self.sketch(name).extend(values)
-
     def merge(self, other: "Rollup") -> None:
         self.jobs += other.jobs
         self.failures += other.failures
@@ -284,22 +271,52 @@ class ResultAggregator:
             rollup = self.per_endpoint[name] = Rollup()
         return rollup
 
+    def fold_result(self, endpoint: str, ok: bool, counters: dict) -> None:
+        """Fold one ``results`` row: the job, its failure, its counters."""
+        self.jobs_observed += 1
+        for rollup in (self.total, self.endpoint(endpoint)):
+            rollup.jobs += 1
+            if not ok:
+                rollup.failures += 1
+            for name, amount in counters.items():
+                rollup.counters.add(name, amount)
+
+    def fold_sample(self, endpoint: str, stream: str, value: float) -> None:
+        """Fold one ``samples`` row into the stream's two sketches."""
+        self.total.sketch(stream).observe(value)
+        self.endpoint(endpoint).sketch(stream).observe(value)
+
+    def merge(self, other: "ResultAggregator") -> None:
+        self.jobs_observed += other.jobs_observed
+        self.total.merge(other.total)
+        for name, rollup in other.per_endpoint.items():
+            self.endpoint(name).merge(rollup)
+
     def observe(self, endpoint_name: str, metrics: Optional[dict],
                 failed: bool = False, job: Optional[str] = None,
                 error: Optional[str] = None) -> None:
         """Fold one finished job into the rollups.
 
+        ``metrics`` uses the campaign convention::
+
+            {"counters": {name: amount, ...},
+             "values": {stream: [floats], ...}}
+
         ``job``/``error`` identify the completion for subclasses that
         record per-job rows (the warehouse tee); the streaming rollups
         themselves ignore them.
         """
-        self.jobs_observed += 1
-        for rollup in (self.total, self.endpoint(endpoint_name)):
-            rollup.jobs += 1
-            if failed:
-                rollup.failures += 1
-            if metrics:
-                rollup.absorb(metrics)
+        metrics = metrics or {}
+        self.fold_result(endpoint_name, not failed,
+                         metrics.get("counters") or {})
+        for stream, values in (metrics.get("values") or {}).items():
+            # A stream the job names without a value (every probe lost)
+            # still reports n=0; no row records that, so it is the one
+            # thing a rebuild from segments cannot reproduce.
+            self.total.sketch(stream)
+            self.endpoint(endpoint_name).sketch(stream)
+            for value in values:
+                self.fold_sample(endpoint_name, stream, value)
 
     # -- export ---------------------------------------------------------------
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import Any, Callable, Generator, Optional
 
-from repro.controller.client import CommandError, RpcTimeout, SessionClosed
+from repro.controller.client import RECOVERABLE
 from repro.fleet.aggregate import (
     ResultAggregator,
     counters_fingerprint,
@@ -36,8 +36,6 @@ from repro.fleet.aggregate import (
 from repro.fleet.pool import EndpointPool, PooledEndpoint
 from repro.util.retry import RetryPolicy
 
-# Outcomes that requeue a job rather than abort the campaign.
-RESCHEDULABLE = (SessionClosed, RpcTimeout, CommandError)
 
 
 @dataclass
@@ -122,6 +120,9 @@ class TokenBucket:
     __slots__ = ("rate", "burst", "tokens", "last")
 
     def __init__(self, rate: Optional[float], burst: float, now: float) -> None:
+        # `not rate > 0` also refuses NaN, which would make every delay NaN.
+        if rate is not None and not rate > 0:
+            raise ValueError(f"rate must be None (unlimited) or > 0, got {rate!r}")
         self.rate = rate  # tokens per simulated second; None = unlimited
         self.burst = max(1.0, burst)
         self.tokens = self.burst
@@ -519,7 +520,7 @@ class CampaignScheduler:
         )
         try:
             result = yield from job.run(handle, ctx)
-        except RESCHEDULABLE as exc:
+        except RECOVERABLE as exc:
             job.error = f"{type(exc).__name__}: {exc}"
             yield from self._scrub_session(handle)
             if obs.enabled:
@@ -544,7 +545,7 @@ class CampaignScheduler:
         for sktid in sorted(open_sockets):
             try:
                 yield from handle.nclose(sktid)
-            except RESCHEDULABLE:
+            except RECOVERABLE:
                 return
 
     # -- completion handling --------------------------------------------------

@@ -47,7 +47,6 @@ from repro.fleet.scheduler import (
     CrossValidation,
 )
 from repro.fleet.shard import ShardedRendezvous, subscribe_endpoint
-from repro.netsim.kernel import EventScheduler, Simulator
 from repro.netsim.node import Node
 from repro.netsim.topology import Network, fleet_topology
 from repro.obs import TelemetrySnapshot
@@ -360,9 +359,14 @@ class FleetTestbed(World):
         allow_raw: bool = True,
         capture_buffer_bytes: int = 64 * 1024,
         endpoint_reconnect: bool = True,
-        scheduler: "str | EventScheduler | None" = None,
+        scheduler: Optional[str] = None,
         heartbeat_interval: float = 0.0,
     ) -> None:
+        # There is one event queue. The keyword survives only because the
+        # frozen perf ledger (perf/workloads.py, its only caller) passes
+        # scheduler="heap"; drop it with the next `benchmark` PR.
+        if scheduler not in (None, "heap"):
+            raise ValueError(f"unknown scheduler {scheduler!r} (only 'heap')")
         if operator_count < 1 or operator_count > endpoint_count:
             operator_count = max(1, min(operator_count, endpoint_count))
         net, endpoint_hosts, controller_host, target_host = fleet_topology(
@@ -372,7 +376,6 @@ class FleetTestbed(World):
             access_bandwidth_bps=access_bandwidth_bps,
             access_delay=access_delay,
             seed=seed,
-            network=Network(Simulator(scheduler=scheduler)),
         )
         super().__init__(net, controller_host, target_host,
                          Experimenter("fleet-experimenter"))

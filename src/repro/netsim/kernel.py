@@ -9,15 +9,11 @@ Design:
 - Virtual time is a ``float`` number of seconds. Events scheduled for the
   same instant run in scheduling order (a monotonically increasing sequence
   number breaks ties), which makes every run bit-for-bit reproducible.
-- The pending-event set lives in a pluggable :class:`EventScheduler`. Two
-  implementations ship: the classic binary heap (:class:`HeapScheduler`,
-  the default) and a calendar queue (:class:`CalendarScheduler`) whose
-  push/pop cost stays flat as the pending set grows to fleet scale. Both
-  drain events in exactly the same ``(time, seq)`` total order, so a
-  same-seed run is byte-identical regardless of the scheduler — the
-  differential determinism suite asserts this.
-- Cancelled timers are purged lazily: each scheduler counts cancellations
-  and compacts its storage once more than half of the stored entries are
+- The pending set is one binary heap owned by :class:`Simulator`;
+  ``(time, seq)`` is the strict total order events drain in, which is
+  what keeps a same-seed run byte-identical.
+- Cancelled timers are purged lazily: the simulator counts cancellations
+  and compacts the heap once more than half of the stored entries are
   dead, so tight create/cancel loops (RPC timeouts, retry backoff,
   ``any_of`` losers) cannot bloat the pending set.
 - Concurrency uses plain Python generators (SimPy style). A process is a
@@ -38,9 +34,8 @@ Design:
 from __future__ import annotations
 
 import heapq
-from bisect import insort
 from collections import deque
-from typing import Any, Callable, Generator, Iterable, Optional, Union
+from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.obs import Observability
 
@@ -58,308 +53,24 @@ class SimError(Exception):
 class Timer:
     """Handle for a scheduled callback; may be cancelled before it fires."""
 
-    __slots__ = ("time", "_callback", "_args", "cancelled", "_sched")
+    __slots__ = ("time", "_callback", "_args", "cancelled", "_sim")
 
     def __init__(self, time: float, callback: Callable[..., None], args: tuple):
         self.time = time
         self._callback = callback
         self._args = args
         self.cancelled = False
-        # The scheduler currently storing this timer; used for lazy-purge
-        # accounting and cleared when the timer is popped or dropped.
-        self._sched: Optional["EventScheduler"] = None
+        # The simulator whose heap stores this timer while it can still
+        # fire; cancel() reports there for lazy-purge accounting. Cleared
+        # when the timer fires, so a late cancel() is not counted.
+        self._sim: Optional["Simulator"] = None
 
     def cancel(self) -> None:
         if not self.cancelled:
             self.cancelled = True
-            sched = self._sched
-            if sched is not None:
-                sched._note_cancel()
-
-    def _fire(self) -> None:
-        if not self.cancelled:
-            self._callback(*self._args)
-
-
-# A scheduler entry. The tuple shape keeps comparisons in C: ``seq`` is
-# unique, so ordering never reaches the (incomparable) Timer.
-Entry = "tuple[float, int, Timer]"
-
-
-class EventScheduler:
-    """Ordered storage for pending timers: the kernel's hot data structure.
-
-    The contract every implementation must honor:
-
-    - :meth:`push` stores an entry; :meth:`pop` returns the live entry with
-      the smallest ``(time, seq)`` (skipping and discarding cancelled
-      timers), or ``None`` when drained.
-    - ``len(sched)`` is the number of *live* (non-cancelled) entries.
-    - ``(time, seq)`` pop order is a strict total order identical across
-      implementations — this is what keeps same-seed runs byte-identical
-      under any scheduler.
-    - ``_note_cancel`` is called by :meth:`Timer.cancel` while the timer is
-      stored; implementations use it to trigger lazy compaction.
-    """
-
-    name = "abstract"
-
-    def push(self, time: float, seq: int, timer: Timer) -> None:
-        raise NotImplementedError
-
-    def pop(self) -> Optional[tuple]:
-        raise NotImplementedError
-
-    def __len__(self) -> int:
-        raise NotImplementedError
-
-    def _note_cancel(self) -> None:
-        raise NotImplementedError
-
-
-class HeapScheduler(EventScheduler):
-    """The classic binary-heap scheduler (seed behavior) with lazy purge."""
-
-    name = "heap"
-
-    __slots__ = ("_heap", "_cancelled")
-
-    def __init__(self) -> None:
-        self._heap: list[tuple[float, int, Timer]] = []
-        self._cancelled = 0
-
-    def push(self, time: float, seq: int, timer: Timer) -> None:
-        timer._sched = self
-        heapq.heappush(self._heap, (time, seq, timer))
-
-    def pop(self) -> Optional[tuple]:
-        heap = self._heap
-        while heap:
-            entry = heapq.heappop(heap)
-            timer = entry[2]
-            timer._sched = None
-            if timer.cancelled:
-                self._cancelled -= 1
-                continue
-            return entry
-        return None
-
-    def __len__(self) -> int:
-        return len(self._heap) - self._cancelled
-
-    def _note_cancel(self) -> None:
-        self._cancelled += 1
-        if self._cancelled > _PURGE_MIN and self._cancelled * 2 > len(self._heap):
-            self._purge()
-
-    def _purge(self) -> None:
-        live = []
-        for entry in self._heap:
-            if entry[2].cancelled:
-                entry[2]._sched = None
-            else:
-                live.append(entry)
-        heapq.heapify(live)
-        self._heap = live
-        self._cancelled = 0
-
-
-class CalendarScheduler(EventScheduler):
-    """A calendar-queue (bucketed) scheduler with O(1) amortized push/pop.
-
-    Entries hash into ``nbuckets`` circular buckets by epoch number
-    ``int(time * 1/width)``; the queue maintains a sorted *ready* run for
-    the current epoch and advances epoch by epoch, sorting one bucket's
-    due entries at a time. An empty full cycle jumps straight to the
-    earliest epoch, so sparse regions cost one scan instead of a spin.
-
-    The bucket width auto-tunes from an EWMA of observed inter-event gaps
-    at each growth rebuild; pass ``bucket_width`` to pin it. Pop order is
-    strictly ``(time, seq)`` — identical to :class:`HeapScheduler`.
-    """
-
-    name = "calendar"
-
-    MIN_BUCKETS = 256
-
-    __slots__ = (
-        "_buckets", "_nbuck", "_width", "_inv_width", "_fixed_width",
-        "_epoch", "_ready", "_ri", "_count", "_cancelled",
-        "_last_pop_time", "_gap_ewma",
-    )
-
-    def __init__(self, bucket_width: Optional[float] = None,
-                 bucket_count: int = MIN_BUCKETS) -> None:
-        if bucket_width is not None and bucket_width <= 0:
-            raise ValueError(f"bucket_width must be positive, got {bucket_width}")
-        self._fixed_width = bucket_width is not None
-        self._width = float(bucket_width) if bucket_width else 1e-3
-        self._inv_width = 1.0 / self._width
-        self._nbuck = max(4, bucket_count)
-        self._buckets: list[list] = [[] for _ in range(self._nbuck)]
-        self._epoch = 0  # entries with epoch key <= _epoch live in _ready
-        self._ready: list = []  # ascending (time, seq, timer)
-        self._ri = 0  # consumed prefix of _ready
-        self._count = 0  # stored entries, live + cancelled
-        self._cancelled = 0
-        self._last_pop_time = 0.0
-        self._gap_ewma = self._width
-
-    def push(self, time: float, seq: int, timer: Timer) -> None:
-        timer._sched = self
-        entry = (time, seq, timer)
-        # The epoch key must be computed with the exact same float
-        # expression everywhere, or boundary rounding could misfile an
-        # entry and break the (time, seq) total order.
-        if int(time * self._inv_width) <= self._epoch:
-            # Belongs to the already-open window: merge into the ready run.
-            # Insert at or after the consumed prefix, never before it —
-            # anything behind `_ri` is invisible to the drain cursor.
-            insort(self._ready, entry, lo=self._ri)
-        else:
-            self._buckets[int(time * self._inv_width) % self._nbuck].append(entry)
-        self._count += 1
-        if self._count > 8 * self._nbuck:
-            self._rebuild(self._nbuck * 2)
-
-    def pop(self) -> Optional[tuple]:
-        while self._count:
-            ready = self._ready
-            ri = self._ri
-            if ri < len(ready):
-                entry = ready[ri]
-                self._ri = ri + 1
-                self._count -= 1
-                timer = entry[2]
-                timer._sched = None
-                if timer.cancelled:
-                    self._cancelled -= 1
-                    continue
-                time = entry[0]
-                gap = time - self._last_pop_time
-                if gap > 0.0:
-                    self._gap_ewma += 0.05 * (gap - self._gap_ewma)
-                    self._last_pop_time = time
-                return entry
-            self._advance()
-        return None
-
-    def __len__(self) -> int:
-        return self._count - self._cancelled
-
-    def _note_cancel(self) -> None:
-        self._cancelled += 1
-        if self._cancelled > _PURGE_MIN and self._cancelled * 2 > self._count:
-            self._rebuild(self._nbuck)
-
-    # -- internals --------------------------------------------------------
-
-    def _advance(self) -> None:
-        """Open the next non-empty epoch window into the ready run."""
-        if self._ri:
-            del self._ready[: self._ri]
-            self._ri = 0
-        nbuck = self._nbuck
-        buckets = self._buckets
-        inv = self._inv_width
-        epoch = self._epoch
-        for _ in range(nbuck):
-            epoch += 1
-            bucket = buckets[epoch % nbuck]
-            if bucket:
-                take = [e for e in bucket if int(e[0] * inv) <= epoch]
-                if take:
-                    if len(take) == len(bucket):
-                        bucket.clear()
-                    else:
-                        buckets[epoch % nbuck] = [
-                            e for e in bucket if int(e[0] * inv) > epoch
-                        ]
-                    take.sort()
-                    self._ready = take
-                    self._ri = 0
-                    self._epoch = epoch
-                    return
-        # A full cycle found nothing due: jump straight to the earliest
-        # epoch present (sparse region / long idle gap).
-        best = None
-        for bucket in buckets:
-            for e in bucket:
-                key = int(e[0] * inv)
-                if best is None or key < best:
-                    best = key
-        assert best is not None  # _count > 0 guarantees entries exist
-        bucket = buckets[best % nbuck]
-        take = [e for e in bucket if int(e[0] * inv) <= best]
-        keep = [e for e in bucket if int(e[0] * inv) > best]
-        buckets[best % nbuck] = keep
-        take.sort()
-        self._ready = take
-        self._ri = 0
-        self._epoch = best
-
-    def _rebuild(self, nbuck: int) -> None:
-        """Re-bucket everything: grow, retune width, and drop cancelled."""
-        live = []
-        for e in self._ready[self._ri:]:
-            if e[2].cancelled:
-                e[2]._sched = None
-            else:
-                live.append(e)
-        for bucket in self._buckets:
-            for e in bucket:
-                if e[2].cancelled:
-                    e[2]._sched = None
-                else:
-                    live.append(e)
-        if not self._fixed_width:
-            # Aim for a handful of events per bucket-window at the
-            # observed drain rate; clamp against degenerate gaps.
-            width = min(max(4.0 * self._gap_ewma, 1e-9), 3600.0)
-            self._width = width
-            self._inv_width = 1.0 / width
-        self._nbuck = max(4, nbuck)
-        self._buckets = [[] for _ in range(self._nbuck)]
-        self._count = len(live)
-        self._cancelled = 0
-        inv = self._inv_width
-        # Re-anchor the epoch at the drain point: everything still stored
-        # is at or after the last popped time.
-        self._epoch = epoch = int(self._last_pop_time * inv)
-        ready = []
-        for entry in live:
-            if int(entry[0] * inv) <= epoch:
-                ready.append(entry)
-            else:
-                self._buckets[int(entry[0] * inv) % self._nbuck].append(entry)
-        ready.sort()
-        self._ready = ready
-        self._ri = 0
-
-
-_SCHEDULERS = {
-    "heap": HeapScheduler,
-    "calendar": CalendarScheduler,
-}
-
-
-def make_scheduler(
-    scheduler: Union[None, str, EventScheduler] = None,
-) -> EventScheduler:
-    """Resolve the ``Simulator(scheduler=...)`` argument."""
-    if scheduler is None:
-        return HeapScheduler()
-    if isinstance(scheduler, str):
-        try:
-            return _SCHEDULERS[scheduler]()
-        except KeyError:
-            raise SimError(
-                f"unknown scheduler {scheduler!r} "
-                f"(available: {sorted(_SCHEDULERS)})"
-            ) from None
-    if isinstance(scheduler, EventScheduler):
-        return scheduler
-    raise SimError(f"scheduler must be a name or EventScheduler, got {scheduler!r}")
+            sim = self._sim
+            if sim is not None:
+                sim._note_cancel()
 
 
 class Event:
@@ -401,7 +112,7 @@ class Event:
                 # One timer resumes the whole cohort in waiter order —
                 # same relative order as per-waiter timers (they would
                 # have held consecutive sequence numbers), minus the
-                # per-waiter Timer and scheduler traffic.
+                # per-waiter Timer and heap traffic.
                 sim._resume_batch(waiters, value)
 
     def _add_waiter(self, proc: "Process") -> None:
@@ -455,9 +166,6 @@ class Queue:
         if self._items:
             return self._items.popleft()
         return None
-
-    def peek_all(self) -> list[Any]:
-        return list(self._items)
 
 
 class Process:
@@ -570,13 +278,13 @@ class _Result:
 class Simulator:
     """The discrete-event scheduler."""
 
-    def __init__(
-        self,
-        obs: Optional[Observability] = None,
-        scheduler: Union[None, str, EventScheduler] = None,
-    ) -> None:
+    def __init__(self, obs: Optional[Observability] = None) -> None:
         self._now = 0.0
-        self._sched = make_scheduler(scheduler)
+        # The pending set: a heapq of (time, seq, timer). The tuple shape
+        # keeps comparisons in C: ``seq`` is unique, so ordering never
+        # reaches the (incomparable) Timer.
+        self._heap: list[tuple[float, int, Timer]] = []
+        self._cancelled = 0  # cancelled timers still stored in the heap
         self._seq = 0
         self._orphan_errors: list[tuple[Process, BaseException]] = []
         self._running = False
@@ -590,10 +298,6 @@ class Simulator:
         """Current virtual time in seconds."""
         return self._now
 
-    @property
-    def scheduler(self) -> EventScheduler:
-        return self._sched
-
     # -- scheduling -------------------------------------------------------
 
     def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> Timer:
@@ -604,12 +308,25 @@ class Simulator:
 
     def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> Timer:
         """Run ``callback(*args)`` at absolute virtual time ``time``."""
-        if time < self._now:
+        # Written as a negated `>=` so that a NaN time, which compares
+        # false both ways and would silently break heap order, is refused.
+        if not time >= self._now:
             raise SimError(f"cannot schedule at {time} < now {self._now}")
         timer = Timer(time, callback, args)
+        timer._sim = self
         self._seq += 1
-        self._sched.push(time, self._seq, timer)
+        heapq.heappush(self._heap, (time, self._seq, timer))
         return timer
+
+    def _note_cancel(self) -> None:
+        """Called by :meth:`Timer.cancel` while the timer is stored."""
+        self._cancelled += 1
+        heap = self._heap
+        if self._cancelled > _PURGE_MIN and self._cancelled * 2 > len(heap):
+            # Compacted in place: run() holds a reference to this list.
+            heap[:] = [entry for entry in heap if not entry[2].cancelled]
+            heapq.heapify(heap)
+            self._cancelled = 0
 
     def _resume_soon(self, proc: Process, value: Any) -> None:
         if isinstance(value, _Result):
@@ -621,7 +338,7 @@ class Simulator:
             self.schedule(0.0, proc._step, value)
 
     def _resume_batch(self, procs: list[Process], value: Any) -> None:
-        """Resume a cohort of waiters with one scheduler entry."""
+        """Resume a cohort of waiters with one heap entry."""
         self.schedule(0.0, self._step_batch, procs, value)
 
     def _step_batch(self, procs: list[Process], value: Any) -> None:
@@ -662,7 +379,7 @@ class Simulator:
     # -- execution --------------------------------------------------------
 
     def run(self, until: Optional[float] = None, max_events: int = 50_000_000) -> None:
-        """Run queued events until the scheduler drains or ``until`` is
+        """Run queued events until the heap drains or ``until`` is
         reached.
 
         Raises the first exception that escaped a process nobody joined.
@@ -670,34 +387,37 @@ class Simulator:
         if self._running:
             raise SimError("re-entrant Simulator.run")
         self._running = True
-        # Hot loop: the scheduler's pop already filters cancelled timers,
-        # the callback is invoked without the _fire indirection, and the
-        # orphan check only runs when an error is actually pending.
-        # Telemetry accumulates in locals and is flushed once per run()
-        # call, so a disabled run pays nothing beyond the `enabled` read.
-        sched = self._sched
-        pop = sched.pop
+        # Hot loop: cancelled timers are skipped at pop, the callback is
+        # invoked directly, and the orphan check only runs when an error
+        # is actually pending. Telemetry accumulates in locals and is
+        # flushed once per run() call, so a disabled run pays nothing
+        # beyond the `enabled` read.
+        heap = self._heap
+        heappop = heapq.heappop
         orphans = self._orphan_errors
         enabled = self.obs.enabled
         events = 0
         max_depth = 0
         try:
-            while True:
-                entry = pop()
-                if entry is None:
-                    break
+            while heap:
+                entry = heappop(heap)
+                timer = entry[2]
+                if timer.cancelled:
+                    self._cancelled -= 1
+                    continue
                 time = entry[0]
                 if until is not None and time > until:
-                    sched.push(time, entry[1], entry[2])
+                    # Still stored, so a later cancel() is still counted.
+                    heapq.heappush(heap, entry)
                     break
+                timer._sim = None
                 self._now = time
-                timer = entry[2]
                 timer._callback(*timer._args)
                 if orphans:
                     self._check_orphans()
                 events += 1
                 if enabled:
-                    depth = len(sched)
+                    depth = len(heap) - self._cancelled
                     if depth > max_depth:
                         max_depth = depth
                 if self._halt:

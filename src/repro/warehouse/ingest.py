@@ -22,11 +22,12 @@ Three producers feed the warehouse:
 
 from __future__ import annotations
 
+import json
 from typing import Any, Callable, Iterable, Optional
 
 from repro.fleet.aggregate import ResultAggregator
 from repro.warehouse import schema as wschema
-from repro.warehouse.rollup import rollups_from_aggregator, rollups_state, write_rollups
+from repro.warehouse.rollup import rollups_from_aggregator
 from repro.warehouse.segments import (
     DEFAULT_SEGMENT_ROWS,
     CampaignWriter,
@@ -169,11 +170,8 @@ def ingest_aggregate_jsonl(
         aggregator = ResultAggregator.from_jsonl_lines(fh)
     name = campaign or aggregator.campaign
     writer = warehouse.begin_campaign(name)
-    rel = write_rollups(warehouse, name, rollups_state(
-        name, aggregator.total, aggregator.per_endpoint,
-        aggregator.jobs_observed,
-    ))
-    return writer.commit(close=close, rollups=rel)
+    return writer.commit(close=close, rollups=rollups_from_aggregator(
+        warehouse, name, aggregator))
 
 
 def ingest_report_json(
@@ -182,8 +180,6 @@ def ingest_report_json(
     close: bool = True,
 ) -> Manifest:
     """Ingest a campaign report JSON file (``fleet --json`` output)."""
-    import json
-
     with open(path, "r", encoding="utf-8") as fh:
         report_dict = json.load(fh)
     name = report_dict.get("campaign") or "campaign"

@@ -22,6 +22,7 @@ Two build paths produce identical files:
 
 from __future__ import annotations
 
+import json
 import os
 from typing import Optional
 
@@ -37,20 +38,6 @@ from repro.warehouse.segments import (
 ROLLUPS_FILE = "rollups.json"
 
 
-def rollups_state(campaign: str, total: Rollup,
-                  per_endpoint: dict[str, Rollup],
-                  jobs_observed: int) -> dict:
-    return {
-        "campaign": campaign,
-        "jobs_observed": jobs_observed,
-        "total": total.state_dict(),
-        "endpoints": {
-            name: per_endpoint[name].state_dict()
-            for name in sorted(per_endpoint)
-        },
-    }
-
-
 def write_rollups(warehouse: Warehouse, campaign: str, state: dict) -> str:
     """Persist a rollups state dict; returns the manifest-relative path."""
     directory = warehouse.campaign_dir(campaign)
@@ -62,11 +49,15 @@ def write_rollups(warehouse: Warehouse, campaign: str, state: dict) -> str:
 
 def rollups_from_aggregator(warehouse: Warehouse, campaign: str,
                             aggregator: ResultAggregator) -> str:
-    state = rollups_state(
-        campaign, aggregator.total, aggregator.per_endpoint,
-        aggregator.jobs_observed,
-    )
-    return write_rollups(warehouse, campaign, state)
+    return write_rollups(warehouse, campaign, {
+        "campaign": campaign,
+        "jobs_observed": aggregator.jobs_observed,
+        "total": aggregator.total.state_dict(),
+        "endpoints": {
+            name: aggregator.per_endpoint[name].state_dict()
+            for name in sorted(aggregator.per_endpoint)
+        },
+    })
 
 
 def load_rollups(warehouse: Warehouse, campaign: str) -> dict:
@@ -76,8 +67,6 @@ def load_rollups(warehouse: Warehouse, campaign: str) -> dict:
     path = os.path.join(warehouse.campaign_dir(campaign), rel)
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            import json
-
             state = json.load(fh)
     except OSError as exc:
         raise WarehouseError(
@@ -95,46 +84,27 @@ def load_rollups(warehouse: Warehouse, campaign: str) -> dict:
     }
 
 
-def _segment_partial(path: str, table: str) -> tuple[Rollup, dict[str, Rollup]]:
-    """One segment's contribution: (campaign partial, per-endpoint partials)."""
-    total = Rollup()
-    per_endpoint: dict[str, Rollup] = {}
-
-    def endpoint(name: str) -> Rollup:
-        rollup = per_endpoint.get(name)
-        if rollup is None:
-            rollup = per_endpoint[name] = Rollup()
-        return rollup
-
+def _fold_segment(aggregator: ResultAggregator, path: str, table: str) -> None:
+    """Fold one segment's rows with the calls the live path makes."""
     data = read_segment(path)
-    rows = data.rows
     if table == "results":
-        header = data.header
-        counter_cols = [meta["name"] for meta in header.columns
+        counter_cols = [meta["name"] for meta in data.header.columns
                         if meta["name"].startswith(COUNTER_PREFIX)]
-        for index in range(rows):
-            name = data.cell("endpoint", index)
-            ok = data.cell("ok", index)
-            for rollup in (total, endpoint(name)):
-                rollup.jobs += 1
-                if not ok:
-                    rollup.failures += 1
+        for index in range(data.rows):
+            counters = {}
             for column in counter_cols:
                 value = data.cell(column, index)
                 if value == value:  # skip NaN (counter absent on row)
-                    counter = column[len(COUNTER_PREFIX):]
-                    total.counters.add(counter, value)
-                    endpoint(name).counters.add(counter, value)
+                    counters[column[len(COUNTER_PREFIX):]] = value
+            aggregator.fold_result(data.cell("endpoint", index),
+                                   data.cell("ok", index), counters)
     elif table == "samples":
-        for index in range(rows):
-            name = data.cell("endpoint", index)
-            stream = data.cell("stream", index)
-            value = data.cell("value", index)
-            total.sketch(stream).observe(value)
-            endpoint(name).sketch(stream).observe(value)
+        for index in range(data.rows):
+            aggregator.fold_sample(data.cell("endpoint", index),
+                                   data.cell("stream", index),
+                                   data.cell("value", index))
     else:
         raise WarehouseError(f"no rollup defined over table {table!r}")
-    return total, per_endpoint
 
 
 def build_rollups(warehouse: Warehouse, campaign: str,
@@ -146,39 +116,20 @@ def build_rollups(warehouse: Warehouse, campaign: str,
     manifest (commit order: rollups file first, manifest second).
     """
     manifest = warehouse.manifest(campaign)
-    total = Rollup()
-    per_endpoint: dict[str, Rollup] = {}
-    jobs_observed = 0
+    merged = ResultAggregator(campaign)
     for table in ("results", "samples"):
         for seg in manifest.tables.get(table, ()):
-            partial_total, partial_endpoints = _segment_partial(
-                warehouse.segment_path(campaign, seg), table
-            )
-            if table == "results":
-                jobs_observed += partial_total.jobs
-            else:
-                # Sample rows carry no job identity; jobs were already
-                # counted from the results table partials.
-                partial_total.jobs = 0
-                for partial in partial_endpoints.values():
-                    partial.jobs = 0
-            total.merge(partial_total)
-            for name, partial in partial_endpoints.items():
-                existing = per_endpoint.get(name)
-                if existing is None:
-                    per_endpoint[name] = partial
-                else:
-                    existing.merge(partial)
-    state = rollups_state(campaign, total, per_endpoint, jobs_observed)
+            partial = ResultAggregator(campaign)
+            _fold_segment(partial, warehouse.segment_path(campaign, seg), table)
+            merged.merge(partial)
     if write:
-        rel = write_rollups(warehouse, campaign, state)
-        manifest.rollups = rel
+        manifest.rollups = rollups_from_aggregator(warehouse, campaign, merged)
         warehouse.commit_manifest(manifest)
     return {
         "campaign": campaign,
-        "jobs_observed": jobs_observed,
-        "total": total,
-        "endpoints": per_endpoint,
+        "jobs_observed": merged.jobs_observed,
+        "total": merged.total,
+        "endpoints": merged.per_endpoint,
     }
 
 

@@ -72,7 +72,13 @@ def test_cpf_cli_reports_errors(tmp_path):
     (["flet"], 2, "usage:"),  # a typo must not run the demo
     (["observability", "--exprt", "x"], 2, "usage:"),
     (["--help"], 0, "warehouse"),  # lists the subcommands, runs nothing
-], ids=["typo", "misspelt-flag", "help"])
+    # A rate the token bucket cannot honour is refused before any world
+    # is built (0 divided by zero, -1 spun to the timeout, nan "succeeded").
+    (["fleet", "--endpoints", "4", "--rate", "0"], 2, "usage:"),
+    (["fleet", "--endpoints", "4", "--rate", "-1"], 2, "usage:"),
+    (["fleet", "--endpoints", "4", "--rate", "nan"], 2, "usage:"),
+], ids=["typo", "misspelt-flag", "help", "rate-zero", "rate-negative",
+        "rate-nan"])
 def test_unknown_cli_input_does_not_run_the_demo(argv, returncode, expected):
     result = subprocess.run(
         [sys.executable, "-m", "repro", *argv],
@@ -82,4 +88,5 @@ def test_unknown_cli_input_does_not_run_the_demo(argv, returncode, expected):
     )
     assert result.returncode == returncode, result.stderr[-2000:]
     assert expected in result.stdout + result.stderr
+    assert "Traceback" not in result.stderr
     assert "PacketLab reproduction demo" not in result.stdout

@@ -33,6 +33,7 @@ from repro.fleet import (
     shard_for,
 )
 from repro.netsim.faults import FaultPlan
+from repro.netsim.kernel import Simulator
 from repro.netsim.topology import fleet_topology
 from repro.util.retry import RetryPolicy
 
@@ -90,6 +91,13 @@ class TestTokenBucket:
     def test_burst_capacity(self):
         bucket = TokenBucket(1.0, 3.0, now=0.0)
         assert sum(bucket.try_take(0.0) for _ in range(5)) == 3
+
+    @pytest.mark.parametrize("rate", [0, -1, float("nan")])
+    def test_rate_must_be_positive(self, rate):
+        """0 divides by zero, a negative rate never refills, and NaN
+        turns every delay into a NaN event time."""
+        with pytest.raises(ValueError):
+            TokenBucket(rate, 1.0, 0.0)
 
 
 class TestSharding:
@@ -439,6 +447,11 @@ class TestOneCampaignDriver:
             for name, function in _public_functions(package):
                 parameters = set(inspect.signature(function).parameters)
                 assert not parameters & RETIRED_OPTIONS, name
+        # One event queue: only the ledger-pinned spelling is accepted.
+        assert "scheduler" not in inspect.signature(Simulator).parameters
+        FleetTestbed(endpoint_count=1, scheduler="heap")
+        with pytest.raises(ValueError, match="scheduler"):
+            FleetTestbed(endpoint_count=1, scheduler="calendar")
 
     def test_single_endpoint_campaign_persists_to_a_warehouse(self, tmp_path):
         from repro.warehouse import Query, Warehouse

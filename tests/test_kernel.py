@@ -4,14 +4,7 @@ import random
 
 import pytest
 
-from repro.netsim.kernel import (
-    CalendarScheduler,
-    SimError,
-    Simulator,
-    all_of,
-    any_of,
-    make_scheduler,
-)
+from repro.netsim.kernel import SimError, Simulator, all_of, any_of
 
 
 def test_schedule_runs_in_time_order():
@@ -250,87 +243,81 @@ def test_yield_none_reschedules_same_time():
     assert sim.run_process(worker()) == 0.0
 
 
-# -- pluggable schedulers -------------------------------------------------
+# -- the event heap -------------------------------------------------------
 
 
-@pytest.mark.parametrize("scheduler", ["heap", "calendar"])
-def test_scheduler_time_and_tie_order(scheduler):
-    sim = Simulator(scheduler=scheduler)
-    seen = []
-    sim.schedule(2.0, seen.append, "b")
-    sim.schedule(1.0, seen.append, "a")
-    for label in "cde":
-        sim.schedule(3.0, seen.append, label)
-    sim.run()
-    assert seen == ["a", "b", "c", "d", "e"]
-    assert sim.now == 3.0
+@pytest.mark.parametrize("nan_call", [
+    lambda sim: sim.schedule(float("nan"), lambda: None),
+    lambda sim: sim.schedule_at(float("nan"), lambda: None),
+], ids=["schedule", "schedule_at"])
+def test_nan_time_is_refused(nan_call):
+    """A NaN key compares false both ways and would break heap order."""
+    sim = Simulator()
+    with pytest.raises(SimError):
+        nan_call(sim)
+    assert sim._heap == []
 
 
-def test_make_scheduler_rejects_unknown_name():
-    with pytest.raises(SimError, match="unknown scheduler"):
-        Simulator(scheduler="fifo")
-
-
-def test_make_scheduler_accepts_instance():
-    sched = CalendarScheduler(bucket_width=0.25)
-    sim = Simulator(scheduler=sched)
-    assert sim.scheduler is sched
-
-
-def test_schedulers_drain_random_schedule_identically():
-    """Both schedulers pop an adversarial schedule in the same order."""
+def test_adversarial_schedule_drains_in_time_seq_order():
+    """An adversarial 2 000-op schedule/cancel plan, drained in paused
+    steps, fires exactly the live entries in ``sorted((time, seq))``
+    order — the oracle is the sort."""
     rng = random.Random(42)
-    plan = []
-    now = 0.0
+    sim = Simulator()
+    fired = []
+    timers = []  # (time, seq, timer) in scheduling order
     for _ in range(2000):
-        kind = rng.random()
-        if kind < 0.75:
-            plan.append(("push", now + rng.random() * rng.choice(
-                [1e-6, 1e-3, 1.0, 500.0])))
-        else:
-            plan.append(("cancel", rng.randrange(1, 50)))
-
-    def drain(sched_name):
-        sched = make_scheduler(sched_name)
-        order = []
-        timers = []
-        seq = 0
-        for op, value in plan:
-            if op == "push":
-                from repro.netsim.kernel import Timer
-                timer = Timer(value, lambda: None, ())
-                seq += 1
-                sched.push(value, seq, timer)
-                timers.append(timer)
-            elif timers:
-                timers[(value * 31) % len(timers)].cancel()
-        while True:
-            entry = sched.pop()
-            if entry is None:
-                break
-            order.append((entry[0], entry[1]))
-        return order
-
-    assert drain("heap") == drain("calendar")
+        if rng.random() < 0.75:
+            time = rng.random() * rng.choice([1e-6, 1e-3, 1.0, 500.0])
+            seq = len(timers) + 1
+            timers.append((time, seq, sim.schedule_at(time, fired.append,
+                                                      (time, seq))))
+        elif timers:
+            timers[(rng.randrange(1, 50) * 31) % len(timers)][2].cancel()
+    expected = sorted((time, seq) for time, seq, timer in timers
+                      if not timer.cancelled)
+    assert len(sim._heap) - sim._cancelled == len(expected)
+    for until in [1e-7, 1e-4, 1e-4, 0.5, 100.0]:
+        sim.run(until=until)
+        assert fired == [key for key in expected if key[0] <= until]
+    sim.run()
+    assert fired == expected
+    assert sim._heap == [] and sim._cancelled == 0
 
 
-@pytest.mark.parametrize("scheduler", ["heap", "calendar"])
-def test_cancelled_timers_are_purged(scheduler):
+def test_cancelled_timers_are_purged():
     """A tight arm/cancel loop must not bloat the pending set."""
-    sim = Simulator(scheduler=scheduler)
+    sim = Simulator()
     for index in range(5000):
         sim.schedule(1000.0 + index, lambda: None).cancel()
-    sched = sim.scheduler
-    assert len(sched) == 0
+    assert len(sim._heap) - sim._cancelled == 0
     # The backing storage must have been compacted, not merely
     # logically emptied (>50% cancelled triggers a purge).
-    if scheduler == "heap":
-        stored = len(sched._heap)
-    else:
-        stored = sched._count
-    assert stored < 2500
+    assert len(sim._heap) < 2500
     sim.run()
     assert sim.now == 0.0
+
+
+def test_pushed_back_timer_cancel_is_still_counted():
+    """run(until=) pops the first late timer and pushes it back; it must
+    come back as a *stored* timer, or its later cancel() goes uncounted
+    and the live count and the purge trigger drift."""
+    sim = Simulator()
+    seen = []
+    late = [sim.schedule(5.0 + index, seen.append, index)
+            for index in range(200)]
+    sim.schedule(1.0, seen.append, "early")
+    sim.run(until=2.0)
+    assert seen == ["early"]
+    late[0].cancel()  # the pushed-back entry
+    assert len(sim._heap) - sim._cancelled == 199
+    for timer in late[1:101]:
+        timer.cancel()
+    # 101 of 200 dead is the first count past half (and past _PURGE_MIN);
+    # one uncounted cancel would leave the heap uncompacted at 200.
+    assert len(sim._heap) == 99 and sim._cancelled == 0
+    sim.run()
+    assert seen == ["early"] + list(range(101, 200))
 
 
 def test_deep_queue_drains_in_order():
@@ -393,9 +380,8 @@ def test_all_of_with_no_events_fires_immediately():
     assert sim.run_process(waiter()) == []
 
 
-@pytest.mark.parametrize("scheduler", ["heap", "calendar"])
-def test_event_batch_resume_preserves_waiter_order(scheduler):
-    sim = Simulator(scheduler=scheduler)
+def test_event_batch_resume_preserves_waiter_order():
+    sim = Simulator()
     event = sim.event()
     order = []
 
@@ -410,10 +396,9 @@ def test_event_batch_resume_preserves_waiter_order(scheduler):
     assert order == list("abcdef")
 
 
-@pytest.mark.parametrize("scheduler", ["heap", "calendar"])
-def test_run_until_pushback_keeps_order(scheduler):
+def test_run_until_pushback_keeps_order():
     """A timer past `until` must survive the pause and fire in order."""
-    sim = Simulator(scheduler=scheduler)
+    sim = Simulator()
     seen = []
     sim.schedule(5.0, seen.append, "late")
     sim.schedule(5.0, seen.append, "later")
@@ -422,14 +407,3 @@ def test_run_until_pushback_keeps_order(scheduler):
     assert seen == ["early"]
     sim.run()
     assert seen == ["early", "late", "later"]
-
-
-def test_calendar_scheduler_sparse_gap_jump():
-    """Events separated by huge idle gaps must still pop in order."""
-    sim = Simulator(scheduler="calendar")
-    seen = []
-    for time in [1e-6, 0.5, 3600.0, 86400.0, 86400.0 + 1e-6]:
-        sim.schedule(time, seen.append, time)
-    sim.run()
-    assert seen == sorted(seen)
-    assert sim.now == 86400.0 + 1e-6

@@ -1,14 +1,15 @@
-"""Differential determinism: heap vs calendar-queue event schedulers.
+"""Determinism of the one event queue.
 
-The kernel contract is that both :class:`~repro.netsim.kernel.HeapScheduler`
-and :class:`~repro.netsim.kernel.CalendarScheduler` drain pending timers in
-the identical strict ``(time, seq)`` order, so a same-seed simulation is
-byte-identical regardless of which engine runs it. Two angles:
+The kernel contract is that :class:`~repro.netsim.kernel.Simulator`
+drains pending timers in strict ``(time, seq)`` order, so a same-seed
+simulation is byte-identical from run to run. Two angles:
 
-- an end-to-end fault-injected fleet campaign compared event-trace for
-  event-trace and report-byte for report-byte across both schedulers,
-- a hypothesis property pushing adversarial schedule/cancel sequences
-  through both scheduler implementations directly.
+- an end-to-end fault-injected fleet campaign re-run with the same seed
+  and compared event-trace for event-trace and report-byte for
+  report-byte,
+- a hypothesis property driving adversarial schedule/cancel/run
+  sequences through the simulator and comparing the fired order with a
+  plain sort of the live entries.
 """
 
 import json
@@ -19,12 +20,12 @@ from hypothesis import strategies as st
 from repro.experiments.campaign import ping_job
 from repro.fleet.testbed import FleetTestbed
 from repro.netsim.faults import FaultPlan
-from repro.netsim.kernel import Timer, make_scheduler
+from repro.netsim.kernel import Simulator
 
 ENDPOINTS = 12
 
 
-def _run_campaign(scheduler: str) -> tuple[str, list]:
+def _run_campaign() -> tuple[str, list]:
     """One seeded fault-injected campaign; returns (report json, trace)."""
     testbed = FleetTestbed(
         endpoint_count=ENDPOINTS,
@@ -33,12 +34,11 @@ def _run_campaign(scheduler: str) -> tuple[str, list]:
         shards=2,
         operator_count=2,
         seed=11,
-        scheduler=scheduler,
     )
     ring = testbed.enable_telemetry()
     plan = FaultPlan(seed=5)
     # Impair a couple of access links and knock one out mid-campaign so
-    # retries, reorders, and duplicates all exercise the scheduler.
+    # retries, reorders, and duplicates all exercise the event queue.
     plan.link_impairment(testbed.net.links[-1], corrupt=0.1, duplicate=0.1,
                          reorder=0.2, reorder_delay=0.02)
     plan.link_impairment(testbed.net.links[-3], corrupt=0.05)
@@ -56,22 +56,16 @@ def _run_campaign(scheduler: str) -> tuple[str, list]:
     return report.to_json(), trace
 
 
-def test_fault_injected_campaign_identical_across_schedulers():
-    heap_report, heap_trace = _run_campaign("heap")
-    cal_report, cal_trace = _run_campaign("calendar")
-    assert heap_trace == cal_trace
-    assert heap_report == cal_report
+def test_same_scheduler_reruns_are_byte_identical():
+    first_report, first_trace = _run_campaign()
+    second_report, second_trace = _run_campaign()
+    assert first_trace == second_trace
+    assert first_report == second_report
     # The campaign must have actually done something worth comparing.
-    report = json.loads(heap_report)
+    report = json.loads(first_report)
     assert report["jobs"]["completed"] + report["jobs"]["failed"] \
         == ENDPOINTS * 2
-    assert len(heap_trace) > 100
-
-
-def test_same_scheduler_reruns_are_byte_identical():
-    first, _ = _run_campaign("calendar")
-    second, _ = _run_campaign("calendar")
-    assert first == second
+    assert len(first_trace) > 100
 
 
 # -- property: arbitrary schedule/cancel sequences ------------------------
@@ -93,41 +87,52 @@ _ops = st.lists(
 )
 
 
-def _apply(sched_name: str, ops) -> list:
-    """Run a schedule/cancel/pop script against one scheduler."""
-    sched = make_scheduler(sched_name)
-    order = []
-    timers = []
-    seq = 0
-    released = 0.0  # pops must never go backwards in time
+def _apply(ops) -> tuple[list, list]:
+    """Run a schedule/cancel/pop script; returns (fired, expected).
+
+    ``pop`` is ``run(until=<earliest pending time>)``: it fires that
+    entry and its ties and exercises the push-back of the next one. The
+    oracle is a dict of pending entries kept beside the simulator and
+    sorted by ``(time, seq)`` whenever the clock is moved past them.
+    """
+    sim = Simulator()
+    fired = []
+    expected = []
+    timers = []  # Timer handles; index + 1 is the scheduling sequence
+    pending = {}  # seq -> time: what the oracle says is still queued
+
+    def release(until: float) -> None:
+        due = sorted((time, seq) for seq, time in pending.items()
+                     if time <= until)
+        expected.extend(due)
+        for _, seq in due:
+            del pending[seq]
+
     for op, value in ops:
         if op == "push":
-            time = max(value, released)
-            timer = Timer(time, lambda: None, ())
-            seq += 1
-            sched.push(time, seq, timer)
-            timers.append(timer)
+            time = max(value, sim.now)  # never schedule into the past
+            seq = len(timers) + 1
+            timers.append(sim.schedule_at(time, fired.append, (time, seq)))
+            pending[seq] = time
         elif op == "cancel":
             if timers:
-                timers[value % len(timers)].cancel()
-        else:  # pop
-            entry = sched.pop()
-            if entry is not None:
-                released = entry[0]
-                order.append((entry[0], entry[1]))
-    while True:
-        entry = sched.pop()
-        if entry is None:
-            break
-        order.append((entry[0], entry[1]))
-    return order
+                index = value % len(timers)
+                timers[index].cancel()
+                # No-op when the oracle has already released the entry.
+                pending.pop(index + 1, None)
+        elif pending:  # pop
+            until = min(pending.values())
+            sim.run(until=until)
+            release(until)
+    sim.run()
+    release(float("inf"))
+    return fired, expected
 
 
 @settings(max_examples=120, deadline=None)
 @given(ops=_ops)
-def test_schedulers_drain_identically(ops):
-    heap_order = _apply("heap", ops)
-    calendar_order = _apply("calendar", ops)
-    assert heap_order == calendar_order
+def test_drain_order_matches_sorted_oracle(ops):
+    fired, expected = _apply(ops)
+    assert fired == expected
     # Sanity: the drain order itself is strictly sorted.
-    assert heap_order == sorted(heap_order)
+    assert fired == sorted(fired)
