@@ -11,6 +11,9 @@ structurally symmetric:
   so it has no codec and ``decode_message`` cannot round-trip it
 - PROTO003 — a module compares against MAX_FRAME on only one side of the
   wire (send xor recv)
+- PROTO004 — a Table 1 command message built outside
+  ``controller/client.py``, whose ``EndpointHandle.issue`` is the one
+  place a command frame gets its reqid
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import ast
 from typing import Iterator
 
 from repro.analysis.model import ModuleInfo, RepoModel
-from repro.analysis.rules import Finding, Rule, register_rule
+from repro.analysis.rules import Finding, Rule, dotted_name, register_rule
 
 
 @register_rule
@@ -98,6 +101,35 @@ class FrameBoundSymmetryRule(Rule):
             if isinstance(child, ast.Attribute) and child.attr == "MAX_FRAME":
                 return True
         return False
+
+
+TABLE1_COMMANDS = frozenset(
+    {"NOpen", "NClose", "NSend", "NCap", "NPoll", "MRead", "MWrite"}
+)
+
+
+@register_rule
+class HandBuiltCommandRule(Rule):
+    id = "PROTO004"
+    name = "hand-built-command"
+    summary = ("Table 1 command message instantiated outside "
+               "controller/client.py; only EndpointHandle.issue may build one")
+    scope = "all"
+
+    def check_module(self, module: ModuleInfo, model: RepoModel) -> Iterator[Finding]:
+        if module.name == "repro.controller.client":
+            return
+        for node in module.walk():
+            if not isinstance(node, ast.Call):
+                continue
+            name = dotted_name(node.func).rpartition(".")[2]
+            if name in TABLE1_COMMANDS:
+                yield self.finding(
+                    module, node,
+                    f"{name}(...) built by hand skips reqid allocation, "
+                    f"note_request and the pending table; send it through "
+                    f"handle.issue({name}, ...) / handle.call({name}, ...)",
+                )
 
 
 def _class_node(module: ModuleInfo, name: str) -> ast.AST:

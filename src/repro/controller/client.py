@@ -11,11 +11,11 @@ experiment's descriptor and certificate chain, and hands experiment code an
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import Generator, Optional, Union
 
 from repro.filtervm.program import FilterProgram
-from repro.netsim.kernel import Event, Queue, any_of
+from repro.netsim.kernel import Event, Queue
 from repro.netsim.node import Node
 from repro.netsim.stack.tcp import TcpError
 from repro.proto.constants import (
@@ -141,7 +141,7 @@ RECOVERABLE = (SessionClosed, RpcTimeout, CommandError)
 
 @dataclass
 class DeferredError:
-    """A pipelined (``*_nowait``) command that later reported failure.
+    """A detached (``*_nowait``) command that later reported failure.
 
     Fire-and-forget commands have no caller waiting on their Result, so a
     non-OK status used to vanish in the reader loop. The handle now keeps
@@ -159,6 +159,59 @@ class DeferredError:
 
 
 @dataclass
+class SessionEvidence:
+    """What sessions leave behind for campaign rollups and pool scoring:
+    one record, so it is summed once (``+``, across the sessions a
+    ResilientHandle adopts) and harvested once, not kind by kind."""
+
+    deferred_errors: list = field(default_factory=list)  # DeferredError
+    violations: list = field(default_factory=list)       # Violation
+    budget_exhaustions: int = 0
+    # Sessions that died with RPCs in flight and no farewell.
+    abandons: int = 0
+    # Commands that saw no matched response within rpc_timeout.
+    rpc_timeouts: int = 0
+
+    def __add__(self, other: "SessionEvidence") -> "SessionEvidence":
+        return SessionEvidence(*(
+            getattr(self, f.name) + getattr(other, f.name)
+            for f in fields(self)
+        ))
+
+    def count(self, kind: str) -> int:
+        found = getattr(self, kind)
+        return found if isinstance(found, int) else len(found)
+
+
+def op_label(message_cls: type, fields: dict) -> str:
+    """``nsend:3`` / ``npoll``: a command named with the socket it addresses."""
+    name = message_cls.__name__.lower()
+    return f"{name}:{fields['sktid']}" if "sktid" in fields else name
+
+
+# What a blocked wait() is resumed with when rpc_timeout elapses first.
+_TIMED_OUT = object()
+
+
+@dataclass(eq=False, slots=True)
+class PendingRequest:
+    """One issued command: what issue(), the reader loop and wait() share.
+
+    ``event`` fires once — with the matched response (reader loop), with
+    ``None`` when the session closes first, or with the timeout sentinel.
+    A ``detached`` request has no waiter: its Result is consumed by the
+    reader loop, a non-OK one landing in ``deferred_errors``.
+    """
+
+    reqid: int
+    op: str     # message name: the obs label
+    label: str  # op_label(): names the socket too
+    started: float
+    event: Event
+    detached: bool = False
+
+
+@dataclass
 class ExperimentIdentity:
     """What a controller presents to endpoints: descriptor + chains.
 
@@ -171,11 +224,114 @@ class ExperimentIdentity:
     priority: int = 0
 
 
-class EndpointHandle:
-    """Controller-side view of one endpoint session (Table 1 API).
+class Table1Commands:
+    """The named Table 1 commands, written once for every kind of handle.
 
     All command methods are generators: ``status = yield from
-    handle.nopen_raw(0)`` inside a simulated process.
+    handle.nopen_raw(0)`` inside a simulated process.  A handle supplies
+    the request path underneath — ``call(message_cls, **fields)`` (a
+    generator returning the matched response), ``issue(message_cls,
+    **fields)`` (returns the :class:`PendingRequest` without waiting),
+    ``closed`` and ``_obs`` — and inherits the rest.
+    """
+
+    # Verifier report from the most recent ncap the endpoint rejected
+    # with ERR_MONITOR_REJECTED (None until that happens).
+    last_verifier_report: Optional[str] = None
+
+    def nopen(self, sktid: int, proto: int, locport: int = 0,
+              remaddr: int = 0, remport: int = 0) -> Generator:
+        response = yield from self.call(
+            NOpen, sktid=sktid, proto=proto, locport=locport,
+            remaddr=remaddr, remport=remport,
+        )
+        return response.status
+
+    def nopen_raw(self, sktid: int) -> Generator:
+        return (yield from self.nopen(sktid, SOCK_RAW))
+
+    def nopen_udp(self, sktid: int, locport: int = 0, remaddr: int = 0,
+                  remport: int = 0) -> Generator:
+        return (yield from self.nopen(sktid, SOCK_UDP, locport, remaddr, remport))
+
+    def nopen_tcp(self, sktid: int, remaddr: int, remport: int,
+                  locport: int = 0) -> Generator:
+        return (yield from self.nopen(sktid, SOCK_TCP, locport, remaddr, remport))
+
+    def nclose(self, sktid: int) -> Generator:
+        return (yield from self.call(NClose, sktid=sktid)).status
+
+    def close_quietly(self, sktid: int) -> Generator:
+        """An experiment's epilogue: close its socket if the session is
+        still up; the result already in hand outlives a failure here."""
+        try:
+            if not self.closed:
+                yield from self.nclose(sktid)
+        except RECOVERABLE:
+            pass
+
+    def nsend(self, sktid: int, time_ticks: int, data: bytes) -> Generator:
+        response = yield from self.call(
+            NSend, sktid=sktid, time=time_ticks, data=data
+        )
+        return response.status
+
+    def nsend_nowait(self, sktid: int, time_ticks: int, data: bytes) -> None:
+        """Pipelined nsend: issue the command and detach from its Result.
+
+        Used when streaming many sends back-to-back; there is no response
+        to retry on, so it is best effort on whichever session is current.
+        """
+        if self._obs.enabled:
+            self._obs.counter("controller.rpcs_pipelined").inc()
+        pending = self.issue(NSend, sktid=sktid, time=time_ticks, data=data)
+        pending.detached = True
+
+    def ncap(self, sktid: int, time_ticks: int,
+             filt: Union[FilterProgram, bytes]) -> Generator:
+        program = filt.encode() if isinstance(filt, FilterProgram) else filt
+        response = yield from self.call(
+            NCap, sktid=sktid, time=time_ticks, filt=program
+        )
+        if response.status == ERR_MONITOR_REJECTED:
+            # The endpoint's static verifier refused the filter; keep the
+            # report so the experimenter sees *why* instead of a bare code.
+            self.last_verifier_report = response.payload.decode(
+                "utf-8", "replace"
+            )
+        return response.status
+
+    def npoll(self, time_ticks: int) -> Generator:
+        """Returns the PollData response (records + drop accounting)."""
+        response = yield from self.call(NPoll, time=time_ticks)
+        if not isinstance(response, PollData):
+            raise CommandError("npoll", getattr(response, "status", -1))
+        return response
+
+    def mread(self, memaddr: int, bytecnt: int) -> Generator:
+        response = yield from self.call(MRead, memaddr=memaddr, bytecnt=bytecnt)
+        if response.status != ST_OK:
+            raise CommandError("mread", response.status)
+        return response.payload
+
+    def mwrite(self, memaddr: int, data: bytes) -> Generator:
+        return (yield from self.call(MWrite, memaddr=memaddr, data=data)).status
+
+    def read_clock(self) -> Generator:
+        """Read the endpoint's 64-bit clock (ns ticks) via mread (§3.1)."""
+        data = yield from self.mread(OFF_CLOCK, 8)
+        return int.from_bytes(data, "big")
+
+    def expect_ok(self, status: int, command: str) -> None:
+        if status != ST_OK:
+            raise CommandError(command, status)
+
+
+class EndpointHandle(Table1Commands):
+    """Controller-side view of one endpoint session (Table 1 API).
+
+    Every command leaves through :meth:`issue` and is collected by
+    :meth:`wait`; ``call`` is the two back to back.
     """
 
     def __init__(self, node: Node, stream: MessageStream, hello: Hello,
@@ -192,7 +348,7 @@ class EndpointHandle:
         self.endpoint_name = hello.endpoint_name
         self.caps = hello.caps
         # None = wait forever (the original behavior); a float bounds
-        # every _request and raises RpcTimeout when it elapses.
+        # every wait() and raises RpcTimeout when it elapses.
         self.rpc_timeout = rpc_timeout
         # Per-session caps; None disables budget enforcement entirely
         # (sequencing violations are still *recorded*, never enforced).
@@ -214,9 +370,8 @@ class EndpointHandle:
         self.rpc_timeouts = 0
 
         self._next_reqid = 1
-        self._pending: dict[int, Event] = {}
-        # reqid -> sim time the command was issued (pending-age watchdog).
-        self._pending_started: dict[int, float] = {}
+        # reqid -> the one record of every command still owed a response.
+        self._pending: dict[int, PendingRequest] = {}
         self._age_timer = None
         self._obs = node.sim.obs
         self._outbox: Queue = node.sim.queue(name="ctl-outbox")
@@ -228,13 +383,9 @@ class EndpointHandle:
         # Records pushed by a streaming-mode endpoint (reqid-0 PollData).
         self.streamed_records: list = []
         self._streamed_bytes = 0
-        # reqid -> op for pipelined commands whose Result nobody awaits;
-        # late failures land in deferred_errors instead of being dropped.
-        self._nowait_ops: dict[int, str] = {}
+        # Late failures of detached commands land here instead of being
+        # dropped with the Result nobody awaits.
         self.deferred_errors: list[DeferredError] = []
-        # Verifier report from the most recent ncap the endpoint rejected
-        # with ERR_MONITOR_REJECTED (None until that happens).
-        self.last_verifier_report: Optional[str] = None
         node.spawn(self._reader_loop(), name="ctl-reader")
         node.spawn(self._writer_loop(), name="ctl-writer")
 
@@ -244,6 +395,12 @@ class EndpointHandle:
     def violations(self) -> list:
         """All protocol violations recorded on this session."""
         return self.machine.violations
+
+    def evidence(self) -> SessionEvidence:
+        return SessionEvidence(
+            self.deferred_errors, self.machine.violations,
+            self.budget_exhaustions, int(self.abandoned), self.rpc_timeouts,
+        )
 
     def _reader_loop(self) -> Generator:
         while True:
@@ -280,14 +437,15 @@ class EndpointHandle:
                     break
                 continue
             if isinstance(message, (Result, PollData)):
-                self._pending_started.pop(message.reqid, None)
-                waiter = self._pending.pop(message.reqid, None)
-                if waiter is not None:
-                    waiter.fire(message)
+                pending = self._pending.pop(message.reqid, None)
+                if pending is None:
+                    continue  # answered after its rpc_timeout: discarded
+                if not pending.detached:
+                    pending.event.fire(message)
                     continue
-                op = self._nowait_ops.pop(message.reqid, None)
                 status = getattr(message, "status", ST_OK)
-                if op is not None and status != ST_OK:
+                if status != ST_OK:
+                    op = pending.label
                     self.deferred_errors.append(
                         DeferredError(op, status, self.sim.now)
                     )
@@ -392,13 +550,19 @@ class EndpointHandle:
 
     # -- pending-age watchdog -------------------------------------------------
 
+    def _oldest_awaited(self) -> Optional[float]:
+        """Issue time of the oldest command somebody may be blocked on."""
+        return min((pending.started for pending in self._pending.values()
+                    if not pending.detached), default=None)
+
     def _arm_age_timer(self) -> None:
         budget = self.budget
         if (budget is None or budget.max_pending_age is None
-                or self._age_timer is not None or self.closed
-                or not self._pending_started):
+                or self._age_timer is not None or self.closed):
             return
-        oldest = min(self._pending_started.values())
+        oldest = self._oldest_awaited()
+        if oldest is None:
+            return
         delay = max(0.0, oldest + budget.max_pending_age - self.sim.now)
         self._age_timer = self.sim.schedule(delay, self._check_pending_age)
 
@@ -407,9 +571,9 @@ class EndpointHandle:
         budget = self.budget
         if budget is None or budget.max_pending_age is None or self.closed:
             return
-        if not self._pending_started:
-            return  # nothing pending: stay disarmed until the next request
-        oldest = min(self._pending_started.values())
+        oldest = self._oldest_awaited()
+        if oldest is None:
+            return  # nothing awaited: stay disarmed until the next wait
         age = self.sim.now - oldest
         if age + 1e-9 >= budget.max_pending_age:
             self._exhaust("rpc-stalled",
@@ -431,8 +595,11 @@ class EndpointHandle:
     def _close_pending(self) -> None:
         was_closed = self.closed
         self.closed = True
-        pending, self._pending = self._pending, {}
-        self._pending_started.clear()
+        # Detached requests have no waiter to release and, as ever, are
+        # no evidence of an abandon.
+        pending = [record for record in self._pending.values()
+                   if not record.detached]
+        self._pending = {}
         if self._age_timer is not None:
             self._age_timer.cancel()
             self._age_timer = None
@@ -456,161 +623,91 @@ class EndpointHandle:
                 obs.counter("rpc.sessions_lost").inc()
                 obs.emit("rpc", "session-lost", endpoint=self.endpoint_name,
                          pending=len(pending), abandoned=self.abandoned)
-        for event in pending.values():
-            event.fire(None)
-
-    def _request(self, message: Message, reqid: int) -> Generator:
-        """Send a command and wait for its matched response.
-
-        Raises :class:`SessionClosed` when the session dies mid-command
-        and :class:`RpcTimeout` when ``rpc_timeout`` is set and elapses
-        first (the reqid is abandoned; a late response is discarded by
-        the reader loop).
-        """
-        if self.closed:
-            if self.misbehavior is not None:
-                raise self.misbehavior
-            raise SessionClosed("endpoint session is closed")
-        obs = self._obs
-        op = type(message).__name__.lower()
-        started = self.sim.now if obs.enabled else 0.0
-        waiter = self.sim.event(name=f"req-{reqid}")
-        self._pending[reqid] = waiter
-        self._pending_started[reqid] = self.sim.now
-        self.machine.note_request(reqid)
-        self._arm_age_timer()
-        self._outbox.put(message)
-        if self.rpc_timeout is not None:
-            timeout_event = self.sim.event(name=f"req-{reqid}-timeout")
-            timer = self.sim.schedule(self.rpc_timeout, timeout_event.fire)
-            index, response = yield any_of(self.sim, [waiter, timeout_event])
-            if index == 1:
-                self._pending.pop(reqid, None)
-                self._pending_started.pop(reqid, None)
-                self.rpc_timeouts += 1
-                if obs.enabled:
-                    obs.counter("rpc.timeouts", op=op).inc()
-                    obs.emit("rpc", "timeout", endpoint=self.endpoint_name,
-                             op=op, reqid=reqid, timeout=self.rpc_timeout)
-                raise RpcTimeout(op, self.rpc_timeout)
-            timer.cancel()
-        else:
-            response = yield waiter
-        if response is None:
-            if self.misbehavior is not None:
-                raise self.misbehavior
-            raise SessionClosed("endpoint session ended mid-command")
-        if obs.enabled:
-            obs.counter("controller.rpcs", op=op).inc()
-            obs.histogram("controller.rpc_rtt_s").observe(
-                self.sim.now - started
-            )
-        return response
+        for record in pending:
+            record.event.fire(None)
 
     def _reqid(self) -> int:
         reqid = self._next_reqid
         self._next_reqid += 1
         return reqid
 
-    # -- Table 1 commands -------------------------------------------------------
+    # -- the request path -----------------------------------------------------
 
-    def nopen(self, sktid: int, proto: int, locport: int = 0,
-              remaddr: int = 0, remport: int = 0) -> Generator:
-        reqid = self._reqid()
-        response = yield from self._request(
-            NOpen(reqid=reqid, sktid=sktid, proto=proto, locport=locport,
-                  remaddr=remaddr, remport=remport),
-            reqid,
-        )
-        return response.status
+    def issue(self, message_cls: type, **fields) -> PendingRequest:
+        """Put one command on the wire without waiting for its response.
 
-    def nopen_raw(self, sktid: int) -> Generator:
-        return (yield from self.nopen(sktid, SOCK_RAW))
-
-    def nopen_udp(self, sktid: int, locport: int = 0, remaddr: int = 0,
-                  remport: int = 0) -> Generator:
-        return (yield from self.nopen(sktid, SOCK_UDP, locport, remaddr, remport))
-
-    def nopen_tcp(self, sktid: int, remaddr: int, remport: int,
-                  locport: int = 0) -> Generator:
-        return (yield from self.nopen(sktid, SOCK_TCP, locport, remaddr, remport))
-
-    def nclose(self, sktid: int) -> Generator:
-        reqid = self._reqid()
-        response = yield from self._request(NClose(reqid=reqid, sktid=sktid), reqid)
-        return response.status
-
-    def nsend(self, sktid: int, time_ticks: int, data: bytes) -> Generator:
-        reqid = self._reqid()
-        response = yield from self._request(
-            NSend(reqid=reqid, sktid=sktid, time=time_ticks, data=data), reqid
-        )
-        return response.status
-
-    def nsend_nowait(self, sktid: int, time_ticks: int, data: bytes) -> None:
-        """Pipelined nsend: queue the command without awaiting its Result.
-
-        Used when streaming many sends back-to-back (the Result for an
-        unawaited reqid is discarded by the reader loop).
+        The only place a command frame is built: the reqid is allocated,
+        noted in the state machine and registered in ``_pending`` before
+        the frame is queued.  On a closed session the reqid is still
+        consumed but nothing is registered or sent; :meth:`wait` raises.
         """
-        if self._obs.enabled:
-            self._obs.counter("controller.rpcs_pipelined").inc()
         reqid = self._reqid()
-        self._nowait_ops[reqid] = f"nsend:{sktid}"
-        self.machine.note_request(reqid)
-        self._outbox.put(
-            NSend(reqid=reqid, sktid=sktid, time=time_ticks, data=data)
+        pending = PendingRequest(
+            reqid, message_cls.__name__.lower(), op_label(message_cls, fields),
+            self.sim.now, self.sim.event(name=f"req-{reqid}"),
         )
+        if not self.closed:
+            self._pending[reqid] = pending
+            self.machine.note_request(reqid)
+            self._outbox.put(message_cls(reqid=reqid, **fields))
+        return pending
 
-    def ncap(self, sktid: int, time_ticks: int,
-             filt: Union[FilterProgram, bytes]) -> Generator:
-        program = filt.encode() if isinstance(filt, FilterProgram) else filt
-        reqid = self._reqid()
-        response = yield from self._request(
-            NCap(reqid=reqid, sktid=sktid, time=time_ticks, filt=program), reqid
-        )
-        if response.status == ERR_MONITOR_REJECTED:
-            # The endpoint's static verifier refused the filter; keep the
-            # report so the experimenter sees *why* instead of a bare code.
-            self.last_verifier_report = response.payload.decode(
-                "utf-8", "replace"
+    def wait(self, pending: PendingRequest) -> Generator:
+        """Block until ``pending`` is answered; returns the response.
+
+        A response that already arrived is returned without yielding.
+        Raises :class:`SessionClosed` (or the stored
+        :class:`MisbehaviorError`) when the session dies first and
+        :class:`RpcTimeout` when ``rpc_timeout`` is set and elapses
+        first, counted from issue (the reqid is abandoned; a late
+        response is discarded by the reader loop).
+        """
+        event = pending.event
+        if event.fired:
+            response = event.value
+        elif self.closed:
+            # _close_pending fired every registered record, so an unfired
+            # one was issued after the session had closed.
+            raise self.misbehavior or SessionClosed("endpoint session is closed")
+        else:
+            self._arm_age_timer()
+            timer = None
+            if self.rpc_timeout is not None:
+                timer = self.sim.schedule_at(
+                    max(self.sim.now, pending.started + self.rpc_timeout),
+                    self._expire, pending,
+                )
+            response = yield event
+            if timer is not None:
+                timer.cancel()
+        obs = self._obs
+        if response is _TIMED_OUT:
+            self.rpc_timeouts += 1
+            if obs.enabled:
+                obs.counter("rpc.timeouts", op=pending.op).inc()
+                obs.emit("rpc", "timeout", endpoint=self.endpoint_name,
+                         op=pending.op, reqid=pending.reqid,
+                         timeout=self.rpc_timeout)
+            raise RpcTimeout(pending.op, self.rpc_timeout)
+        if response is None:
+            raise self.misbehavior or SessionClosed(
+                "endpoint session ended mid-command"
             )
-        return response.status
-
-    def npoll(self, time_ticks: int) -> Generator:
-        """Returns the PollData response (records + drop accounting)."""
-        reqid = self._reqid()
-        response = yield from self._request(NPoll(reqid=reqid, time=time_ticks), reqid)
-        if not isinstance(response, PollData):
-            raise CommandError("npoll", getattr(response, "status", -1))
+        if obs.enabled:
+            obs.counter("controller.rpcs", op=pending.op).inc()
+            obs.histogram("controller.rpc_rtt_s").observe(
+                self.sim.now - pending.started
+            )
         return response
 
-    def mread(self, memaddr: int, bytecnt: int) -> Generator:
-        reqid = self._reqid()
-        response = yield from self._request(
-            MRead(reqid=reqid, memaddr=memaddr, bytecnt=bytecnt), reqid
-        )
-        if response.status != ST_OK:
-            raise CommandError("mread", response.status)
-        return response.payload
+    def _expire(self, pending: PendingRequest) -> None:
+        """rpc_timeout elapsed: abandon the reqid and wake the waiter."""
+        if self._pending.pop(pending.reqid, None) is pending:
+            pending.event.fire(_TIMED_OUT)
 
-    def mwrite(self, memaddr: int, data: bytes) -> Generator:
-        reqid = self._reqid()
-        response = yield from self._request(
-            MWrite(reqid=reqid, memaddr=memaddr, data=data), reqid
-        )
-        return response.status
-
-    # -- conveniences ---------------------------------------------------------------
-
-    def read_clock(self) -> Generator:
-        """Read the endpoint's 64-bit clock (ns ticks) via mread (§3.1)."""
-        data = yield from self.mread(OFF_CLOCK, 8)
-        return int.from_bytes(data, "big")
-
-    def expect_ok(self, status: int, command: str) -> None:
-        if status != ST_OK:
-            raise CommandError(command, status)
+    def call(self, message_cls: type, **fields) -> Generator:
+        # Not a generator itself: a blocked command is one frame deep.
+        return self.wait(self.issue(message_cls, **fields))
 
     def wait_resumed(self) -> Generator:
         """Block until an interruption ends (§3.3)."""

@@ -13,7 +13,7 @@ that policy behind the same Table 1 generator API as the raw handle:
   re-dial the controller (endpoints contact controllers, §3.2), adopts
   the fresh handle, and replays the session state the paper's semantics
   let it replay: open sockets (``nopen``) and installed capture filters
-  (``ncap``), optionally followed by a clock re-sync;
+  (``ncap``);
 - state that is inherently session-scoped is *not* resurrected:
   scheduled-but-unsent ``nsend`` payloads and unpolled capture records
   died with the old session's send queue and capture buffer, and a
@@ -25,23 +25,39 @@ are deterministic under fault injection.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from random import Random
-from typing import Generator, Optional, Union
+from typing import Generator
 
 from repro.controller.client import (
     ControllerServer,
     EndpointHandle,
     RpcTimeout,
     SessionClosed,
+    SessionEvidence,
+    Table1Commands,
+    op_label,
 )
-from repro.controller.clocksync import ClockEstimate, estimate_clock
-from repro.filtervm.program import FilterProgram
-from repro.netsim.clock import HostClock
-from repro.proto.constants import SOCK_RAW, SOCK_TCP, SOCK_UDP, ST_BAD_SOCKET, ST_OK
+from repro.proto.constants import ST_BAD_SOCKET, ST_OK
+from repro.proto.messages import NCap, NClose, NOpen
+from repro.util.retry import RetryPolicy
+
+# How often a reacquire wait looks for the endpoint's fresh session: well
+# under any RTT-scale backoff, so the poll never dominates recovery time.
+REACQUIRE_POLL_S = 0.1
 
 
-class ResilientHandle:
-    """Table 1 API with transparent retry, reconnect, and state replay."""
+def _current(name: str) -> property:
+    """Session state read off whichever session is current."""
+    return property(lambda self: getattr(self.handle, name))
+
+
+class ResilientHandle(Table1Commands):
+    """Table 1 API with transparent retry, reconnect, and state replay.
+
+    Only ``call`` differs from the raw handle: the inherited commands run
+    over it, so each is retried on whichever session is current.
+    """
 
     def __init__(
         self,
@@ -50,13 +66,8 @@ class ResilientHandle:
         policy=None,
         seed: int = 0,
         reacquire_timeout: float = 30.0,
-        poll_interval: float = 0.1,
-        resync_clock: bool = False,
-        controller_clock: Optional[HostClock] = None,
         endpoints_queue=None,
     ) -> None:
-        from repro.util.retry import RetryPolicy
-
         self.server = server
         self.handle = handle
         # Where fresh sessions appear after a loss. A pooled fleet routes
@@ -67,9 +78,6 @@ class ResilientHandle:
         self.policy = policy or RetryPolicy()
         self.rng = Random(seed)
         self.reacquire_timeout = reacquire_timeout
-        self.poll_interval = poll_interval
-        self.resync_clock = resync_clock
-        self.controller_clock = controller_clock
         self.sim = handle.sim
         self._obs = handle.sim.obs
         self.reconnects = 0
@@ -81,90 +89,63 @@ class ResilientHandle:
         # spinning until campaign timeout).
         self.gone = False
         self.on_gone = None  # callable(handle) -> None, set by the pool
-        self.clock_estimate: Optional[ClockEstimate] = None
+        # sktid -> the NOpen / NCap fields that succeeded, for replay.
         self._open_sockets: dict[int, dict] = {}
-        self._captures: dict[int, tuple[int, bytes]] = {}
-        self._retries_last_invoke = 0
-        # Late nsend_nowait failures harvested from sessions this handle
-        # has already abandoned (see the deferred_errors property).
-        self._deferred_prior: list = []
-        # Misbehavior evidence carried across adopted sessions, so pool
-        # scoring sees one continuous per-endpoint record rather than a
-        # counter that resets on every reconnect.
-        self._violations_prior: list = []
-        self._exhaustions_prior = 0
-        self._abandons_prior = 0
-        self._timeouts_prior = 0
+        self._captures: dict[int, dict] = {}
+        # Evidence of the sessions this handle has already abandoned, so
+        # rollups and pool scoring see one continuous per-endpoint record
+        # rather than counters that reset on every reconnect.
+        self._prior = SessionEvidence()
 
     # -- passthrough state ----------------------------------------------------
 
-    @property
-    def endpoint_name(self) -> str:
-        return self.handle.endpoint_name
+    endpoint_name = _current("endpoint_name")
+    closed = _current("closed")
+    interrupted = _current("interrupted")
+    notifications = _current("notifications")
+    streamed_records = _current("streamed_records")
+    # The current session's budget verdict, if any.
+    misbehavior = _current("misbehavior")
 
-    @property
-    def closed(self) -> bool:
-        return self.handle.closed
+    def evidence(self) -> SessionEvidence:
+        """Evidence summed across every adopted session."""
+        return self._prior + self.handle.evidence()
 
-    @property
-    def interrupted(self) -> bool:
-        return self.handle.interrupted
+    def open_sktids(self) -> list[int]:
+        """Sockets a replay would reopen (what a failed job left behind)."""
+        return sorted(self._open_sockets)
 
-    @property
-    def notifications(self):
-        return self.handle.notifications
+    # -- the request path -----------------------------------------------------
 
-    @property
-    def streamed_records(self):
-        return self.handle.streamed_records
+    def issue(self, message_cls: type, **fields):
+        # Fire-and-forget has no response to retry on; best effort.
+        return self.handle.issue(message_cls, **fields)
 
-    @property
-    def deferred_errors(self):
-        """Late pipelined-command failures across every adopted session."""
-        return self._deferred_prior + self.handle.deferred_errors
+    def call(self, message_cls: type, **fields) -> Generator:
+        """One command with retry/reconnect on transport faults.
 
-    @property
-    def violations(self):
-        """Protocol violations recorded across every adopted session."""
-        return self._violations_prior + self.handle.violations
-
-    @property
-    def budget_exhaustions(self) -> int:
-        """Budget trips across every adopted session."""
-        return self._exhaustions_prior + self.handle.budget_exhaustions
-
-    @property
-    def abandons(self) -> int:
-        """Sessions that died with RPCs in flight and no farewell."""
-        return self._abandons_prior + (1 if self.handle.abandoned else 0)
-
-    @property
-    def rpc_timeouts(self) -> int:
-        """Unanswered commands across every adopted session."""
-        return self._timeouts_prior + self.handle.rpc_timeouts
-
-    @property
-    def misbehavior(self):
-        """The current session's budget verdict, if any."""
-        return self.handle.misbehavior
-
-    # -- retry machinery ------------------------------------------------------
-
-    def _invoke(self, factory, op: str) -> Generator:
-        """Run ``factory(handle)`` with retry/reconnect on transport faults.
-
-        ``factory`` must build a fresh generator per call (it is re-run
-        against whatever handle is current after a reconnect). Semantic
-        failures (:class:`CommandError`, non-OK statuses) pass through
-        untouched — only transport-level faults are retried.
+        Each attempt is issued on whatever session is current after a
+        reconnect. Semantic failures (non-OK statuses, and the
+        :class:`CommandError` the named commands make of them) pass
+        through untouched — only transport-level faults are retried.
+        Replay bookkeeping is keyed on the message type.
         """
+        op = op_label(message_cls, fields)
+        sktid = fields.get("sktid")
+        if message_cls is NClose:
+            self._open_sockets.pop(sktid, None)
+            self._captures.pop(sktid, None)
+        epoch = self.reconnects
         attempt = 0
-        self._retries_last_invoke = 0
         while True:
             try:
                 if self.handle.closed:
                     yield from self._reacquire(op)
-                return (yield from factory(self.handle))
+                handle = self.handle
+                response = yield from handle.wait(
+                    handle.issue(message_cls, **fields)
+                )
+                break
             # Narrower than client.RECOVERABLE on purpose: a CommandError
             # is the endpoint's answer, not a transport fault — retrying
             # would repeat the refusal, so it passes through to the caller.
@@ -174,13 +155,23 @@ class ResilientHandle:
                 delay = self.policy.delay_for(attempt, self.rng)
                 attempt += 1
                 self.retries += 1
-                self._retries_last_invoke += 1
                 obs = self._obs
                 if obs.enabled:
                     obs.counter("rpc.retries", op=op).inc()
                     obs.emit("rpc", "retry", op=op, attempt=attempt,
                              delay=delay, reason=type(exc).__name__)
                 yield delay
+        if message_cls is NOpen:
+            if (response.status == ST_BAD_SOCKET and attempt > 0
+                    and self.reconnects == epoch):
+                # At-least-once artifact: a timed-out first attempt opened
+                # the socket before its Result went missing.
+                response = replace(response, status=ST_OK)
+            if response.status == ST_OK:
+                self._open_sockets[sktid] = fields
+        elif message_cls is NCap and response.status == ST_OK:
+            self._captures[sktid] = fields
+        return response
 
     def _reacquire(self, op: str) -> Generator:
         """Adopt the next session the endpoint re-establishes."""
@@ -190,12 +181,7 @@ class ResilientHandle:
         while True:
             fresh = source.try_get()
             if fresh is not None:
-                self._deferred_prior.extend(self.handle.deferred_errors)
-                self._violations_prior.extend(self.handle.violations)
-                self._exhaustions_prior += self.handle.budget_exhaustions
-                if self.handle.abandoned:
-                    self._abandons_prior += 1
-                self._timeouts_prior += self.handle.rpc_timeouts
+                self._prior += self.handle.evidence()
                 self.handle = fresh
                 self.gone = False
                 self.reconnects += 1
@@ -221,7 +207,7 @@ class ResilientHandle:
                     f"endpoint did not reconnect within "
                     f"{self.reacquire_timeout:g}s (op={op})"
                 )
-            yield self.poll_interval
+            yield REACQUIRE_POLL_S
 
     def _replay_state(self) -> Generator:
         """Rebuild replayable session state on a fresh session.
@@ -234,110 +220,21 @@ class ResilientHandle:
         sockets_restored = 0
         captures_restored = 0
         for sktid, spec in list(self._open_sockets.items()):
-            status = yield from handle.nopen(sktid, **spec)
-            if status != ST_OK:
+            response = yield from handle.call(NOpen, **spec)
+            if response.status != ST_OK:
                 continue
             sockets_restored += 1
-            cap = self._captures.get(sktid)
-            if cap is not None:
-                cap_status = yield from handle.ncap(sktid, cap[0], cap[1])
-                if cap_status == ST_OK:
+            capture = self._captures.get(sktid)
+            if capture is not None:
+                response = yield from handle.call(NCap, **capture)
+                if response.status == ST_OK:
                     captures_restored += 1
-        if self.resync_clock and self.controller_clock is not None:
-            self.clock_estimate = yield from estimate_clock(
-                handle, self.controller_clock
-            )
         obs = self._obs
         if obs.enabled:
             obs.emit("rpc", "resume", endpoint=handle.endpoint_name,
-                     sockets=sockets_restored, captures=captures_restored,
-                     resynced=self.resync_clock)
+                     sockets=sockets_restored, captures=captures_restored)
 
-    # -- Table 1 commands -----------------------------------------------------
-
-    def nopen(self, sktid: int, proto: int, locport: int = 0,
-              remaddr: int = 0, remport: int = 0) -> Generator:
-        spec = dict(proto=proto, locport=locport, remaddr=remaddr,
-                    remport=remport)
-        epoch = self.reconnects
-        status = yield from self._invoke(
-            lambda h: h.nopen(sktid, **spec), f"nopen:{sktid}"
-        )
-        if (
-            status == ST_BAD_SOCKET
-            and self.reconnects == epoch
-            and self._retries_last_invoke > 0
-        ):
-            # At-least-once artifact: a timed-out first attempt opened
-            # the socket before its Result went missing.
-            status = ST_OK
-        if status == ST_OK:
-            self._open_sockets[sktid] = spec
-        return status
-
-    def nopen_raw(self, sktid: int) -> Generator:
-        return (yield from self.nopen(sktid, SOCK_RAW))
-
-    def nopen_udp(self, sktid: int, locport: int = 0, remaddr: int = 0,
-                  remport: int = 0) -> Generator:
-        return (yield from self.nopen(sktid, SOCK_UDP, locport, remaddr, remport))
-
-    def nopen_tcp(self, sktid: int, remaddr: int, remport: int,
-                  locport: int = 0) -> Generator:
-        return (yield from self.nopen(sktid, SOCK_TCP, locport, remaddr, remport))
-
-    def nclose(self, sktid: int) -> Generator:
-        self._open_sockets.pop(sktid, None)
-        self._captures.pop(sktid, None)
-        status = yield from self._invoke(
-            lambda h: h.nclose(sktid), f"nclose:{sktid}"
-        )
-        return status
-
-    def nsend(self, sktid: int, time_ticks: int, data: bytes) -> Generator:
-        status = yield from self._invoke(
-            lambda h: h.nsend(sktid, time_ticks, data), f"nsend:{sktid}"
-        )
-        return status
-
-    def nsend_nowait(self, sktid: int, time_ticks: int, data: bytes) -> None:
-        # Fire-and-forget has no response to retry on; best effort.
-        self.handle.nsend_nowait(sktid, time_ticks, data)
-
-    def ncap(self, sktid: int, time_ticks: int,
-             filt: Union[FilterProgram, bytes]) -> Generator:
-        program = filt.encode() if isinstance(filt, FilterProgram) else filt
-        status = yield from self._invoke(
-            lambda h: h.ncap(sktid, time_ticks, program), f"ncap:{sktid}"
-        )
-        if status == ST_OK:
-            self._captures[sktid] = (time_ticks, program)
-        return status
-
-    def npoll(self, time_ticks: int) -> Generator:
-        return (yield from self._invoke(
-            lambda h: h.npoll(time_ticks), "npoll"
-        ))
-
-    def mread(self, memaddr: int, bytecnt: int) -> Generator:
-        return (yield from self._invoke(
-            lambda h: h.mread(memaddr, bytecnt), "mread"
-        ))
-
-    def mwrite(self, memaddr: int, data: bytes) -> Generator:
-        return (yield from self._invoke(
-            lambda h: h.mwrite(memaddr, data), "mwrite"
-        ))
-
-    # -- conveniences ---------------------------------------------------------
-
-    def read_clock(self) -> Generator:
-        return (yield from self._invoke(
-            lambda h: h.read_clock(), "read_clock"
-        ))
-
-    def expect_ok(self, status: int, command: str) -> None:
-        self.handle.expect_ok(status, command)
+    # -- session control ------------------------------------------------------
 
     def wait_resumed(self) -> Generator:
         return (yield from self.handle.wait_resumed())

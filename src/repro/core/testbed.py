@@ -189,12 +189,7 @@ class Testbed(World):
         def driver() -> Generator:
             handle = yield server.wait_endpoint()
             if resilient:
-                handle = ResilientHandle(
-                    server,
-                    handle,
-                    seed=recovery_seed,
-                    controller_clock=self.controller_host.clock,
-                )
+                handle = ResilientHandle(server, handle, seed=recovery_seed)
             try:
                 result = yield from experiment(handle)
             finally:

@@ -105,11 +105,7 @@ def measure_uplink_bandwidth(
         deadline = controller_node.sim.now + lead_time + settle_time
         while sink.count < issued and controller_node.sim.now < deadline:
             yield 0.1
-    try:
-        if not handle.closed:
-            yield from handle.nclose(sktid)
-    except RECOVERABLE:
-        pass
+    yield from handle.close_quietly(sktid)
     arrivals = sink.arrivals
     measured = sink.observed_rate_bps(WIRE_OVERHEAD)
     return BandwidthResult(

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Generator, Optional
 
 from repro.controller.client import RECOVERABLE, EndpointHandle
+from repro.endpoint.memory import OFF_ADDR_IP
 from repro.netsim.clock import NANOSECONDS
 from repro.netsim.links import LINK_OVERHEAD_BYTES
 from repro.netsim.node import Node
@@ -57,7 +58,7 @@ def measure_downlink_dispersion(
     try:
         status = yield from handle.nopen_udp(sktid, locport=listen_port)
         handle.expect_ok(status, "nopen(udp)")
-        endpoint_addr = yield from handle.mread(8, 4)  # OFF_ADDR_IP
+        endpoint_addr = yield from handle.mread(OFF_ADDR_IP, 4)
         endpoint_ip = int.from_bytes(endpoint_addr, "big")
         sock = sender_node.udp.bind(0)
         payload = b"P" * payload_size
@@ -84,11 +85,7 @@ def measure_downlink_dispersion(
     except RECOVERABLE as exc:
         # Partial result: whatever pairs were timestamped still count.
         error = f"{type(exc).__name__}: {exc}"
-    try:
-        if not handle.closed:
-            yield from handle.nclose(sktid)
-    except RECOVERABLE:
-        pass
+    yield from handle.close_quietly(sktid)
     wire_bits = (
         payload_size + 2 + UDP_HEADER_LEN + IP_HEADER_LEN + LINK_OVERHEAD_BYTES
     ) * 8

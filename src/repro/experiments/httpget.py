@@ -60,8 +60,6 @@ def http_get(
         now = yield from handle.read_clock()
         if now >= deadline:
             break
-        if poll.records == () and now >= deadline:
-            break
     yield from handle.nclose(sktid)
     status_line, headers, body = _parse_response(raw)
     return HttpResult(

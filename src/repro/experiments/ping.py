@@ -116,11 +116,7 @@ def ping(
         # Partial result: probes scheduled before the failure still count.
         result.partial = True
         result.error = f"{type(exc).__name__}: {exc}"
-    try:
-        if not handle.closed:
-            yield from handle.nclose(sktid)
-    except RECOVERABLE:
-        pass
+    yield from handle.close_quietly(sktid)
     for seq in sorted(send_times):
         result.probes.append(PingProbe(seq=seq, rtt=rtts.get(seq)))
     return result

@@ -107,11 +107,7 @@ def traceroute(
         # Partial result: keep the hops discovered before the failure.
         result.partial = True
         result.error = f"{type(exc).__name__}: {exc}"
-    try:
-        if not handle.closed:
-            yield from handle.nclose(sktid)
-    except RECOVERABLE:
-        pass
+    yield from handle.close_quietly(sktid)
     return result
 
 

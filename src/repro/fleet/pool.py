@@ -141,9 +141,8 @@ class PooledEndpoint:
     __slots__ = (
         "name", "handle", "queue", "inflight",
         "jobs_completed", "failures", "state", "quarantines", "drains",
-        "adopted_at", "deferred_reported", "_avail_queued",
-        "_readmit_timer", "score", "score_at", "violations_reported",
-        "exhaustions_reported", "abandons_reported", "timeouts_reported",
+        "adopted_at", "reported", "_avail_queued",
+        "_readmit_timer", "score", "score_at",
     )
 
     def __init__(self, name: str, queue: Queue) -> None:
@@ -157,9 +156,10 @@ class PooledEndpoint:
         self.quarantines = 0  # lifetime count; drives the backoff exponent
         self.drains = 0
         self.adopted_at = 0.0  # liveness baseline until the first beacon
-        # How many of handle.deferred_errors have already been folded
-        # into campaign results (late nsend_nowait failures).
-        self.deferred_reported = 0
+        # Evidence kind -> how much of handle.evidence() has already been
+        # folded into campaign results and scoring: high-water marks, so
+        # each late send failure and each offence counts exactly once.
+        self.reported: dict[str, int] = {}
         # True while this endpoint's name sits in the pool's availability
         # heap (entries are invalidated lazily, not removed).
         self._avail_queued = False
@@ -169,13 +169,6 @@ class PooledEndpoint:
         # time it was last decayed to.
         self.score = 0.0
         self.score_at = 0.0
-        # High-water marks of handle evidence already folded into
-        # scoring (violations / budget exhaustions / silent abandons),
-        # so each offence is scored exactly once.
-        self.violations_reported = 0
-        self.exhaustions_reported = 0
-        self.abandons_reported = 0
-        self.timeouts_reported = 0
 
     @property
     def quarantined(self) -> bool:

@@ -382,14 +382,18 @@ class CampaignScheduler:
         self.pool.on_change = None
         self.report.finished = self.sim.now
         self.report.endpoint_count = len(self.pool.endpoints)
+        # Final evidence sweep: a late send failure on an endpoint's last
+        # job, or a session that misbehaved while idle (a flooder aborted
+        # between jobs, say), left its evidence on the handle with no job
+        # completion to harvest it.
+        for name in sorted(self.pool.endpoints):
+            pooled = self.pool.endpoints.get(name)
+            if pooled is None:
+                continue
+            self._harvest_deferred(pooled)
+            if self.pool.misbehavior is not None:
+                self._harvest_misbehavior(pooled)
         if self.pool.misbehavior is not None:
-            # Final evidence sweep: a session that misbehaved while idle
-            # (a flooder aborted between jobs, say) left its evidence on
-            # the handle with no job completion to harvest it.
-            for name in sorted(self.pool.endpoints):
-                pooled = self.pool.endpoints.get(name)
-                if pooled is not None:
-                    self._harvest_misbehavior(pooled)
             self.report.misbehavior = self.pool.misbehavior_summary()
         if span is not None:
             span.end(completed=self.report.jobs_completed,
@@ -539,10 +543,7 @@ class CampaignScheduler:
         """Best-effort socket cleanup after a failed job, so a retry (or
         the next job pooled onto this session) starts from a clean
         sktid namespace."""
-        open_sockets = getattr(handle, "_open_sockets", None)
-        if not open_sockets:
-            return
-        for sktid in sorted(open_sockets):
+        for sktid in handle.open_sktids():
             try:
                 yield from handle.nclose(sktid)
             except RECOVERABLE:
@@ -621,84 +622,69 @@ class CampaignScheduler:
         self._finish_job(job, result, failed=False,
                          endpoint_name=pooled.name)
 
+    def _count_fresh(self, pooled: PooledEndpoint, evidence, kind: str,
+                     counter: str) -> int:
+        """How much of one evidence kind is new since the last harvest,
+        counted under ``counter`` in the total and the endpoint's rollup.
+
+        Evidence accumulates on the handle; the pooled endpoint keeps a
+        high-water mark per kind so each item is counted exactly once
+        even though harvesting runs after every job on the shared session.
+        """
+        seen = evidence.count(kind)
+        fresh = seen - pooled.reported.get(kind, 0)
+        if fresh <= 0:
+            return 0
+        pooled.reported[kind] = seen
+        self.aggregator.total.counters.add(counter, fresh)
+        self.aggregator.endpoint(pooled.name).counters.add(counter, fresh)
+        return fresh
+
     def _harvest_deferred(self, pooled: PooledEndpoint) -> None:
         """Fold newly observed late nsend_nowait failures into results."""
         handle = pooled.handle
         if handle is None:
             return
-        errors = handle.deferred_errors
-        fresh = len(errors) - pooled.deferred_reported
-        if fresh <= 0:
-            return
-        pooled.deferred_reported = len(errors)
-        self.aggregator.total.counters.add("deferred_send_errors", fresh)
-        self.aggregator.endpoint(pooled.name).counters.add(
-            "deferred_send_errors", fresh
-        )
-        if self._obs.enabled:
+        fresh = self._count_fresh(pooled, handle.evidence(),
+                                  "deferred_errors", "deferred_send_errors")
+        if fresh and self._obs.enabled:
             self._obs.counter("fleet.deferred_send_errors").inc(fresh)
             self._obs.emit("fleet", "deferred-errors",
                            endpoint=pooled.name, fresh=fresh)
 
     def _harvest_misbehavior(self, pooled: PooledEndpoint) -> None:
-        """Fold newly observed session evidence into scoring + results.
-
-        Evidence accumulates on the handle (violations, budget
-        exhaustions, silent abandons); the pooled endpoint tracks
-        high-water marks so each offence is counted exactly once even
-        though harvesting runs after every job on the shared session.
-        """
+        """Fold newly observed session evidence into scoring + results
+        (violations, budget exhaustions, silent abandons, timeouts)."""
         handle = pooled.handle
         if handle is None:
             return
-        violations = handle.violations
-        fresh = len(violations) - pooled.violations_reported
-        if fresh > 0:
-            pooled.violations_reported = len(violations)
-            self.aggregator.total.counters.add("protocol_violations", fresh)
-            self.aggregator.endpoint(pooled.name).counters.add(
-                "protocol_violations", fresh
-            )
-            for violation in violations[-fresh:]:
+        evidence = handle.evidence()
+        report = self.pool.report_misbehavior
+        fresh = self._count_fresh(pooled, evidence, "violations",
+                                  "protocol_violations")
+        if fresh:
+            for violation in evidence.violations[-fresh:]:
                 kind = violation.kind
                 if kind not in ("decode-error", "stream-overflow"):
                     kind = "sequence-violation"
-                self.pool.report_misbehavior(pooled.name, kind,
-                                             detail=violation.detail)
-        exhaustions = handle.budget_exhaustions
-        fresh = exhaustions - pooled.exhaustions_reported
-        if fresh > 0:
-            pooled.exhaustions_reported = exhaustions
-            self.aggregator.total.counters.add("budget_exhaustions", fresh)
-            self.aggregator.endpoint(pooled.name).counters.add(
-                "budget_exhaustions", fresh
-            )
+                report(pooled.name, kind, detail=violation.detail)
+        fresh = self._count_fresh(pooled, evidence, "budget_exhaustions",
+                                  "budget_exhaustions")
+        if fresh:
             misbehavior = handle.misbehavior
             kind = misbehavior.kind if misbehavior is not None \
                 else "budget-exhausted"
-            self.pool.report_misbehavior(pooled.name, kind, count=fresh)
-        abandons = getattr(handle, "abandons", 0)
-        fresh = abandons - pooled.abandons_reported
-        if fresh > 0:
-            pooled.abandons_reported = abandons
-            self.aggregator.total.counters.add("silent_abandons", fresh)
-            self.aggregator.endpoint(pooled.name).counters.add(
-                "silent_abandons", fresh
-            )
-            self.pool.report_misbehavior(pooled.name, "silent-abandon",
-                                         count=fresh)
+            report(pooled.name, kind, count=fresh)
+        fresh = self._count_fresh(pooled, evidence, "abandons",
+                                  "silent_abandons")
+        if fresh:
+            report(pooled.name, "silent-abandon", count=fresh)
         # Unanswered commands are stall evidence even when the caller
         # absorbed the RpcTimeout into a partial-but-completed result.
-        timeouts = getattr(handle, "rpc_timeouts", 0)
-        fresh = timeouts - pooled.timeouts_reported
-        if fresh > 0:
-            pooled.timeouts_reported = timeouts
-            self.aggregator.total.counters.add("rpc_timeouts", fresh)
-            self.aggregator.endpoint(pooled.name).counters.add(
-                "rpc_timeouts", fresh
-            )
-            self.pool.report_misbehavior(pooled.name, "rpc-timeout",
-                                         count=fresh)
+        fresh = self._count_fresh(pooled, evidence, "rpc_timeouts",
+                                  "rpc_timeouts")
+        if fresh:
+            report(pooled.name, "rpc-timeout", count=fresh)
 
     def _finish_job(self, job: CampaignJob, result, failed: bool,
                     endpoint_name: str) -> None:

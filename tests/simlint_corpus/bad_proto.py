@@ -30,3 +30,7 @@ class Rogue(Message):                          # PROTO002 line 19
 def send(payload):
     if len(payload) > MAX_FRAME:               # PROTO003 line 31
         raise ValueError("oversized frame")
+
+
+def probe(stream, NSend):
+    stream.send(NSend(reqid=1, sktid=0, time=0, data=b""))  # PROTO004 line 36

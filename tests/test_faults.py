@@ -422,10 +422,7 @@ class TestRendezvousRestart:
             )
             assert ok, reason
             raw = yield server.wait_endpoint()
-            handles["h"] = handle = ResilientHandle(
-                server, raw, seed=SEED,
-                controller_clock=testbed.controller_host.clock,
-            )
+            handles["h"] = handle = ResilientHandle(server, raw, seed=SEED)
             bandwidth = yield from measure_uplink_bandwidth(
                 handle, testbed.controller_host, packet_count=20,
                 lead_time=1.0, settle_time=5.0,

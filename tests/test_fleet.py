@@ -270,7 +270,6 @@ class TestFleetCampaign:
             # Fire-and-forget on a socket that was never opened: the
             # endpoint's failure Result arrives with no waiter.
             handle.nsend_nowait(7, 0, b"into the void")
-            yield from handle.read_clock()  # drain the late Result
             yield from handle.nclose(0)
             return True
 
@@ -283,6 +282,36 @@ class TestFleetCampaign:
         assert agg.total.counters.get("deferred_send_errors") == 1
         (endpoint_rollup,) = agg.per_endpoint.values()
         assert endpoint_rollup.counters.get("deferred_send_errors") == 1
+
+    def test_late_failure_on_an_endpoints_last_job_reaches_the_report(self):
+        """The failed Result lands after ``quick`` — ep0's only job — has
+        completed, so no job completion on ep0 is left to harvest it; the
+        end-of-campaign sweep must, with or without a MisbehaviorPolicy."""
+        fleet = FleetTestbed(endpoint_count=2, seed=1)
+
+        def quick(handle, ctx):
+            status = yield from handle.nopen_udp(
+                0, remaddr=ctx.target_address, remport=9
+            )
+            assert status == 0
+            handle.nsend_nowait(7, 0, b"x")  # sktid 7 was never opened
+            return True
+
+        def slow(handle, ctx):
+            yield 5.0
+            return (yield from handle.read_clock())
+
+        report = fleet.run_campaign([
+            CampaignJob(name="quick", run=quick, endpoint="ep0"),
+            CampaignJob(name="slow", run=slow, endpoint="ep1"),
+        ])
+        assert report.jobs_completed == 2
+        agg = report.aggregator
+        assert agg.total.counters.get("deferred_send_errors") == 1
+        assert agg.per_endpoint["ep0"].counters.get(
+            "deferred_send_errors") == 1
+        assert agg.per_endpoint["ep1"].counters.get(
+            "deferred_send_errors") == 0
 
 
 # -- one driver, pinned --------------------------------------------------------

@@ -48,6 +48,7 @@ EXPECTED_BAD = [
     ("PROTO001", "bad_proto.py", 14),
     ("PROTO002", "bad_proto.py", 19),
     ("PROTO003", "bad_proto.py", 31),
+    ("PROTO004", "bad_proto.py", 36),
     ("SIM003", "bad_sim.py", 4),
     ("SIM001", "bad_sim.py", 9),
     ("SIM002", "bad_sim.py", 10),
@@ -106,10 +107,11 @@ class TestFixtureCorpus:
         )
         assert len(lines) == len(EXPECTED_BAD) + 1  # findings + summary
         assert lines[-1] == (
-            "simlint: 17 finding(s) [DET001×2, DET002×1, DET003×2, "
+            "simlint: 18 finding(s) [DET001×2, DET002×1, DET003×2, "
             "DET004×1, DET005×1, LINT001×1, LINT002×1, OBS001×1, "
-            "PROTO001×1, PROTO002×1, PROTO003×1, SIM001×1, SIM002×1, "
-            "SIM003×1, SIM004×1] (2 suppressed, 0 baselined) in 9 files"
+            "PROTO001×1, PROTO002×1, PROTO003×1, PROTO004×1, SIM001×1, "
+            "SIM002×1, SIM003×1, SIM004×1] (2 suppressed, 0 baselined) "
+            "in 9 files"
         )
 
     def test_golden_json_report(self, corpus_result):
@@ -166,6 +168,35 @@ class TestSuppressions:
         )
         (supp,) = parse_suppressions(module)
         assert supp.rules == frozenset({"DET001", "SIM001"})
+
+
+class TestHandBuiltCommands:
+    """PROTO004: only ``controller/client.py`` may build a command frame."""
+
+    SOURCE = (
+        "from repro.proto import messages\n"
+        "from repro.proto.messages import MRead, Result\n"
+        "a = MRead(reqid=1, memaddr=0, bytecnt=8)\n"
+        "b = messages.NPoll(reqid=2, time=0)\n"
+        "c = Result(reqid=1)\n"         # a response, not a command
+        "d = handle.call(MRead, memaddr=0, bytecnt=8)\n"  # the one path
+    )
+
+    def _findings(self, tmp_path, relative):
+        path = tmp_path / relative
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(self.SOURCE)
+        result = analyze_paths([str(tmp_path)], root=str(tmp_path))
+        return [(f.rule, f.line) for f in result.findings
+                if f.rule == "PROTO004"]
+
+    def test_fires_anywhere_else_in_src(self, tmp_path):
+        assert self._findings(tmp_path, "src/repro/fleet/shortcut.py") == [
+            ("PROTO004", 3), ("PROTO004", 4),
+        ]
+
+    def test_the_client_module_is_the_one_place(self, tmp_path):
+        assert self._findings(tmp_path, "src/repro/controller/client.py") == []
 
 
 class TestBaseline:
