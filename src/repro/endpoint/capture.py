@@ -11,8 +11,6 @@ packets and bytes dropped due to buffer exhaustion.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.netsim.kernel import Event, Simulator
 from repro.proto.messages import CaptureRecord
 
@@ -32,7 +30,6 @@ class CaptureBuffer:
         self._records: list[CaptureRecord] = []
         self.dropped_packets = 0
         self.dropped_bytes = 0
-        self.total_captured = 0
         self._data_waiters: list[Event] = []
         self._space_waiters: list[Event] = []
 
@@ -58,7 +55,6 @@ class CaptureBuffer:
             return False
         self._records.append(record)
         self.used += size
-        self.total_captured += 1
         if obs.enabled:
             obs.counter("endpoint.captured").inc()
             # Occupancy as a fraction so buffers of any size compare.
@@ -67,7 +63,8 @@ class CaptureBuffer:
             )
         waiters, self._data_waiters = self._data_waiters, []
         for event in waiters:
-            event.fire(None)
+            # An npoll's deadline may already have fired its event.
+            event.fire_unless_fired()
         return True
 
     def note_drop(self, byte_count: int) -> None:
@@ -98,7 +95,8 @@ class CaptureBuffer:
 
     def wait_for_data(self) -> Event:
         """An event fired when the next record arrives (pre-fired if data
-        is already buffered)."""
+        is already buffered). A waiter may fire it first itself, at a
+        deadline; the next record then passes it over."""
         event = Event(self._sim, name="capture-data")
         if self._records:
             event.fire(None)

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from random import Random as _Random
 import time as _time
-from typing import Generator, Optional
+from types import GeneratorType
+from typing import Generator, Optional, Union
 
 from repro.endpoint.auth import AuthError, AuthorizedExperiment, verify_auth
 from repro.endpoint.capture import CaptureBuffer
@@ -39,9 +40,9 @@ from repro.endpoint.sendqueue import SendQueue
 from repro.filtervm.program import FilterProgram, ProgramError
 from repro.filtervm.verify import VerifierReport, verify as verify_filter
 from repro.filtervm.vm import FilterVM
-from repro.netsim.kernel import any_of
 from repro.netsim.node import Node
-from repro.netsim.stack.tcp import TcpError
+from repro.netsim.stack.tcp import TcpConnection, TcpError
+from repro.packet.ipv4 import PROTO_TCP
 from repro.proto.constants import (
     ERR_MONITOR_REJECTED,
     PROTOCOL_VERSION,
@@ -136,6 +137,16 @@ def _decode_failure_report(exc: Exception) -> VerifierReport:
     report = VerifierReport()
     report.error("decode", str(exc))
     return report
+
+
+def _report_text(report: VerifierReport) -> str:
+    return report.render()[:MAX_REPORT_CHARS]
+
+
+# What a command handler answers with: a status, a status with its
+# payload, or the PollData; a blocking handler returns a generator that
+# finishes with one of these.
+Answer = Union[int, tuple[int, bytes], PollData]
 
 
 class Session:
@@ -266,16 +277,9 @@ class Session:
             yield self.buffer.wait_for_data()
             if self.ended:
                 return
-            records, dropped_packets, dropped_bytes = self.buffer.drain()
-            if records:
-                self.send_message(
-                    PollData(
-                        reqid=0,
-                        dropped_packets=dropped_packets,
-                        dropped_bytes=dropped_bytes,
-                        records=records,
-                    )
-                )
+            poll = self._drain(0)
+            if poll.records:
+                self.send_message(poll)
 
     def _write_loop(self) -> Generator:
         """Single writer serializing all frames onto the control stream.
@@ -357,9 +361,8 @@ class Session:
                         )
                         reason = END_PROTOCOL_ERROR
                         break
-                    # Out-of-place but well-formed: report and drop, as
-                    # the old unknown-command path did.
-                    self.send_message(Result(reqid=0, status=ST_BAD_ARGUMENT))
+                    # Out-of-place but well-formed: report and drop.
+                    self._reply(0, ST_BAD_ARGUMENT)
                     continue
                 self.commands_processed += 1
                 if self._obs.enabled:
@@ -377,106 +380,81 @@ class Session:
                     self, message
                 ):
                     continue
-                yield from self._dispatch(message)
+                answer = self._HANDLERS[type(message)](self, message)
+                if isinstance(answer, GeneratorType):  # it has to wait
+                    answer = yield from answer
+                self._reply(message.reqid, answer)
         finally:
             self._cleanup(reason)
 
-    def _dispatch(self, message: Message) -> Generator:
-        if isinstance(message, NOpen):
-            yield from self._handle_nopen(message)
-        elif isinstance(message, NClose):
-            self._handle_nclose(message)
-        elif isinstance(message, NSend):
-            self._handle_nsend(message)
-        elif isinstance(message, NCap):
-            self._handle_ncap(message)
-        elif isinstance(message, NPoll):
-            yield from self._handle_npoll(message)
-        elif isinstance(message, MRead):
-            self._handle_mread(message)
-        elif isinstance(message, MWrite):
-            self._handle_mwrite(message)
-        else:
-            # Unknown command in an established session: report and drop.
-            self.send_message(Result(reqid=0, status=ST_BAD_ARGUMENT))
+    def _reply(self, reqid: int, answer: Answer) -> None:
+        """The one place a command's Result is built and sent."""
+        if not isinstance(answer, PollData):
+            status, payload = (
+                answer if isinstance(answer, tuple) else (answer, b"")
+            )
+            answer = Result(reqid=reqid, status=status, payload=payload)
+        self.send_message(answer)
 
-    # -- command handlers -----------------------------------------------------------
+    # -- command handlers -------------------------------------------------------
+    #
+    # One per Table 1 command, looked up by message type in _HANDLERS (the
+    # state machine has already refused every other type). Each returns
+    # its Answer; only a TCP nopen and an npoll that must wait for data
+    # return a generator, so the other commands run without a frame.
 
-    def _handle_nopen(self, message: NOpen) -> Generator:
+    def _nopen(self, message: NOpen) -> Union[Answer, Generator]:
         endpoint = self.endpoint
-        if (
-            message.sktid in self.sockets
-            or not 0 <= message.sktid < endpoint.config.max_sockets
-        ):
-            self.send_message(Result(reqid=message.reqid, status=ST_BAD_SOCKET))
-            return
+        config = endpoint.config
+        sktid = message.sktid
+        if sktid in self.sockets or not 0 <= sktid < config.max_sockets:
+            return ST_BAD_SOCKET
+        shared = (sktid, endpoint.node, self.buffer, endpoint.clock_ticks,
+                  self.check_recv)
         if message.proto == SOCK_RAW:
-            if not endpoint.config.allow_raw:
-                self.send_message(Result(reqid=message.reqid, status=ST_UNSUPPORTED))
-                return
-            socket: EndpointSocket = RawEndpointSocket(
-                message.sktid,
-                endpoint.node,
-                self.buffer,
-                endpoint.clock_ticks,
-                self.check_recv,
-                MonitorInfoView(endpoint.memory),
-                exempt=endpoint.is_control_traffic,
-            )
-        elif message.proto == SOCK_UDP:
+            if not config.allow_raw:
+                return ST_UNSUPPORTED
+            return self._opened(RawEndpointSocket(
+                *shared, MonitorInfoView(endpoint.memory),
+                endpoint.is_control_traffic,
+            ))
+        if message.proto == SOCK_UDP:
             try:
-                socket = UdpEndpointSocket(
-                    message.sktid,
-                    endpoint.node,
-                    self.buffer,
-                    endpoint.clock_ticks,
-                    self.check_recv,
-                    locport=message.locport,
-                    remaddr=message.remaddr,
-                    remport=message.remport,
-                )
-            except RuntimeError:
-                self.send_message(Result(reqid=message.reqid, status=ST_BAD_ARGUMENT))
-                return
-        elif message.proto == SOCK_TCP:
-            try:
-                conn = endpoint.node.tcp.connect(
-                    message.remaddr, message.remport, src_port=message.locport
-                )
-                yield from conn.wait_established()
-            except TcpError:
-                self.send_message(
-                    Result(reqid=message.reqid, status=ST_CONNECT_FAILED)
-                )
-                return
-            socket = TcpEndpointSocket(
-                message.sktid,
-                endpoint.node,
-                self.buffer,
-                endpoint.clock_ticks,
-                self.check_recv,
-                conn,
-            )
-        else:
-            self.send_message(Result(reqid=message.reqid, status=ST_BAD_ARGUMENT))
-            return
-        self.sockets[message.sktid] = socket
-        self.send_message(Result(reqid=message.reqid, status=ST_OK))
+                return self._opened(UdpEndpointSocket(
+                    *shared, message.locport, message.remaddr, message.remport,
+                ))
+            except RuntimeError:  # local port in use
+                return ST_BAD_ARGUMENT
+        if message.proto == SOCK_TCP:
+            return self._nopen_tcp(message, shared)
+        return ST_BAD_ARGUMENT
 
-    def _handle_nclose(self, message: NClose) -> None:
+    def _nopen_tcp(self, message: NOpen, shared: tuple) -> Generator:
+        conn = self.endpoint.node.tcp.connect(
+            message.remaddr, message.remport, src_port=message.locport
+        )
+        try:
+            yield from conn.wait_established()
+        except TcpError:
+            return ST_CONNECT_FAILED
+        return self._opened(TcpEndpointSocket(*shared, conn))
+
+    def _opened(self, socket: EndpointSocket) -> int:
+        self.sockets[socket.sktid] = socket
+        return ST_OK
+
+    def _nclose(self, message: NClose) -> Answer:
         socket = self.sockets.pop(message.sktid, None)
         if socket is None:
-            self.send_message(Result(reqid=message.reqid, status=ST_BAD_SOCKET))
-            return
-        self.send_queue.cancel_for_socket(socket)
+            return ST_BAD_SOCKET
+        self.send_queue.cancel(socket)
         socket.close()
-        self.send_message(Result(reqid=message.reqid, status=ST_OK))
+        return ST_OK
 
-    def _handle_nsend(self, message: NSend) -> None:
+    def _nsend(self, message: NSend) -> Answer:
         socket = self.sockets.get(message.sktid)
         if socket is None:
-            self.send_message(Result(reqid=message.reqid, status=ST_BAD_SOCKET))
-            return
+            return ST_BAD_SOCKET
         socket.pending_sends += 1
 
         def on_fire(entry) -> bool:
@@ -484,77 +462,73 @@ class Session:
             return socket.send_scheduled(entry.data, self.check_send)
 
         self.send_queue.schedule(socket, message.data, message.time, on_fire)
-        self.send_message(Result(reqid=message.reqid, status=ST_OK))
+        return ST_OK
 
-    def _handle_ncap(self, message: NCap) -> None:
+    def _ncap(self, message: NCap) -> Answer:
         socket = self.sockets.get(message.sktid)
         if socket is None:
-            self.send_message(Result(reqid=message.reqid, status=ST_BAD_SOCKET))
-            return
+            return ST_BAD_SOCKET
         if not isinstance(socket, RawEndpointSocket):
-            self.send_message(Result(reqid=message.reqid, status=ST_BAD_ARGUMENT))
-            return
+            return ST_BAD_ARGUMENT
         try:
             program = FilterProgram.decode(message.filt)
         except (DecodeError, ProgramError):
-            self.send_message(Result(reqid=message.reqid, status=ST_BAD_ARGUMENT))
-            return
+            return ST_BAD_ARGUMENT
         # Same admission gate as certificate monitors: a capture filter
-        # that would provably fault is rejected with its verifier report.
+        # that would provably fault is rejected with its verifier report,
+        # and an admitted one runs on the fuel it was checked against.
+        fuel = self.endpoint.config.monitor_fuel
         report = admit_filter_program(
-            program, obs=self._obs,
-            fuel_limit=self.endpoint.config.monitor_fuel, kind="ncap",
+            program, obs=self._obs, fuel_limit=fuel, kind="ncap"
         )
         if not report.ok:
-            self.send_message(
-                Result(
-                    reqid=message.reqid,
-                    status=ERR_MONITOR_REJECTED,
-                    payload=report.render()[:MAX_REPORT_CHARS].encode(),
-                )
-            )
-            return
-        socket.install_filter(program, message.time)
-        self.send_message(Result(reqid=message.reqid, status=ST_OK))
+            return ERR_MONITOR_REJECTED, _report_text(report).encode()
+        socket.install_filter(program, message.time, fuel)
+        return ST_OK
 
-    def _handle_npoll(self, message: NPoll) -> Generator:
-        endpoint = self.endpoint
+    def _npoll(self, message: NPoll) -> Union[Answer, Generator]:
         if self.buffer.is_empty:
-            clock = endpoint.node.clock
-            deadline_sim = clock.to_true_time(clock.from_ticks(message.time))
-            now = endpoint.node.sim.now
-            if deadline_sim > now:
-                timeout = endpoint.node.sim.event(name="npoll-timeout")
-                timer = endpoint.node.sim.schedule_at(deadline_sim, timeout.fire)
-                yield any_of(
-                    endpoint.node.sim, [self.buffer.wait_for_data(), timeout]
-                )
-                timer.cancel()
+            node = self.endpoint.node
+            clock = node.clock
+            deadline = clock.to_true_time(clock.from_ticks(message.time))
+            if deadline > node.sim.now:
+                return self._npoll_wait(message.reqid, deadline)
+        return self._drain(message.reqid)
+
+    def _npoll_wait(self, reqid: int, deadline: float) -> Generator:
+        """Block until data arrives or the deadline: one event, which the
+        deadline timer fires itself if no record does first."""
+        sim = self.endpoint.node.sim
+        woken = self.buffer.wait_for_data()
+        timer = sim.schedule_at(deadline, woken.fire_unless_fired)
+        yield woken
+        timer.cancel()
+        return self._drain(reqid)
+
+    def _drain(self, reqid: int) -> PollData:
         records, dropped_packets, dropped_bytes = self.buffer.drain()
-        self.send_message(
-            PollData(
-                reqid=message.reqid,
-                dropped_packets=dropped_packets,
-                dropped_bytes=dropped_bytes,
-                records=records,
-            )
-        )
+        return PollData(reqid=reqid, dropped_packets=dropped_packets,
+                        dropped_bytes=dropped_bytes, records=records)
 
-    def _handle_mread(self, message: MRead) -> None:
+    def _mread(self, message: MRead) -> Answer:
         try:
-            data = self.endpoint.memory.read(message.memaddr, message.bytecnt)
+            return ST_OK, self.endpoint.memory.read(
+                message.memaddr, message.bytecnt
+            )
         except MemoryError_:
-            self.send_message(Result(reqid=message.reqid, status=ST_MEM_FAULT))
-            return
-        self.send_message(Result(reqid=message.reqid, status=ST_OK, payload=data))
+            return ST_MEM_FAULT
 
-    def _handle_mwrite(self, message: MWrite) -> None:
+    def _mwrite(self, message: MWrite) -> Answer:
         try:
             self.endpoint.memory.write(message.memaddr, message.data)
         except MemoryError_:
-            self.send_message(Result(reqid=message.reqid, status=ST_MEM_FAULT))
-            return
-        self.send_message(Result(reqid=message.reqid, status=ST_OK))
+            return ST_MEM_FAULT
+        return ST_OK
+
+    _HANDLERS = {
+        NOpen: _nopen, NClose: _nclose, NSend: _nsend, NCap: _ncap,
+        NPoll: _npoll, MRead: _mread, MWrite: _mwrite,
+    }
 
     # -- teardown -----------------------------------------------------------------
 
@@ -569,9 +543,10 @@ class Session:
         for socket in self.sockets.values():
             socket.close()
         self.sockets.clear()
-        self.send_queue.cancel_all()
+        self.send_queue.cancel()
         self.endpoint.contention.release(self)
         self.endpoint.sessions.pop(self.session_id, None)
+        self.endpoint.forget(self.stream.conn)
         self.outbox.put(None)  # stop the writer
         self.endpoint.node.sim.schedule(0.05, self.stream.close)
         self.end_event.fire(reason)
@@ -599,7 +574,14 @@ class Endpoint:
         self.crashed = False
         self._restart_event = None
         self._rng = _Random(self.config.reconnect_seed)
-        self._rdz_conns: list = []
+        # The connections the agent opened itself, keyed by the (remote
+        # ip, remote port, local port) a packet from the peer carries:
+        # controller dials from connect until their session ends, and
+        # rendezvous subscriptions. The flag marks a subscription, which
+        # crash() aborts directly (a session's connection it reaches
+        # through the session; a handshake notices the crash itself).
+        self._own_conns: dict[tuple[int, int, int],
+                              tuple[TcpConnection, bool]] = {}
         # Monotonic across subscription lifetimes (but reset by restart,
         # since a real endpoint loses its counter with its memory).
         self._heartbeat_seq = 0
@@ -610,27 +592,27 @@ class Endpoint:
         return self.node.clock.ticks()
 
     def is_control_traffic(self, packet) -> bool:
-        """True if a packet belongs to any session's control connection.
+        """True if a packet arrives on a connection the agent opened itself.
 
-        Control connections are exempt from raw capture: consuming them
-        would sever the session and mirroring them would leak other
-        experimenters' control traffic.
+        Those are exempt from raw capture: consuming them would sever a
+        session or the rendezvous subscription, and mirroring them would
+        leak other experimenters' control traffic and offers.
         """
-        from repro.packet.ipv4 import PROTO_TCP
+        payload = packet.payload
+        return (
+            packet.proto == PROTO_TCP and len(payload) >= 4
+            and (packet.src, int.from_bytes(payload[0:2], "big"),
+                 int.from_bytes(payload[2:4], "big")) in self._own_conns
+        )
 
-        if packet.proto != PROTO_TCP or len(packet.payload) < 4:
-            return False
-        src_port = int.from_bytes(packet.payload[0:2], "big")
-        dst_port = int.from_bytes(packet.payload[2:4], "big")
-        for session in self.sessions.values():
-            conn = session.stream.conn
-            if (
-                packet.src == conn.remote_ip
-                and src_port == conn.remote_port
-                and dst_port == conn.local_port
-            ):
-                return True
-        return False
+    def _own(self, conn: TcpConnection, subscription: bool = False) -> None:
+        key = (conn.remote_ip, conn.remote_port, conn.local_port)
+        self._own_conns[key] = (conn, subscription)
+
+    def forget(self, conn: TcpConnection) -> None:
+        """Raw capture may see ``conn`` again: its owner is done with it."""
+        self._own_conns.pop((conn.remote_ip, conn.remote_port,
+                             conn.local_port), None)
 
     def active_capture_buffer(self) -> Optional[CaptureBuffer]:
         active = self.contention.active
@@ -666,8 +648,9 @@ class Endpoint:
                      sessions=len(self.sessions))
         for session in list(self.sessions.values()):
             session.stream.conn.abort()
-        for conn in list(self._rdz_conns):
-            conn.abort()
+        for conn, subscription in list(self._own_conns.values()):
+            if subscription:
+                conn.abort()
         # Liveness counter dies with the endpoint's memory; the restarted
         # process starts beaconing from zero again.
         self._heartbeat_seq = 0
@@ -743,11 +726,26 @@ class Endpoint:
 
     def _session_startup(self, addr: int, port: int,
                          descriptor_hash: bytes) -> Generator:
-        sim = self.node.sim
         if self.crashed:
             return None
+        conn = self.node.tcp.connect(addr, port)
+        # The agent's own from its first packet on: raw capture must not
+        # see, let alone swallow, the SYN-ACK or the Hello/Auth exchange.
+        self._own(conn)
+        session = None
         try:
-            conn = yield from self.node.tcp.open_connection(addr, port)
+            session = yield from self._admit(conn, descriptor_hash)
+        finally:
+            if session is None:  # refused or failed; conn is going away
+                self.forget(conn)
+        return session
+
+    def _admit(self, conn: TcpConnection, descriptor_hash: bytes) -> Generator:
+        """Hello/Auth on a fresh dial: the started Session, or None with
+        the connection closed (aborted if the endpoint crashed)."""
+        sim = self.node.sim
+        try:
+            yield from conn.wait_established()
         except TcpError:
             return None
         if self.crashed:
@@ -766,66 +764,49 @@ class Endpoint:
         except TcpError:
             conn.close()
             return None
-        # Wait for Auth, bounded by the configured timeout.
+
         def recv_safe() -> Generator:
             try:
-                result = yield from stream.recv()
+                return (yield from stream.recv())
             except (TcpError, FramingError):
                 return None
-            return result
 
+        # Wait for Auth, bounded by the configured timeout: the timer
+        # kills the receiver, which the join then sees end with None.
         auth_proc = sim.spawn(recv_safe(), name="auth-recv")
-        timeout_event = sim.event(name="auth-timeout")
-        timer = sim.schedule(self.config.auth_timeout, timeout_event.fire)
-        index, _ = yield any_of(sim, [auth_proc.completion, timeout_event])
-        if index == 1:
-            auth_proc.kill()
-            conn.close()
-            return None
+        timer = sim.schedule(self.config.auth_timeout, auth_proc.kill)
+        auth = yield auth_proc
         timer.cancel()
-        if auth_proc.error is not None or not isinstance(auth_proc.result, Auth):
+        if not isinstance(auth, Auth):
             conn.close()
             return None
-        auth: Auth = auth_proc.result
         try:
             authorized = verify_auth(auth, self.config.trusted_key_ids, sim.now)
-        except AuthError as exc:
+            session = None if self.crashed else Session(
+                self, stream, authorized, self._next_session_id
+            )
+        except (AuthError, MonitorRejected) as exc:
+            # Refused at admission: a bad certificate chain or a
+            # certificate monitor the verifier rejected.
             self.auth_failures += 1
+            fields = {}
+            if isinstance(exc, MonitorRejected):
+                fields = {"code": ERR_MONITOR_REJECTED}
             if sim.obs.enabled:
                 sim.obs.counter("endpoint.auth_failures").inc()
-                sim.obs.emit("endpoint", "auth-fail",
-                             endpoint=self.config.name, reason=str(exc))
+                sim.obs.emit("endpoint", "auth-fail", endpoint=self.config.name,
+                             reason=str(exc), **fields)
+            if fields:
+                fields["report"] = _report_text(exc.report)
             try:
-                yield from stream.send(AuthFail(reason=str(exc)))
+                yield from stream.send(AuthFail(reason=str(exc), **fields))
             except TcpError:
                 pass
             conn.close()
             return None
-        if self.crashed:
+        if session is None:
             # Crashed mid-handshake: the connection dies with everything else.
             conn.abort()
-            return None
-        try:
-            session = Session(self, stream, authorized,
-                              self._next_session_id)
-        except MonitorRejected as exc:
-            self.auth_failures += 1
-            if sim.obs.enabled:
-                sim.obs.counter("endpoint.auth_failures").inc()
-                sim.obs.emit("endpoint", "auth-fail",
-                             endpoint=self.config.name, reason=str(exc),
-                             code=ERR_MONITOR_REJECTED)
-            try:
-                yield from stream.send(
-                    AuthFail(
-                        reason=str(exc),
-                        code=ERR_MONITOR_REJECTED,
-                        report=exc.report.render()[:MAX_REPORT_CHARS],
-                    )
-                )
-            except TcpError:
-                pass
-            conn.close()
             return None
         self._next_session_id += 1
         self.sessions[session.session_id] = session
@@ -904,7 +885,7 @@ class Endpoint:
             conn = yield from self.node.tcp.open_connection(rdz_addr, rdz_port)
         except TcpError:
             return False
-        self._rdz_conns.append(conn)
+        self._own(conn, subscription=True)
         heartbeat_proc = None
         try:
             stream = MessageStream(conn)
@@ -946,10 +927,7 @@ class Endpoint:
         finally:
             if heartbeat_proc is not None and heartbeat_proc.alive:
                 heartbeat_proc.kill()
-            try:
-                self._rdz_conns.remove(conn)
-            except ValueError:
-                pass
+            self.forget(conn)
 
     def _heartbeat_publisher(self, stream: MessageStream) -> Generator:
         """Beacon liveness on the subscription stream until it dies."""

@@ -24,7 +24,6 @@ from repro.endpoint.capture import CaptureBuffer
 from repro.filtervm.program import FilterProgram
 from repro.filtervm.vm import (
     FilterVM,
-    VERDICT_CONSUME,
     VERDICT_DROP,
     VERDICT_MIRROR,
 )
@@ -49,30 +48,50 @@ TCP_READ_CHUNK = 1460
 MonitorCheck = Callable[[bytes], bool]
 
 
+def _frame(proto: int, src: int, src_port: int, dst: int, dst_port: int,
+           payload: bytes) -> bytes:
+    """The IPv4 frame a native socket's datagram or stream chunk stands
+    for, so certificate monitors judge it like any raw packet."""
+    if proto == PROTO_UDP:
+        l4 = UdpDatagram(src_port=src_port, dst_port=dst_port, payload=payload)
+    else:
+        l4 = TcpSegment(src_port=src_port, dst_port=dst_port, seq=0, ack=0,
+                        flags=FLAG_ACK | FLAG_PSH, window=0, payload=payload)
+    return IPv4Packet(src=src, dst=dst, proto=proto,
+                      payload=l4.encode(src, dst)).encode()
+
+
 class EndpointSocket:
-    """Common endpoint socket state."""
+    """Common endpoint socket state: every socket captures into the
+    session's buffer, stamped with the endpoint clock, past its monitors."""
 
     proto: int = 0
 
-    def __init__(self, sktid: int, node: Node) -> None:
+    def __init__(self, sktid: int, node: Node, buffer: CaptureBuffer,
+                 ticks: Callable[[], int], check_recv: MonitorCheck) -> None:
         self.sktid = sktid
         self.node = node
+        self._buffer = buffer
+        self._ticks = ticks
+        self._check_recv = check_recv
         self.local_port = 0
         self.closed = False
         self.last_send_ticks = 0
         self.pending_sends = 0
-        self.packets_sent = 0
-        self.sends_denied = 0
 
     def note_send(self, ticks: int) -> None:
         self.last_send_ticks = ticks
-        self.packets_sent += 1
 
     def close(self) -> None:
         self.closed = True
 
     def send_scheduled(self, data: bytes, check_send: MonitorCheck) -> bool:
         raise NotImplementedError
+
+    def _capture(self, data: bytes) -> None:
+        self._buffer.push(
+            CaptureRecord(sktid=self.sktid, timestamp=self._ticks(), data=data)
+        )
 
 
 class RawEndpointSocket(EndpointSocket):
@@ -88,25 +107,22 @@ class RawEndpointSocket(EndpointSocket):
         ticks: Callable[[], int],
         check_recv: MonitorCheck,
         info_view: "MonitorInfoView",
-        exempt: Optional[Callable[[IPv4Packet], bool]] = None,
+        exempt: Callable[[IPv4Packet], bool],
     ) -> None:
-        super().__init__(sktid, node)
-        self._buffer = buffer
-        self._ticks = ticks
-        self._check_recv = check_recv
+        super().__init__(sktid, node, buffer, ticks, check_recv)
         self._info_view = info_view
         self._exempt = exempt
         self._filter: Optional[FilterVM] = None
         self._cap_until_ticks = 0
         self._tap = node.ip.add_tap(self._on_packet)
-        self.packets_captured = 0
-        self.packets_filtered_out = 0
 
-    def install_filter(self, program: FilterProgram, until_ticks: int) -> None:
+    def install_filter(self, program: FilterProgram, until_ticks: int,
+                       fuel_limit: int) -> None:
         """ncap: install a capture filter active until the given local
-        time. The filter's persistent globals live as long as the filter."""
+        time, running on the fuel it was admitted against. The filter's
+        persistent globals live as long as the filter."""
         self._filter = FilterVM(program, info=self._info_view,
-                                obs=self.node.sim.obs)
+                                fuel_limit=fuel_limit, obs=self.node.sim.obs)
         self._filter.run_init()
         self._cap_until_ticks = until_ticks
 
@@ -119,22 +135,17 @@ class RawEndpointSocket(EndpointSocket):
             return TAP_IGNORE
         if self._ticks() > self._cap_until_ticks:
             return TAP_IGNORE
-        # The endpoint's own control connections are never exposed to raw
-        # capture: consuming them would sever the session, and mirroring
-        # them would leak other experimenters' control traffic.
-        if self._exempt is not None and self._exempt(packet):
+        # The connections the agent opened itself are never exposed to raw
+        # capture: consuming them would sever a session or a subscription,
+        # and mirroring them would leak other experimenters' traffic.
+        if self._exempt(packet):
             return TAP_IGNORE
         raw = packet.encode()
         verdict = self._filter.invoke("recv", packet=raw, args=(0, len(raw)))
-        if verdict == VERDICT_DROP:
-            self.packets_filtered_out += 1
-            return TAP_IGNORE
         # Certificate monitors decide whether the controller may see it.
-        if not self._check_recv(raw):
-            self.packets_filtered_out += 1
+        if verdict == VERDICT_DROP or not self._check_recv(raw):
             return TAP_IGNORE
-        record = CaptureRecord(sktid=self.sktid, timestamp=self._ticks(), data=raw)
-        self._buffer.push(record)
+        self._capture(raw)
         if verdict == VERDICT_MIRROR:
             return TAP_MIRROR
         return TAP_CONSUME
@@ -148,7 +159,6 @@ class RawEndpointSocket(EndpointSocket):
         except DecodeError:
             return False
         if not check_send(data):
-            self.sends_denied += 1
             return False
         return self.node.send_ip(packet)
 
@@ -174,10 +184,7 @@ class UdpEndpointSocket(EndpointSocket):
         remaddr: int,
         remport: int,
     ) -> None:
-        super().__init__(sktid, node)
-        self._buffer = buffer
-        self._ticks = ticks
-        self._check_recv = check_recv
+        super().__init__(sktid, node, buffer, ticks, check_recv)
         self.remaddr = remaddr
         self.remport = remport
         self._udp = node.udp.bind(locport)
@@ -190,36 +197,21 @@ class UdpEndpointSocket(EndpointSocket):
             if item is None:
                 return
             payload, src_ip, src_port, dst_ip = item
-            # Reconstruct the wire packet for monitor checking.
-            datagram = UdpDatagram(src_port=src_port, dst_port=self.local_port,
-                                   payload=payload)
-            raw = IPv4Packet(
-                src=src_ip, dst=dst_ip, proto=PROTO_UDP,
-                payload=datagram.encode(src_ip, dst_ip),
-            ).encode()
+            raw = _frame(PROTO_UDP, src_ip, src_port, dst_ip, self.local_port,
+                         payload)
             if not self._check_recv(raw):
                 continue
             if not self._buffer.space_for(len(payload)):
                 self._buffer.note_drop(len(payload))
                 continue
-            self._buffer.push(
-                CaptureRecord(sktid=self.sktid, timestamp=self._ticks(),
-                              data=payload)
-            )
+            self._capture(payload)
 
     def send_scheduled(self, data: bytes, check_send: MonitorCheck) -> bool:
         if self.closed:
             return False
-        datagram = UdpDatagram(
-            src_port=self.local_port, dst_port=self.remport, payload=data
-        )
-        src = self.node.primary_address()
-        raw = IPv4Packet(
-            src=src, dst=self.remaddr, proto=PROTO_UDP,
-            payload=datagram.encode(src, self.remaddr),
-        ).encode()
+        raw = _frame(PROTO_UDP, self.node.primary_address(), self.local_port,
+                     self.remaddr, self.remport, data)
         if not check_send(raw):
-            self.sends_denied += 1
             return False
         return self._udp.sendto(data, self.remaddr, self.remport)
 
@@ -244,10 +236,7 @@ class TcpEndpointSocket(EndpointSocket):
         check_recv: MonitorCheck,
         conn: TcpConnection,
     ) -> None:
-        super().__init__(sktid, node)
-        self._buffer = buffer
-        self._ticks = ticks
-        self._check_recv = check_recv
+        super().__init__(sktid, node, buffer, ticks, check_recv)
         self.conn = conn
         self.local_port = conn.local_port
         self.remaddr = conn.remote_ip
@@ -269,33 +258,18 @@ class TcpEndpointSocket(EndpointSocket):
                 return
             if not chunk:
                 return
-            raw = IPv4Packet(
-                src=self.remaddr, dst=self.node.primary_address(), proto=PROTO_TCP,
-                payload=TcpSegment(
-                    src_port=self.remport, dst_port=self.local_port,
-                    seq=0, ack=0, flags=FLAG_ACK | FLAG_PSH, window=0,
-                    payload=chunk,
-                ).encode(self.remaddr, self.node.primary_address()),
-            ).encode()
+            raw = _frame(PROTO_TCP, self.remaddr, self.remport,
+                         self.node.primary_address(), self.local_port, chunk)
             if not self._check_recv(raw):
                 continue
-            self._buffer.push(
-                CaptureRecord(sktid=self.sktid, timestamp=self._ticks(), data=chunk)
-            )
+            self._capture(chunk)
 
     def send_scheduled(self, data: bytes, check_send: MonitorCheck) -> bool:
         if self.closed or self.conn.error is not None:
             return False
-        src = self.node.primary_address()
-        representative = IPv4Packet(
-            src=src, dst=self.remaddr, proto=PROTO_TCP,
-            payload=TcpSegment(
-                src_port=self.local_port, dst_port=self.remport,
-                seq=0, ack=0, flags=FLAG_ACK | FLAG_PSH, window=0, payload=data,
-            ).encode(src, self.remaddr),
-        ).encode()
-        if not check_send(representative):
-            self.sends_denied += 1
+        raw = _frame(PROTO_TCP, self.node.primary_address(), self.local_port,
+                     self.remaddr, self.remport, data)
+        if not check_send(raw):
             return False
 
         def sender() -> Generator:

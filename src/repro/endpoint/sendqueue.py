@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.netsim.clock import HostClock, NANOSECONDS
+from repro.netsim.clock import HostClock
 from repro.netsim.kernel import Simulator, Timer
 
 if TYPE_CHECKING:
@@ -50,10 +50,6 @@ class SendQueue:
         self._pending: list[ScheduledSend] = []
         self.sends_completed = 0
         self.sends_failed = 0
-
-    @property
-    def pending_count(self) -> int:
-        return len(self._pending)
 
     def schedule(
         self,
@@ -105,27 +101,13 @@ class SendQueue:
         entry.timer = self._sim.schedule(delay, fire)
         return entry
 
-    def cancel_for_socket(self, socket: "EndpointSocket") -> int:
-        """Cancel pending sends when a socket closes; returns the count."""
-        cancelled = 0
-        for entry in list(self._pending):
-            if entry.socket is socket:
-                entry.done = True
-                if entry.timer is not None:
-                    entry.timer.cancel()
-                self._pending.remove(entry)
-                cancelled += 1
-        return cancelled
-
-    def cancel_all(self) -> int:
-        count = 0
-        for entry in list(self._pending):
+    def cancel(self, socket: Optional["EndpointSocket"] = None) -> int:
+        """Cancel the pending sends of ``socket`` as it closes, or of every
+        socket (``None``) as the session ends; returns the count."""
+        cancelled = [entry for entry in self._pending
+                     if socket is None or entry.socket is socket]
+        for entry in cancelled:
             entry.done = True
-            if entry.timer is not None:
-                entry.timer.cancel()
-            count += 1
-        self._pending.clear()
-        return count
-
-    def pending_for_socket(self, socket: "EndpointSocket") -> int:
-        return sum(1 for entry in self._pending if entry.socket is socket)
+            entry.timer.cancel()
+        self._pending = [entry for entry in self._pending if not entry.done]
+        return len(cancelled)

@@ -59,7 +59,7 @@ from typing import TYPE_CHECKING, Callable, Generator, Optional
 from zlib import crc32
 
 from repro.controller.recovery import ResilientHandle
-from repro.netsim.kernel import Queue, any_of
+from repro.netsim.kernel import Queue
 from repro.util.retry import RetryPolicy
 
 if TYPE_CHECKING:
@@ -324,14 +324,11 @@ class EndpointPool:
         if len(self.endpoints) >= count:
             return len(self.endpoints)
         self._population_target = count
-        self._population_event = self.sim.event(name="pool-populated")
-        timeout_event = self.sim.event(name="pool-populate-timeout")
-        timer = self.sim.schedule(timeout, timeout_event.fire)
+        self._population_event = event = self.sim.event(name="pool-populated")
+        # The deadline fires the same event, with None for "timed out".
+        timer = self.sim.schedule(timeout, event.fire_unless_fired)
         try:
-            index, _ = yield any_of(
-                self.sim, [self._population_event, timeout_event]
-            )
-            if index == 1:
+            if (yield event) is None:
                 raise PoolError(
                     f"pool reached {len(self.endpoints)}/{count} endpoints "
                     f"within {timeout:g}s"

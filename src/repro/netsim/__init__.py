@@ -9,7 +9,7 @@ packet dynamics.
 
 from repro.netsim.clock import HostClock
 from repro.netsim.faults import DirectionFaults, FaultPlan
-from repro.netsim.kernel import Event, Process, Queue, SimError, Simulator, all_of, any_of
+from repro.netsim.kernel import Event, Process, Queue, SimError, Simulator
 from repro.netsim.links import Link, LinkDirection, LinkStats
 from repro.netsim.nat import NatBox, natted_topology
 from repro.netsim.node import Interface, Node
@@ -41,8 +41,6 @@ __all__ = [
     "Simulator",
     "TraceRecord",
     "access_topology",
-    "all_of",
-    "any_of",
     "describe",
     "fleet_topology",
     "linear_topology",

@@ -14,8 +14,8 @@ Design:
   what keeps a same-seed run byte-identical.
 - Cancelled timers are purged lazily: the simulator counts cancellations
   and compacts the heap once more than half of the stored entries are
-  dead, so tight create/cancel loops (RPC timeouts, retry backoff,
-  ``any_of`` losers) cannot bloat the pending set.
+  dead, so tight create/cancel loops (RPC timeouts, retry backoff)
+  cannot bloat the pending set.
 - Concurrency uses plain Python generators (SimPy style). A process is a
   generator that ``yield``s what it wants to wait for:
 
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Optional
 
 from repro.obs import Observability
 
@@ -114,6 +114,12 @@ class Event:
                 # have held consecutive sequence numbers), minus the
                 # per-waiter Timer and heap traffic.
                 sim._resume_batch(waiters, value)
+
+    def fire_unless_fired(self, value: Any = None) -> None:
+        """Fire, unless something else already did: the callback for a
+        deadline timer bounding a wait on this very event."""
+        if not self._fired:
+            self.fire(value)
 
     def _add_waiter(self, proc: "Process") -> None:
         if self._fired:
@@ -487,50 +493,3 @@ class Simulator:
             proc, exc = self._orphan_errors[0]
             self._orphan_errors.clear()
             raise SimError(f"process {proc.name!r} failed: {exc!r}") from exc
-
-
-def all_of(sim: Simulator, events: Iterable[Event]) -> Event:
-    """An event that fires (with a list of values) when all ``events`` have."""
-    events = list(events)
-    combined = sim.event(name="all_of")
-    pending = len(events)
-    values: list[Any] = [None] * len(events)
-    if pending == 0:
-        combined.fire([])
-        return combined
-
-    def waiter(index: int, event: Event) -> ProcessGen:
-        value = yield event
-        nonlocal pending
-        values[index] = value
-        pending -= 1
-        if pending == 0:
-            combined.fire(values)
-
-    for index, event in enumerate(events):
-        sim.spawn(waiter(index, event), name=f"all_of[{index}]")
-    return combined
-
-
-def any_of(sim: Simulator, events: Iterable[Event]) -> Event:
-    """An event that fires with ``(index, value)`` of the first to fire.
-
-    The losing waiters are killed when a winner fires, detaching them
-    from their events — long-lived events (timeouts that never trip,
-    queues that never drain) do not accumulate dead waiters.
-    """
-    events = list(events)
-    combined = sim.event(name="any_of")
-    procs: list[Process] = []
-
-    def waiter(index: int, event: Event) -> ProcessGen:
-        value = yield event
-        if not combined.fired:
-            combined.fire((index, value))
-            for other_index, proc in enumerate(procs):
-                if other_index != index and proc.alive:
-                    proc.kill()
-
-    for index, event in enumerate(events):
-        procs.append(sim.spawn(waiter(index, event), name=f"any_of[{index}]"))
-    return combined

@@ -129,7 +129,7 @@ class TestSendQueue:
         fired = []
         queue.schedule(keep, b"k", int(1e9), lambda e: fired.append(e.data) or True)
         queue.schedule(drop, b"d", int(1e9), lambda e: fired.append(e.data) or True)
-        assert queue.cancel_for_socket(drop) == 1
+        assert queue.cancel(drop) == 1
         sim.run()
         assert fired == [b"k"]
 

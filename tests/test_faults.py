@@ -236,7 +236,7 @@ class TestSendQueueSentinel:
         sock = _SocketStub()
         entry = queue.schedule(sock, b"x", due_ticks=clock.ticks() + 10**12,
                                on_fire=lambda e: True)
-        assert queue.cancel_for_socket(sock) == 1
+        assert queue.cancel(sock) == 1
         sim.run()
         assert entry.actual_ticks is None
         assert sock.noted == []

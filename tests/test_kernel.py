@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.netsim.kernel import SimError, Simulator, all_of, any_of
+from repro.netsim.kernel import SimError, Simulator
 
 
 def test_schedule_runs_in_time_order():
@@ -145,6 +145,23 @@ def test_event_cannot_fire_twice():
         event.fire()
 
 
+def test_deadline_and_event_due_at_the_same_instant():
+    """A deadline bounding a wait fires the awaited event itself; when
+    the real firing lands at the same instant, first, the deadline
+    timer still runs before the waiter can cancel it, and must pass."""
+    sim = Simulator()
+    event = sim.event()
+
+    def waiter():
+        timer = sim.schedule_at(1.0, event.fire_unless_fired, "deadline")
+        value = yield event
+        timer.cancel()
+        return value
+
+    sim.schedule_at(1.0, event.fire, "data")  # scheduled before the timer
+    assert sim.run_process(waiter()) == "data"
+
+
 def test_queue_fifo_order_and_blocking():
     sim = Simulator()
     queue = sim.queue()
@@ -190,36 +207,6 @@ def test_kill_process_stops_execution():
     sim.run()
     assert progress == ["start"]
     assert not proc.alive
-
-
-def test_all_of_waits_for_every_event():
-    sim = Simulator()
-    events = [sim.event() for _ in range(3)]
-    sim.schedule(1.0, events[2].fire, "c")
-    sim.schedule(2.0, events[0].fire, "a")
-    sim.schedule(3.0, events[1].fire, "b")
-
-    def waiter():
-        values = yield all_of(sim, events)
-        return (sim.now, values)
-
-    when, values = sim.run_process(waiter())
-    assert when == 3.0
-    assert values == ["a", "b", "c"]
-
-
-def test_any_of_fires_on_first():
-    sim = Simulator()
-    events = [sim.event() for _ in range(3)]
-    sim.schedule(2.0, events[1].fire, "winner")
-    sim.schedule(5.0, events[0].fire, "slow")
-
-    def waiter():
-        index, value = yield any_of(sim, events)
-        return (sim.now, index, value)
-
-    when, index, value = sim.run_process(waiter())
-    assert (when, index, value) == (2.0, 1, "winner")
 
 
 def test_run_process_timeout_raises():
@@ -352,32 +339,6 @@ def test_queue_try_get_batch_drain():
             break
         out.append(item)
     assert out == list(range(100))
-
-
-def test_any_of_losers_detach_from_events():
-    """Non-winning waiters must be killed so long-lived events do not
-    accumulate dead waiters."""
-    sim = Simulator()
-    never = sim.event(name="never-fires")
-    winner = sim.event(name="winner")
-
-    def waiter():
-        index, value = yield any_of(sim, [never, winner])
-        return (index, value)
-
-    sim.schedule(1.0, winner.fire, "v")
-    assert sim.run_process(waiter()) == (1, "v")
-    assert never._waiters == []
-
-
-def test_all_of_with_no_events_fires_immediately():
-    sim = Simulator()
-
-    def waiter():
-        values = yield all_of(sim, [])
-        return values
-
-    assert sim.run_process(waiter()) == []
 
 
 def test_event_batch_resume_preserves_waiter_order():

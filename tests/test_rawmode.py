@@ -2,8 +2,6 @@
 TCP sessions created through the raw interface unless the ncap filter
 consumes the incoming segments."""
 
-import pytest
-
 from repro.core.testbed import Testbed
 from repro.filtervm import builtins
 from repro.filtervm.vm import VERDICT_CONSUME, VERDICT_MIRROR
@@ -11,7 +9,6 @@ from repro.netsim.clock import NANOSECONDS
 from repro.packet.ipv4 import IPv4Packet, PROTO_TCP
 from repro.packet.tcp import (
     FLAG_ACK,
-    FLAG_RST,
     FLAG_SYN,
     TcpSegment,
 )
@@ -60,6 +57,62 @@ def raw_handshake_experiment(testbed, verdict, port=80, src_port=45000):
         return synack
 
     return experiment
+
+
+class TestOwnConnectionsExempt:
+    """Raw capture never sees a connection the agent opened itself: here
+    the rendezvous subscription carrying a second experiment's offer,
+    and the dial to that second controller while it is still in
+    Hello/Auth."""
+
+    def _second_offer_during_capture(self, verdict):
+        testbed = Testbed()
+        rdz = testbed.start_rendezvous()
+        rdz_addr = testbed.controller_host.primary_address()
+        testbed.endpoint.start_rendezvous(rdz_addr, rdz.port)
+        first, first_descriptor = testbed.make_controller("first")
+        second, second_descriptor = testbed.make_controller("second")
+
+        def publish(descriptor):
+            ok, reason = yield from testbed.experimenter.publish(
+                testbed.controller_host, rdz_addr, rdz.port, descriptor
+            )
+            assert ok, reason
+
+        def run():
+            yield from publish(first_descriptor)
+            handle = yield first.wait_endpoint()
+            yield from handle.nopen_raw(0)
+            now = yield from handle.read_clock()
+            status = yield from handle.ncap(
+                0, now + 60 * NANOSECONDS, builtins.capture_all(verdict)
+            )
+            handle.expect_ok(status, "ncap")
+            yield from publish(second_descriptor)
+            yield 10.0
+            poll = yield from handle.npoll(0)
+            handle.bye()
+            return poll.records
+
+        records = testbed.sim.run_process(run(), timeout=120.0)
+        packets = [IPv4Packet.decode(record.data, verify_checksum=False)
+                   for record in records]
+        from_rdz = [
+            packet for packet in packets
+            if packet.proto == PROTO_TCP and TcpSegment.decode(
+                packet.payload, verify_checksum=False
+            ).src_port == rdz.port
+        ]
+        return from_rdz, len(second.endpoints)
+
+    def test_mirror_does_not_leak_the_offer_to_the_experimenter(self):
+        from_rdz, _ = self._second_offer_during_capture(VERDICT_MIRROR)
+        assert from_rdz == []
+
+    def test_consume_does_not_swallow_the_offer(self):
+        from_rdz, dialed = self._second_offer_during_capture(VERDICT_CONSUME)
+        assert from_rdz == []
+        assert dialed == 1
 
 
 class TestRawModeInterference:

@@ -7,6 +7,9 @@
    a closed session, an expired ``rpc_timeout``.
 3. ``ResilientHandle.call``: replay bookkeeping keyed on message type,
    and session evidence summed across adopted sessions.
+4. The endpoint's half: every reply frame each Table 1 command can
+   produce, recorded on the commit before the endpoint built them in one
+   place, and the npoll deadline that leaves a fired waiter behind.
 """
 
 import pytest
@@ -21,18 +24,36 @@ from repro.controller.client import (
 )
 from repro.controller.recovery import ResilientHandle
 from repro.core.testbed import Testbed
-from repro.endpoint.memory import OFF_ADDR_IP, OFF_CLOCK, SCRATCH_START
+from repro.endpoint.memory import (
+    MEMORY_SIZE,
+    OFF_ADDR_IP,
+    OFF_CLOCK,
+    SCRATCH_START,
+)
 from repro.filtervm import builtins
+from repro.filtervm.assembler import assemble
+from repro.netsim.clock import NANOSECONDS
 from repro.netsim.faults import FaultPlan
 from repro.netsim.kernel import Simulator
 from repro.packet.ipv4 import PROTO_ICMP
 from repro.proto.constants import (
+    SOCK_RAW,
+    SOCK_TCP,
     SOCK_UDP,
     ST_BAD_SOCKET,
     ST_MEM_FAULT,
     ST_OK,
 )
-from repro.proto.messages import MRead, NCap, NOpen, NSend, Result
+from repro.proto.messages import (
+    MRead,
+    MWrite,
+    NCap,
+    NClose,
+    NOpen,
+    NPoll,
+    NSend,
+    Result,
+)
 from repro.util.retry import RetryPolicy
 
 # -- 1. wire frames, pinned on the parent commit -------------------------------
@@ -352,6 +373,159 @@ class TestResilientCall:
         assert getattr(total, kind) == first + second
         others = {f for f in vars(total) if f != kind}
         assert all(total.count(other) == 0 for other in others)
+
+
+# -- 4. the endpoint's replies, pinned on the parent commit ---------------------
+
+# (what provoked it, Result/PollData .encode().hex()) for every frame the
+# endpoint sent back during _provoke_every_reply, in order.
+PINNED_REPLIES = [
+    ("nopen raw ok", "14000000010000000000"),
+    ("nopen udp ok", "14000000020000000000"),
+    ("nopen tcp ok", "14000000030000000000"),
+    ("nopen duplicate sktid", "14000000040100000000"),
+    ("nopen sktid out of range", "14000000050100000000"),
+    ("nopen raw disallowed", "14000000060400000000"),
+    ("nopen udp port in use", "14000000070200000000"),
+    ("nopen tcp connect failed", "14000000080500000000"),
+    ("nopen unknown proto", "14000000090200000000"),
+    ("nclose unknown socket", "140000000a0100000000"),
+    ("nsend unknown socket", "140000000b0100000000"),
+    ("ncap unknown socket", "140000000c0100000000"),
+    ("ncap non-raw socket", "140000000d0200000000"),
+    ("ncap undecodable filter", "140000000e0200000000"),
+    ("ncap verifier-rejected",
+     "140000000f09000000d666696c7465722070726f6772616d3a2031206675"
+     "6e6374696f6e2873292c203220696e737472756374696f6e2873292c2030"
+     "204220676c6f62616c730a766572646963743a2052454a45435420283120"
+     "6572726f722873292c2030207761726e696e67287329290a20206572726f"
+     "725b737461636b2d756e646572666c6f775d20726563762b303a20616464"
+     "206e6565647320322076616c756528732920627574207468652073746163"
+     "6b206d617920686f6c64206f6e6c7920300a776f7273742d636173652066"
+     "75656c3a2072656376203c3d2032"),
+    ("npoll past its deadline", "150000001000000000000000000000000000000000"),
+    ("mread ok", "140000001100000000080de0b6b3f2c45680"),
+    ("npoll blocked, data arrives",
+     "150000001200000000000000000000000000000001000000020de0b6b408"
+     "3bad80000000056669727374"),
+    ("mread ok", "140000001300000000080de0b6b40bd1f800"),
+    ("npoll blocked, times out", "150000001400000000000000000000000000000000"),
+    ("npoll after a timed-out one",
+     "150000001500000000000000000000000000000001000000020de0b6b41b"
+     "52ce80000000057374616c65"),
+    ("mread ok", "140000001600000000040a000002"),
+    ("mread fault", "14000000170700000000"),
+    ("mwrite ok", "14000000180000000000"),
+    ("mwrite fault", "14000000190700000000"),
+    ("reused reqid", "14000000000200000000"),
+    ("nclose ok", "140000001a0000000000"),
+    ("nclose ok", "140000001b0000000000"),
+    ("nclose ok", "140000001c0000000000"),
+    ("bye", "200003627965"),
+]
+
+UNDERFLOW = "func recv args=2\n    add\n    ret\n"  # verifier-rejected
+
+
+def _send_later(testbed, delay, port, payload):
+    """The target sends one datagram to the endpoint's ``port``."""
+
+    def sender():
+        yield delay
+        sock = testbed.target_host.udp.bind(0)
+        sock.sendto(payload, testbed.endpoint_host.primary_address(), port)
+
+    testbed.sim.spawn(sender(), name="target-sender")
+
+
+def _provoke_every_reply(testbed, handle, labels):
+    """Every Table 1 command and each reply it can produce; ``labels``
+    gets, in order, what each reply will have been provoked by."""
+    target = testbed.target_address
+    testbed.target_host.tcp.listen(80)
+
+    def call(label, message_cls, **fields):
+        labels.append(label)
+        return (yield from handle.call(message_cls, **fields))
+
+    def clock():
+        reply = yield from call("mread ok", MRead, memaddr=OFF_CLOCK,
+                                bytecnt=8)
+        return int.from_bytes(reply.payload, "big")
+
+    yield from call("nopen raw ok", NOpen, sktid=1, proto=SOCK_RAW)
+    yield from call("nopen udp ok", NOpen, sktid=2, proto=SOCK_UDP,
+                    locport=4002, remaddr=target, remport=7)
+    yield from call("nopen tcp ok", NOpen, sktid=3, proto=SOCK_TCP,
+                    remaddr=target, remport=80)
+    yield from call("nopen duplicate sktid", NOpen, sktid=2, proto=SOCK_UDP)
+    yield from call("nopen sktid out of range", NOpen, sktid=32,
+                    proto=SOCK_UDP)
+    testbed.endpoint.config.allow_raw = False
+    yield from call("nopen raw disallowed", NOpen, sktid=4, proto=SOCK_RAW)
+    testbed.endpoint.config.allow_raw = True
+    yield from call("nopen udp port in use", NOpen, sktid=4, proto=SOCK_UDP,
+                    locport=4002)
+    yield from call("nopen tcp connect failed", NOpen, sktid=4,
+                    proto=SOCK_TCP, remaddr=target, remport=81)
+    yield from call("nopen unknown proto", NOpen, sktid=4, proto=9)
+    yield from call("nclose unknown socket", NClose, sktid=20)
+    yield from call("nsend unknown socket", NSend, sktid=20, time=0,
+                    data=b"x")
+    filt = builtins.capture_all().encode()
+    yield from call("ncap unknown socket", NCap, sktid=20, time=0, filt=filt)
+    yield from call("ncap non-raw socket", NCap, sktid=2, time=0, filt=filt)
+    yield from call("ncap undecodable filter", NCap, sktid=1, time=0,
+                    filt=b"\xff\xff")
+    yield from call("ncap verifier-rejected", NCap, sktid=1, time=0,
+                    filt=assemble(UNDERFLOW).encode())
+    yield from call("npoll past its deadline", NPoll, time=0)
+    now = yield from clock()
+    _send_later(testbed, 0.3, 4002, b"first")
+    yield from call("npoll blocked, data arrives", NPoll,
+                    time=now + 2 * NANOSECONDS)
+    now = yield from clock()
+    yield from call("npoll blocked, times out", NPoll,
+                    time=now + NANOSECONDS // 5)
+    # The timed-out npoll's event is still registered with the capture
+    # buffer, already fired: the next record must pass over it.
+    _send_later(testbed, 0.0, 4002, b"stale")
+    yield 0.5
+    yield from call("npoll after a timed-out one", NPoll, time=0)
+    yield from call("mread ok", MRead, memaddr=OFF_ADDR_IP, bytecnt=4)
+    yield from call("mread fault", MRead, memaddr=MEMORY_SIZE, bytecnt=4)
+    yield from call("mwrite ok", MWrite, memaddr=SCRATCH_START,
+                    data=b"\x01\x02")
+    yield from call("mwrite fault", MWrite, memaddr=MEMORY_SIZE, data=b"x")
+    labels.append("reused reqid")
+    handle._outbox.put(MRead(reqid=1, memaddr=OFF_ADDR_IP, bytecnt=4))
+    yield 0.5
+    for sktid in (1, 2, 3):
+        yield from call("nclose ok", NClose, sktid=sktid)
+    labels.append("bye")  # sent by run_experiment on return
+
+
+def _record_replies():
+    testbed = Testbed()
+    labels, replies = [], []
+
+    def experiment(handle):
+        session, = testbed.endpoint.sessions.values()
+        send = session.stream.send
+
+        def tap(message):
+            replies.append((labels.pop(0), message.encode().hex()))
+            return send(message)
+
+        session.stream.send = tap
+        yield from _provoke_every_reply(testbed, handle, labels)
+
+    testbed.run_experiment(experiment, timeout=120.0)
+    return replies
+
+
+def test_endpoint_replies_unchanged():
+    assert _record_replies() == PINNED_REPLIES
 
 
 def test_one_definition_of_every_command():

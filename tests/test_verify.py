@@ -798,6 +798,22 @@ class TestEndpointAdmission:
         assert status == 0
         assert report is None
 
+    def test_ncap_filter_runs_on_the_fuel_it_was_admitted_against(self):
+        """A filter admitted against the operator's fuel limit must also
+        run on it, not on the VM default."""
+        from repro.experiments.ping import ping
+        from repro.packet.ipv4 import PROTO_ICMP
+
+        filt = builtins.capture_protocol(PROTO_ICMP)
+        assert verify(filt, fuel_limit=3).fuel_bounds["recv"] == 7
+        testbed = Testbed()
+        testbed.endpoint_config.monitor_fuel = 3
+
+        def experiment(handle):
+            return (yield from ping(handle, testbed.target_address, count=3))
+
+        assert testbed.run_experiment(experiment).received == 0
+
     def test_verification_emits_obs_counters(self):
         testbed = Testbed()
         testbed.enable_telemetry()
