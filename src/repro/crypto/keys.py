@@ -14,6 +14,7 @@ from random import Random
 from typing import Optional
 
 from repro.crypto import ed25519
+from repro.util.memo import BoundedMemo
 
 KEY_ID_SIZE = 32
 
@@ -75,8 +76,7 @@ class KeyPair:
 # 10k endpoints would otherwise redo identical big-integer math 10k times.
 # Keyed by hash (not the raw triple) to keep entries small; bounded so
 # adversarial fuzz inputs cannot grow it without limit.
-_VERIFY_CACHE: dict[bytes, bool] = {}
-_VERIFY_CACHE_MAX = 4096
+_VERIFY_CACHE: BoundedMemo = BoundedMemo(4096)
 
 
 def verify_signature(public_key: bytes, message: bytes, signature: bytes) -> bool:
@@ -87,8 +87,4 @@ def verify_signature(public_key: bytes, message: bytes, signature: bytes) -> boo
     cached = _VERIFY_CACHE.get(digest)
     if cached is not None:
         return cached
-    result = ed25519.verify(public_key, message, signature)
-    if len(_VERIFY_CACHE) >= _VERIFY_CACHE_MAX:
-        _VERIFY_CACHE.clear()
-    _VERIFY_CACHE[digest] = result
-    return result
+    return _VERIFY_CACHE.put(digest, ed25519.verify(public_key, message, signature))

@@ -38,8 +38,8 @@ from repro.endpoint.netio import (
 )
 from repro.endpoint.sendqueue import SendQueue
 from repro.filtervm.program import FilterProgram, ProgramError
-from repro.filtervm.verify import VerifierReport, verify as verify_filter
-from repro.filtervm.vm import FilterVM
+from repro.filtervm.verify import VerifierReport, VerifyRejected
+from repro.filtervm.vm import AdmittedProgram, FilterVM
 from repro.netsim.node import Node
 from repro.netsim.stack.tcp import TcpConnection, TcpError
 from repro.packet.ipv4 import PROTO_TCP
@@ -109,20 +109,25 @@ class MonitorRejected(Exception):
 
 def admit_filter_program(
     program: FilterProgram, *, obs, fuel_limit: int, kind: str = "monitor"
-) -> VerifierReport:
+) -> tuple[VerifierReport, Optional[AdmittedProgram]]:
     """Statically verify a program at its trust boundary (install time).
 
     This is the endpoint's single admission gate: certificate monitors and
     ``ncap`` capture filters both pass through it before any packet does.
+    Returns the verifier's report and, when it accepts, the program to run.
     Emits ``filtervm.verify_ok`` / ``filtervm.verify_rejected`` counters, a
-    ``filtervm.verify`` span, and a wall-clock histogram (verification runs
+    ``filtervm.verify`` span, and a wall-clock histogram (admission runs
     synchronously, so its cost is real time, not simulated time).
     """
     span = obs.span("filtervm", "verify", kind=kind) if obs.enabled else None
     # simlint: ok[DET001] measures real verifier cost for telemetry only
     wall_start = _time.perf_counter()
-    report = verify_filter(program, info_size=MEMORY_SIZE,
-                           fuel_limit=fuel_limit)
+    try:
+        admitted = AdmittedProgram(program, info_size=MEMORY_SIZE,
+                                   fuel_limit=fuel_limit)
+        report = admitted.report
+    except VerifyRejected as rejected:
+        admitted, report = None, rejected.report
     wall = _time.perf_counter() - wall_start  # simlint: ok[DET001] same wall-cost measurement; never reaches sim state
     if obs.enabled:
         span.end(ok=report.ok, errors=len(report.errors),
@@ -130,7 +135,7 @@ def admit_filter_program(
         obs.histogram("filtervm.verify_wall_s").observe(wall)
         name = "filtervm.verify_ok" if report.ok else "filtervm.verify_rejected"
         obs.counter(name).inc()
-    return report
+    return report, admitted
 
 
 def _decode_failure_report(exc: Exception) -> VerifierReport:
@@ -186,13 +191,13 @@ class Session:
                 raise MonitorRejected(
                     index, _decode_failure_report(exc)
                 ) from exc
-            report = admit_filter_program(
+            report, admitted = admit_filter_program(
                 program, obs=self._obs,
                 fuel_limit=endpoint.config.monitor_fuel,
             )
-            if not report.ok:
+            if admitted is None:
                 raise MonitorRejected(index, report)
-            vm = FilterVM(program, info=info_view,
+            vm = FilterVM(admitted, info=info_view,
                           fuel_limit=endpoint.config.monitor_fuel,
                           obs=self._obs)
             vm.run_init()
@@ -478,12 +483,12 @@ class Session:
         # that would provably fault is rejected with its verifier report,
         # and an admitted one runs on the fuel it was checked against.
         fuel = self.endpoint.config.monitor_fuel
-        report = admit_filter_program(
+        report, admitted = admit_filter_program(
             program, obs=self._obs, fuel_limit=fuel, kind="ncap"
         )
-        if not report.ok:
+        if admitted is None:
             return ERR_MONITOR_REJECTED, _report_text(report).encode()
-        socket.install_filter(program, message.time, fuel)
+        socket.install_filter(admitted, message.time, fuel)
         return ST_OK
 
     def _npoll(self, message: NPoll) -> Union[Answer, Generator]:

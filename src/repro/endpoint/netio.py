@@ -21,8 +21,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Generator, Optional
 
 from repro.endpoint.capture import CaptureBuffer
-from repro.filtervm.program import FilterProgram
 from repro.filtervm.vm import (
+    AdmittedProgram,
     FilterVM,
     VERDICT_DROP,
     VERDICT_MIRROR,
@@ -116,7 +116,7 @@ class RawEndpointSocket(EndpointSocket):
         self._cap_until_ticks = 0
         self._tap = node.ip.add_tap(self._on_packet)
 
-    def install_filter(self, program: FilterProgram, until_ticks: int,
+    def install_filter(self, program: AdmittedProgram, until_ticks: int,
                        fuel_limit: int) -> None:
         """ncap: install a capture filter active until the given local
         time, running on the fuel it was admitted against. The filter's

@@ -29,11 +29,13 @@ from repro.filtervm.vm import (
     VERDICT_CONSUME,
     VERDICT_DROP,
     VERDICT_MIRROR,
+    AdmittedProgram,
     BytesInfo,
     FilterVM,
 )
 
 __all__ = [
+    "AdmittedProgram",
     "AssemblyError",
     "BytesInfo",
     "DEFAULT_FUEL",

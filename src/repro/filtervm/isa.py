@@ -119,6 +119,17 @@ BINARY_OPS = frozenset(
 
 UNARY_OPS = frozenset({Op.BNOT, Op.NEG, Op.LNOT})
 
+# ALU operations that fault on a zero divisor.
+DIVISION_OPS = frozenset({Op.DIVU, Op.MODU, Op.DIVS, Op.MODS})
+
+JUMP_OPS = frozenset({Op.JMP, Op.JZ, Op.JNZ})
+
+# Memory accesses: opcode -> width in bytes.
+PACKET_LOADS = {Op.PKTLD8: 1, Op.PKTLD16: 2, Op.PKTLD32: 4}
+INFO_LOADS = {Op.INFOLD8: 1, Op.INFOLD16: 2, Op.INFOLD32: 4, Op.INFOLD64: 8}
+GLOBAL_LOADS = {Op.GLD8: 1, Op.GLD16: 2, Op.GLD32: 4, Op.GLD64: 8}
+GLOBAL_STORES = {Op.GST8: 1, Op.GST16: 2, Op.GST32: 4, Op.GST64: 8}
+
 MASK64 = (1 << 64) - 1
 
 

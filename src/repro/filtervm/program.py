@@ -17,6 +17,7 @@ from repro.filtervm.isa import (
     valid_opcode,
 )
 from repro.util.byteio import ByteReader, ByteWriter, DecodeError
+from repro.util.memo import BoundedMemo
 
 _PROGRAM_MAGIC = 0x43504656  # "CPFV"
 _PROGRAM_VERSION = 1
@@ -29,6 +30,14 @@ MAX_LOCALS = 256
 ENTRY_SEND = "send"
 ENTRY_RECV = "recv"
 ENTRY_INIT = "init"
+
+# Entry points the endpoint invokes, with their argument counts: send/recv
+# receive (offset, length); init receives nothing.
+ENTRY_SIGNATURES = {ENTRY_SEND: 2, ENTRY_RECV: 2, ENTRY_INIT: 0}
+
+# Decoded programs (as snapshots) memoized by their wire bytes: an
+# endpoint decodes the same certificate monitor for every session.
+_DECODE_CACHE: BoundedMemo = BoundedMemo(64)
 
 
 class ProgramError(Exception):
@@ -73,6 +82,10 @@ class FilterProgram:
     @property
     def entry_points(self) -> list[str]:
         return [function.name for function in self.functions]
+
+    def snapshot(self) -> tuple:
+        """The program's content as one hashable value (a memo key)."""
+        return (tuple(self.code), tuple(self.functions), self.globals_size)
 
     # -- verification -------------------------------------------------------
 
@@ -134,6 +147,22 @@ class FilterProgram:
 
     @classmethod
     def decode(cls, data: bytes) -> "FilterProgram":
+        """Parse and structurally verify wire bytes.
+
+        Every call returns a program of its own (instructions and functions
+        are frozen; the lists holding them are fresh), so no caller can
+        alter the program another caller decoded from the same bytes.
+        """
+        data = bytes(data)
+        snapshot = _DECODE_CACHE.get(data)
+        if snapshot is None:
+            snapshot = _DECODE_CACHE.put(data, cls._parse(data).snapshot())
+        code, functions, globals_size = snapshot
+        return cls(code=list(code), functions=list(functions),
+                   globals_size=globals_size)
+
+    @classmethod
+    def _parse(cls, data: bytes) -> "FilterProgram":
         reader = ByteReader(data)
         magic = reader.u32()
         if magic != _PROGRAM_MAGIC:

@@ -25,7 +25,9 @@ Checks, in order:
    -instruction interval of possible stack depths, proving no path
    underflows and depth never exceeds ``MAX_STACK``.
 4. **Call graph** — recursion is rejected; the deepest acyclic call chain
-   must fit ``MAX_CALL_DEPTH``.
+   must fit ``MAX_CALL_DEPTH``. Frames share one operand stack, so a
+   called function must return exactly its result, and the deepest chain
+   of nested frames must fit ``MAX_STACK``.
 5. **Constant propagation** — flags guaranteed faults reachable from the
    entry: out-of-bounds ``globals``/``locals``/``info`` access at constant
    offsets, constant division by zero, constant-negative packet offsets.
@@ -47,14 +49,28 @@ Command line::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from repro.filtervm.isa import BINARY_OPS, MASK64, UNARY_OPS, Instruction, Op, to_signed
+from repro.filtervm.isa import (
+    BINARY_OPS,
+    DIVISION_OPS,
+    GLOBAL_LOADS,
+    GLOBAL_STORES,
+    INFO_LOADS,
+    JUMP_OPS,
+    MASK64,
+    PACKET_LOADS,
+    UNARY_OPS,
+    Instruction,
+    Op,
+    to_signed,
+)
 from repro.filtervm.program import (
     ENTRY_INIT,
     ENTRY_RECV,
     ENTRY_SEND,
+    ENTRY_SIGNATURES,
     MAX_CODE_LENGTH,
     MAX_FUNCTIONS,
     MAX_GLOBALS_SIZE,
@@ -63,13 +79,15 @@ from repro.filtervm.program import (
     Function,
 )
 from repro.filtervm.vm import DEFAULT_FUEL, MAX_CALL_DEPTH, MAX_STACK, evaluate
+from repro.util.memo import BoundedMemo
 
 SEV_ERROR = "error"
 SEV_WARNING = "warning"
 
-# Entry points whose signatures the endpoint relies on: send/recv receive
-# (offset, length); init receives nothing.
-ENTRY_SIGNATURES = {ENTRY_SEND: 2, ENTRY_RECV: 2, ENTRY_INIT: 0}
+# Reports memoized by everything they depend on: the program's content and
+# the info size and fuel limit it is checked against. Fleet sessions admit
+# the same monitor over and over; each gets its own copy of the report.
+_VERIFY_CACHE: BoundedMemo = BoundedMemo(64)
 
 # How many times one instruction's depth interval may be refined before we
 # widen straight to the overflow bound. Balanced loops converge in two or
@@ -77,14 +95,8 @@ ENTRY_SIGNATURES = {ENTRY_SEND: 2, ENTRY_RECV: 2, ENTRY_INIT: 0}
 # really can reach any depth.
 _WIDEN_AFTER = 16
 
-_LOAD_SIZES = {
-    Op.PKTLD8: 1, Op.PKTLD16: 2, Op.PKTLD32: 4,
-    Op.INFOLD8: 1, Op.INFOLD16: 2, Op.INFOLD32: 4, Op.INFOLD64: 8,
-    Op.GLD8: 1, Op.GLD16: 2, Op.GLD32: 4, Op.GLD64: 8,
-}
-_STORE_SIZES = {Op.GST8: 1, Op.GST16: 2, Op.GST32: 4, Op.GST64: 8}
-_DIV_OPS = frozenset({Op.DIVU, Op.MODU, Op.DIVS, Op.MODS})
-_JUMPS = frozenset({Op.JMP, Op.JZ, Op.JNZ})
+_LOAD_SIZES = {**PACKET_LOADS, **INFO_LOADS, **GLOBAL_LOADS}
+_STORE_SIZES = GLOBAL_STORES
 
 
 @dataclass(frozen=True)
@@ -169,6 +181,17 @@ class FunctionExtent:
     end: int
 
 
+@dataclass
+class StackUse:
+    """One function's operand-stack use, in depths above its frame base."""
+
+    peak: int = 0  # deepest the function's own frame reaches
+    # CALL pc -> the most values the caller leaves under the callee's frame
+    call_bases: dict[int, int] = field(default_factory=dict)
+    # RET pc -> the deepest stack on reaching it, the result included
+    returns: dict[int, int] = field(default_factory=dict)
+
+
 # ---------------------------------------------------------------------------
 # Stack effects
 # ---------------------------------------------------------------------------
@@ -245,7 +268,7 @@ class FunctionCfg:
             for target in targets:
                 if extent.start <= target < extent.end:
                     kept.append(target)
-                elif target == extent.end and op not in _JUMPS:
+                elif target == extent.end and op not in JUMP_OPS:
                     self.escapes[pc] = "control falls off the end of the function"
                 else:
                     self.escapes[pc] = (
@@ -271,10 +294,12 @@ class FunctionCfg:
             return self._blocks
         starts = {self.extent.start}
         for pc in range(self.extent.start, self.extent.end):
-            for successor in self.successors[pc]:
-                if successor != pc + 1 or len(self.successors[pc]) > 1:
-                    starts.add(successor)
-                    starts.add(pc + 1)
+            successors = self.successors[pc]
+            # A block also ends where control cannot fall through (RET, an
+            # escape): what follows is only reached by a jump, or is dead.
+            if successors != [pc + 1]:
+                starts.update(successors)
+                starts.add(pc + 1)
         starts.discard(self.extent.end)
         ordered = sorted(starts)
         blocks = []
@@ -341,6 +366,8 @@ class _Verifier:
         self.extents: list[FunctionExtent] = []
         self.cfgs: dict[str, FunctionCfg] = {}
         self.reachable: dict[str, set[int]] = {}
+        # Functions whose depth analysis succeeded -> their stack use.
+        self.stack_use: dict[str, StackUse] = {}
 
     # -- driver -------------------------------------------------------------
 
@@ -352,6 +379,7 @@ class _Verifier:
         for extent in self.extents:
             self.analyze_function(extent)
         self.check_call_graph()
+        self.check_shared_stack()
         self.check_unused_functions()
         self.compute_fuel_bounds()
         return self.report
@@ -408,7 +436,7 @@ class _Verifier:
                          "two functions share a code offset")
             ok = False
         for pc, instruction in enumerate(program.code):
-            if instruction.op in _JUMPS:
+            if instruction.op in JUMP_OPS:
                 if not 0 <= instruction.operand < len(program.code):
                     report.error(
                         "bad-jump",
@@ -557,6 +585,10 @@ class _Verifier:
         worklist = [extent.start]
         flagged: set[int] = set()
         ok = True
+        # Intervals only widen, so extremes over all visits are the
+        # fixpoint's.
+        use = StackUse()
+        peak = 0
         while worklist:
             start = worklist.pop()
             lo, hi = depths[start]
@@ -564,6 +596,12 @@ class _Verifier:
             pc = start
             while pc < end:
                 pops, pushes = effects[pc]
+                op = code[pc].op
+                if op == Op.CALL:
+                    use.call_bases[pc] = max(use.call_bases.get(pc, 0),
+                                             hi - pops)
+                elif op == Op.RET:
+                    use.returns[pc] = max(use.returns.get(pc, 0), hi)
                 if lo < pops and pc not in flagged:
                     flagged.add(pc)
                     ok = False
@@ -584,7 +622,7 @@ class _Verifier:
                         f"MAX_STACK={MAX_STACK}",
                         function=function.name, pc=pc,
                     )
-                if code[pc].op == Op.RET and hi > 1 and lo > 1:
+                if op == Op.RET and hi > 1 and lo > 1:
                     self.report.warn(
                         "stack-residue",
                         f"{lo - 1} value(s) left on the stack at return",
@@ -592,6 +630,8 @@ class _Verifier:
                     )
                 lo = out_lo
                 hi = min(out_hi, MAX_STACK + 1)
+                if hi > peak:
+                    peak = hi
                 pc += 1
             for successor in successors[end - 1]:
                 seen = depths.get(successor)
@@ -615,7 +655,11 @@ class _Verifier:
                     if depths.get(successor) != merged:
                         depths[successor] = merged
                         worklist.append(successor)
-        return depths if ok else None
+        if not ok:
+            return None
+        use.peak = peak
+        self.stack_use[function.name] = use
+        return depths
 
     # -- 5. constant propagation -------------------------------------------
 
@@ -686,7 +730,7 @@ class _Verifier:
                 if op in BINARY_OPS:
                     rhs = stack.pop()
                     lhs = stack.pop()
-                    if op in _DIV_OPS and rhs == 0:
+                    if op in DIVISION_OPS and rhs == 0:
                         fault(pc, "div-by-zero",
                               f"{op.name.lower()} divides by constant zero")
                         stack.append(None)
@@ -722,14 +766,13 @@ class _Verifier:
                     size = _LOAD_SIZES[op]
                     if offset is not None:
                         signed = to_signed(offset & MASK64)
-                        if op in (Op.GLD8, Op.GLD16, Op.GLD32, Op.GLD64):
+                        if op in GLOBAL_LOADS:
                             if not 0 <= signed <= globals_size - size:
                                 fault(pc, "oob-globals",
                                       f"{op.name.lower()} at constant offset "
                                       f"{signed} outside the "
                                       f"{globals_size}-byte globals")
-                        elif op in (Op.INFOLD8, Op.INFOLD16, Op.INFOLD32,
-                                    Op.INFOLD64):
+                        elif op in INFO_LOADS:
                             if signed < 0 or (
                                 self.info_size is not None
                                 and signed + size > self.info_size
@@ -843,7 +886,59 @@ class _Verifier:
                     function=entry,
                 )
 
-    def check_unused_functions(self) -> None:
+    def check_shared_stack(self) -> None:
+        """Frames share one operand stack, so nesting must fit it too.
+
+        A callee's frame sits on top of whatever its caller left under
+        the arguments, and whatever the callee leaves under its result
+        stays on the caller's stack. Rejected: a called function that may
+        return more than its result (a loop around the call would grow the
+        stack without bound), and an entry whose deepest chain of frames
+        exceeds ``MAX_STACK`` although each frame fits on its own.
+        """
+        if getattr(self, "_call_cycle", False):
+            return
+        edges = self.call_edges()
+        callees = {callee for name in self.live_functions()
+                   for callee in edges[name]}
+        for function in self.program.functions:
+            use = self.stack_use.get(function.name)
+            if use is None or function.name not in callees:
+                continue
+            for pc, hi in sorted(use.returns.items()):
+                if hi > 1:
+                    self.report.error(
+                        "callee-residue",
+                        f"may return with {hi - 1} value(s) under its "
+                        "result, which its caller's stack would keep",
+                        function=function.name, pc=pc,
+                    )
+        functions, code = self.program.functions, self.program.code
+        peaks: dict[str, int] = {}
+
+        def peak(name: str) -> int:
+            if name not in peaks:
+                use = self.stack_use.get(name, StackUse())
+                peaks[name] = max([use.peak] + [
+                    base + peak(functions[code[pc].operand].name)
+                    for pc, base in use.call_bases.items()
+                ])
+            return peaks[name]
+
+        for entry in ENTRY_SIGNATURES:
+            if self.program.function_named(entry) is None:
+                continue
+            depth = peak(entry)
+            if depth > MAX_STACK:
+                self.report.error(
+                    "stack-overflow",
+                    f"nested frames may reach stack depth {depth}, "
+                    f"exceeding MAX_STACK={MAX_STACK}",
+                    function=entry,
+                )
+
+    def live_functions(self) -> set[str]:
+        """Entry points and every function they may call."""
         edges = self.call_edges()
         live = {name for name in ENTRY_SIGNATURES
                 if self.program.function_named(name) is not None}
@@ -854,6 +949,10 @@ class _Verifier:
                 if callee not in live:
                     live.add(callee)
                     worklist.append(callee)
+        return live
+
+    def check_unused_functions(self) -> None:
+        live = self.live_functions()
         for function in self.program.functions:
             if function.name not in live:
                 self.report.warn(
@@ -981,8 +1080,18 @@ def verify(
     the block it will expose (the endpoint passes its memory size);
     ``fuel_limit`` is only used to warn when a loop-free program's
     worst-case cost exceeds it.
+
+    The analysis runs once per distinct (program, ``info_size``,
+    ``fuel_limit``); every call returns a report of its own.
     """
-    return _Verifier(program, info_size, fuel_limit).run()
+    key = (program.snapshot(), info_size, fuel_limit)
+    report = _VERIFY_CACHE.get(key)
+    if report is None:
+        report = _VERIFY_CACHE.put(
+            key, _Verifier(program, info_size, fuel_limit).run()
+        )
+    return replace(report, findings=list(report.findings),
+                   fuel_bounds=dict(report.fuel_bounds))
 
 
 def verify_or_raise(program: FilterProgram, **kwargs) -> VerifierReport:

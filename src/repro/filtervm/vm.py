@@ -3,16 +3,38 @@
 Every invocation is bounded by a fuel budget; every fault — out-of-bounds
 access, stack underflow, division by zero, fuel exhaustion, call-depth
 overflow — aborts with verdict 0 (deny). Monitors therefore fail closed.
+
+A program the static verifier accepted runs as an :class:`AdmittedProgram`:
+lowered once to straight-line Python per basic block, without the checks
+the verifier proved unnecessary. Any other program runs on ``_execute``,
+which checks everything and is the reference the lowered code is tested
+against.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional, Protocol
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Protocol
 
-from repro.filtervm.isa import MASK64, Op, to_signed, to_unsigned
-from repro.filtervm.program import FilterProgram, ProgramError
+from repro.filtervm.isa import (
+    BINARY_OPS,
+    DIVISION_OPS,
+    GLOBAL_LOADS,
+    GLOBAL_STORES,
+    INFO_LOADS,
+    JUMP_OPS,
+    MASK64,
+    PACKET_LOADS,
+    UNARY_OPS,
+    Op,
+    to_signed,
+    to_unsigned,
+)
+from repro.filtervm.program import ENTRY_SIGNATURES, FilterProgram, ProgramError
+from repro.util.memo import BoundedMemo
 
 if TYPE_CHECKING:
+    from repro.filtervm.verify import VerifierReport
     from repro.obs import Observability
 
 DEFAULT_FUEL = 10_000
@@ -54,29 +76,39 @@ class FilterVM:
 
     One ``FilterVM`` lives for the duration of an experiment: its globals
     survive across invocations (the paper's stateful-filtering requirement)
-    while stack and locals are per-invocation.
+    while stack and locals are per-invocation. Built from an
+    :class:`AdmittedProgram`, its entry points run lowered; built from a
+    bare :class:`FilterProgram`, everything runs on ``_execute``.
     """
 
     def __init__(
         self,
-        program: FilterProgram,
+        program: FilterProgram | AdmittedProgram,
         info: Optional[InfoSource] = None,
         fuel_limit: int = DEFAULT_FUEL,
         obs: Optional["Observability"] = None,
     ) -> None:
+        lowered: Mapping[str, Callable[..., tuple[int, int]]] = {}
+        if isinstance(program, AdmittedProgram):
+            lowered = program.entries
+            program = program.program
         program.verify()
         self.program = program
         self.info = info or BytesInfo(b"")
         self.fuel_limit = fuel_limit
         self.globals = bytearray(program.globals_size)
-        self.invocations = 0
         self.faults = 0
         self.instructions_executed = 0
         self.last_fault: Optional[str] = None
         self._obs = obs
+        # name -> (function, its lowered code or None), resolved once.
+        self._entries = {
+            function.name: (function, lowered.get(function.name))
+            for function in program.functions
+        }
 
     def has_entry(self, name: str) -> bool:
-        return self.program.function_named(name) is not None
+        return name in self._entries
 
     def run_init(self) -> None:
         """Run the optional ``init`` entry point once, if present."""
@@ -84,25 +116,26 @@ class FilterVM:
             self.invoke("init", packet=b"", args=())
 
     def invoke(
-        self,
-        entry: str,
-        packet: bytes = b"",
-        args: tuple[int, ...] = (),
-        fuel: Optional[int] = None,
+        self, entry: str, packet: bytes = b"", args: tuple[int, ...] = ()
     ) -> int:
         """Run an entry point; returns its verdict (0 on any fault)."""
-        function = self.program.function_named(entry)
-        if function is None:
+        resolved = self._entries.get(entry)
+        if resolved is None:
             raise ProgramError(f"program has no entry point {entry!r}")
+        function, lowered = resolved
         if len(args) != function.n_args:
             raise ProgramError(
                 f"entry {entry!r} takes {function.n_args} args, got {len(args)}"
             )
-        self.invocations += 1
-        budget = fuel or self.fuel_limit
+        budget = self.fuel_limit
         obs = self._obs
         try:
-            verdict, fuel_left = self._execute(function, packet, args, budget)
+            if lowered is None:
+                verdict, fuel_left = self._execute(function, packet, args, budget)
+            else:
+                verdict, fuel_left = lowered(
+                    self, [], packet, budget, *map(to_unsigned, args)
+                )
         except VmFault as fault:
             self.faults += 1
             self.last_fault = str(fault)
@@ -331,3 +364,330 @@ def evaluate(op: Op, *operands: int) -> int:
         _BINARY_HANDLERS[op] if len(operands) == 2 else _UNARY_HANDLERS[op]
     )
     return handler(*(value & MASK64 for value in operands)) & MASK64
+
+
+# ---------------------------------------------------------------------------
+# Admitted programs: verified once, then run without the proved checks
+# ---------------------------------------------------------------------------
+
+# Lowered entry points memoized by program content: a fleet admits the
+# same monitor for every session.
+_LOWERED_CACHE: BoundedMemo = BoundedMemo(64)
+
+
+class AdmittedProgram:
+    """A program the static verifier accepted, lowered once for speed.
+
+    The constructor is the admission: it verifies its own copy of the
+    program (``verify``'s memo makes a repeat cheap) and raises
+    :class:`~repro.filtervm.verify.VerifyRejected` unless the verifier
+    accepts, so only the content that passed is ever lowered and run.
+    ``report`` is that verification's report.
+
+    :class:`FilterVM` runs the entry points of an admitted program as
+    generated Python, one straight-line stretch per reachable basic block,
+    which leaves out exactly the checks the verifier discharged: stack
+    underflow and overflow, call depth, pc and jump range, and local-slot
+    range. Every data-dependent check stays, with ``_execute``'s fault
+    text: packet, info and globals bounds, non-constant division, and fuel.
+
+    Immutable; the lowered code is shared by every admission of the same
+    program content.
+    """
+
+    __slots__ = ("program", "report", "entries")
+    program: FilterProgram
+    report: "VerifierReport"
+    entries: Mapping[str, Callable[..., tuple[int, int]]]
+
+    def __init__(self, program: FilterProgram, *,
+                 info_size: Optional[int] = None,
+                 fuel_limit: int = DEFAULT_FUEL) -> None:
+        # repro.filtervm.verify imports this module, so it is imported here.
+        from repro.filtervm.verify import verify_or_raise
+
+        snapshot = program.snapshot()
+        code, functions, globals_size = snapshot
+        copy = FilterProgram(code=list(code), functions=list(functions),
+                             globals_size=globals_size)
+        report = verify_or_raise(copy, info_size=info_size,
+                                 fuel_limit=fuel_limit)
+        entries = _LOWERED_CACHE.get(snapshot)
+        if entries is None:
+            entries = _LOWERED_CACHE.put(snapshot,
+                                         MappingProxyType(_lower(copy)))
+        object.__setattr__(self, "program", copy)
+        object.__setattr__(self, "report", report)
+        object.__setattr__(self, "entries", entries)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("an admitted program is immutable")
+
+
+_BLOCK_ENDS = JUMP_OPS | {Op.CALL, Op.RET}
+# Emitted before an instruction that can fault or write globals, with the
+# number of instructions ahead of it in its block: it runs only if the fuel
+# left at the block's entry pays for those and for itself.
+_FUEL_GUARD = "if fuel <= {}: raise VmFault('fuel exhausted')"
+
+
+def _packet_fault(value: int, width: int, length: int) -> VmFault:
+    offset = to_signed(value)
+    return VmFault(
+        f"packet read [{offset}:{offset + width}] out of bounds (len {length})"
+    )
+
+
+def _lower(program: FilterProgram) -> dict[str, Callable[..., tuple[int, int]]]:
+    """Compile the code an accepted program can run to Python.
+
+    Function ``i`` becomes ``f<i>(vm, stack, packet, fuel, *args)``
+    returning ``(verdict, fuel left)``, like ``_execute``; a CALL is a
+    Python call, and all frames share one operand stack, as in
+    ``_execute``. Arithmetic goes through the handler tables above.
+
+    Only what the verifier checked is lowered: the entry points, the
+    functions they may call, and in each the blocks reachable from its
+    start. Dead code is never checked, so it is never compiled either.
+    Returns the entry points by name.
+    """
+    offsets = sorted(function.offset for function in program.functions)
+    offsets.append(len(program.code))
+    entries = {index for index, function in enumerate(program.functions)
+               if function.name in ENTRY_SIGNATURES}
+    lowered, worklist = set(entries), list(entries)
+    source: list[str] = []
+    while worklist:
+        index = worklist.pop()
+        end = offsets[offsets.index(program.functions[index].offset) + 1]
+        lines, callees = _lower_function(program, index, end)
+        source += lines
+        worklist += callees - lowered
+        lowered |= callees
+    scope: dict[str, Any] = {
+        "VmFault": VmFault, "to_signed": to_signed, "_packet_fault": _packet_fault,
+    }
+    for op, handler in {**_BINARY_HANDLERS, **_UNARY_HANDLERS}.items():
+        scope[f"op_{op.name.lower()}"] = handler
+    # compiled under this file's name so profilers attribute it to filtervm
+    exec(compile("\n".join(source), __file__, "exec"), scope)
+    return {program.functions[index].name: scope[f"f{index}"]
+            for index in entries}
+
+
+def _lower_function(program: FilterProgram, index: int,
+                    end: int) -> tuple[list[str], set[int]]:
+    """One VM function: a loop over its reachable basic blocks in code
+    order, with ``b`` the pc of the block to run next. A forward jump
+    falls through the tests in between; a backward one starts the loop
+    again. Returns the source and the indices of the functions it calls."""
+    function = program.functions[index]
+    start = function.offset
+    leaders = {start}
+    for pc in range(start, end):
+        instruction = program.code[pc]
+        if instruction.op in _BLOCK_ENDS:
+            leaders.add(pc + 1)
+            if instruction.op in JUMP_OPS:
+                leaders.add(instruction.operand)
+    starts = sorted(pc for pc in leaders if start <= pc < end)
+    stops = dict(zip(starts, starts[1:] + [end]))
+    reachable: set[int] = set()
+    callees: set[int] = set()
+    worklist = [start]
+    while worklist:
+        lead = worklist.pop()
+        if lead in reachable:
+            continue
+        reachable.add(lead)
+        last = program.code[stops[lead] - 1]
+        if last.op == Op.CALL:
+            callees.add(last.operand)
+        if last.op in JUMP_OPS:
+            worklist.append(last.operand)
+        if last.op != Op.RET and last.op != Op.JMP:
+            worklist.append(stops[lead])
+    uses: set[str] = set()
+    body: list[str] = []
+    for lead in starts:
+        if lead not in reachable:
+            continue
+        body.append(f"        if b == {lead}:")
+        body += ["            " + line
+                 for line in _lower_block(program, lead, stops[lead], uses)]
+    arguments = "".join(f", l{slot}" for slot in range(function.n_args))
+    prologue = [f"def f{index}(vm, S, P, fuel{arguments}):"]
+    prologue += ["    " + line for name, line in (
+        ("push", "push = S.append"), ("pop", "pop = S.pop"), ("n", "n = len(P)"),
+        ("G", "G = vm.globals"), ("info", "info = vm.info.read"),
+    ) if name in uses]
+    prologue += [f"    l{slot} = 0"
+                 for slot in range(function.n_args, function.n_locals)]
+    prologue += [f"    b = {start}", "    while True:"]
+    return prologue + body + [
+        "        raise AssertionError(f'no lowered block at pc {b}')"
+    ], callees
+
+
+class _Block:
+    """Straight-line Python for one basic block.
+
+    The operand stack is kept symbolically: each pending value is a
+    literal, a temporary, a local slot ``l<i>`` or ``n`` (the packet
+    length). Only the values still pending when the block ends are pushed
+    onto the real stack, and only values from before the block are popped
+    from it.
+    """
+
+    def __init__(self, uses: set[str]) -> None:
+        self.lines: list[str] = []
+        self.pending: list[str] = []
+        self.uses = uses
+        self._temps = 0
+
+    def let(self, expr: str) -> str:
+        """Bind ``expr`` to a fresh temporary; returns its name."""
+        self._temps += 1
+        name = f"t{self._temps}"
+        self.lines.append(f"{name} = {expr}")
+        return name
+
+    def pop(self) -> str:
+        if self.pending:
+            return self.pending.pop()
+        self.uses.add("pop")
+        return self.let("pop()")
+
+    def flush(self) -> None:
+        if self.pending:
+            self.uses.add("push")
+            self.lines += [f"push({value})" for value in self.pending]
+            self.pending.clear()
+
+
+def _load(buffer: str, offset: str, width: int) -> str:
+    if width == 1:
+        return f"{buffer}[{offset}]"
+    return f"int.from_bytes({buffer}[{offset}:{offset} + {width}], 'big')"
+
+
+def _lower_block(program: FilterProgram, lead: int, stop: int,
+                 uses: set[str]) -> list[str]:
+    """The block ``[lead, stop)``, ending in its terminator or in a
+    fall-through to ``stop``. Fuel is charged for the whole block at its
+    end, and guarded before each instruction that can fault or write."""
+    block = _Block(uses)
+    pending, lines = block.pending, block.lines
+    globals_size = program.globals_size
+    for done, pc in enumerate(range(lead, stop)):
+        instruction = program.code[pc]
+        op = instruction.op
+        if op in _BLOCK_ENDS:
+            break
+        if op == Op.PUSH:
+            pending.append(str(to_unsigned(instruction.operand)))
+        elif op == Op.POP:
+            block.pop()
+        elif op == Op.DUP:
+            value = block.pop()
+            pending += [value, value]
+        elif op == Op.SWAP:
+            top = block.pop()
+            pending += [top, block.pop()]
+        elif op == Op.LDL:
+            pending.append(f"l{instruction.operand}")
+        elif op == Op.STL:
+            slot = f"l{instruction.operand}"
+            value = block.pop()
+            if slot in pending:  # values loaded before the store keep theirs
+                old = block.let(slot)
+                pending[:] = [old if item == slot else item for item in pending]
+            lines.append(f"{slot} = {value}")
+        elif op in BINARY_OPS or op in UNARY_OPS:
+            operands = [block.pop()]
+            if op in BINARY_OPS:
+                operands.insert(0, block.pop())
+            if all(item.isdigit() for item in operands):
+                try:
+                    pending.append(str(evaluate(op, *map(int, operands))))
+                    continue
+                except VmFault:
+                    pass
+            divisor = operands[-1]
+            if op in DIVISION_OPS and not (divisor.isdigit() and divisor != "0"):
+                lines.append(_FUEL_GUARD.format(done))
+            pending.append(block.let(
+                f"op_{op.name.lower()}({', '.join(operands)}) & {MASK64}"
+            ))
+        elif op == Op.PKTLEN:
+            uses.add("n")
+            pending.append("n")
+        elif op in PACKET_LOADS:
+            width = PACKET_LOADS[op]
+            offset = block.pop()
+            uses.add("n")
+            lines.append(_FUEL_GUARD.format(done))
+            lines.append(f"if {offset} > n - {width}: "
+                         f"raise _packet_fault({offset}, {width}, n)")
+            pending.append(block.let(_load("P", offset, width)))
+        elif op in INFO_LOADS:
+            offset = block.pop()
+            signed = (str(to_signed(int(offset))) if offset.isdigit()
+                      else f"to_signed({offset})")
+            uses.add("info")
+            lines.append(_FUEL_GUARD.format(done))
+            pending.append(block.let(
+                f"int.from_bytes(info({signed}, {INFO_LOADS[op]}), 'big')"
+            ))
+        else:  # globals
+            width = GLOBAL_LOADS.get(op) or GLOBAL_STORES[op]
+            offset = block.pop()
+            stored = block.pop() if op in GLOBAL_STORES else None
+            uses.add("G")
+            in_bounds = offset.isdigit() and int(offset) <= globals_size - width
+            if stored is not None or not in_bounds:
+                lines.append(_FUEL_GUARD.format(done))
+            if not in_bounds:
+                lines.append(f"if {offset} > {globals_size - width}: "
+                             f"vm._check_globals(to_signed({offset}), {width})")
+            if stored is None:
+                pending.append(block.let(_load("G", offset, width)))
+            elif width == 1:
+                lines.append(f"G[{offset}] = {stored} & 255")
+            else:
+                lines.append(
+                    f"G[{offset}:{offset} + {width}] = ({stored} & "
+                    f"{(1 << 8 * width) - 1}).to_bytes({width}, 'big')"
+                )
+    last = program.code[stop - 1]
+    op, target = last.op, last.operand
+    # The terminator's operands leave the symbolic stack before the rest
+    # is pushed, as they leave the real stack in _execute.
+    if op == Op.JZ or op == Op.JNZ:
+        test = f"{block.pop()} {'==' if op == Op.JZ else '!='} 0"
+    elif op == Op.RET:
+        result = block.pop()
+    elif op == Op.CALL:
+        popped = [block.pop() for _ in range(program.functions[target].n_args)]
+        arguments = "".join(f", {value}" for value in reversed(popped))
+    block.flush()
+    lines.append(f"if fuel < {stop - lead}: raise VmFault('fuel exhausted')")
+    lines.append(f"fuel -= {stop - lead}")
+    if op == Op.RET:
+        lines.append(f"return {result}, fuel")
+    elif op == Op.CALL:
+        uses.add("push")
+        lines += [f"result, fuel = f{target}(vm, S, P, fuel{arguments})",
+                  "push(result)", f"b = {stop}"]
+    elif op == Op.JMP:
+        lines.append(f"b = {target}")
+        if target <= lead:
+            lines.append("continue")
+    elif op in JUMP_OPS and target > lead:
+        lines.append(f"b = {target} if {test} else {stop}")
+    elif op in JUMP_OPS:
+        lines += [f"if {test}:", f"    b = {target}", "    continue",
+                  f"b = {stop}"]
+    else:
+        lines.append(f"b = {stop}")
+    return lines

@@ -3,7 +3,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.cpf import figure2_monitor
 from repro.filtervm import (
+    AdmittedProgram,
     AssemblyError,
     BytesInfo,
     FilterProgram,
@@ -507,3 +509,64 @@ class TestBuiltins:
             payload=IcmpMessage.time_exceeded(other_probe).encode(),
         ).encode()
         assert vm.invoke("recv", packet=exceeded, args=(0, len(exceeded))) == 0
+
+
+class TestAdmittedPath:
+    """The shipped monitors and filters, admitted and run lowered, against
+    the same programs run on ``_execute``, over the packets above."""
+
+    def _packets(self):
+        shapes = TestBuiltins()
+        probe = shapes._echo_request(shapes.ENDPOINT, shapes.TARGET, ttl=1)
+        udp = [
+            IPv4Packet(src=shapes.ENDPOINT, dst=shapes.TARGET, proto=PROTO_UDP,
+                       payload=UdpDatagram(5555, port, b"q").encode(
+                           shapes.ENDPOINT, shapes.TARGET)).encode()
+            for port in (53, 80)
+        ]
+        return [
+            probe,
+            shapes._echo_request(parse_ip("1.2.3.4"), shapes.TARGET),
+            *[IPv4Packet(src=src, dst=shapes.ENDPOINT, proto=PROTO_ICMP,
+                         payload=IcmpMessage.echo_reply(7, 1).encode()).encode()
+              for src in (shapes.TARGET, parse_ip("8.8.8.8"))],
+            *[IPv4Packet(src=parse_ip("10.5.5.5"), dst=shapes.ENDPOINT,
+                         proto=PROTO_ICMP,
+                         payload=IcmpMessage.time_exceeded(quoted).encode()
+                         ).encode()
+              for quoted in (probe, shapes._echo_request(
+                  shapes.ENDPOINT, parse_ip("99.99.99.99")))],
+            *udp,
+            b"anything", b"x", b"", probe[:21],
+        ]
+
+    @pytest.mark.parametrize("build", [
+        builtins.capture_all, builtins.mirror_all, builtins.allow_all_monitor,
+        builtins.deny_all_monitor,
+        lambda: builtins.capture_protocol(PROTO_ICMP),
+        lambda: builtins.capture_udp_port(53),
+        lambda: builtins.capture_from_host(TestBuiltins.TARGET),
+        builtins.icmp_echo_monitor,
+        lambda: figure2_monitor(corrected=True),
+        lambda: figure2_monitor(corrected=False),
+    ], ids=["capture_all", "mirror_all", "allow_all", "deny_all",
+            "capture_protocol", "capture_udp_port", "capture_from_host",
+            "icmp_echo", "figure2", "figure2-verbatim"])
+    def test_same_outcomes_as_execute(self, build):
+        program = build()
+        info = BytesInfo(TestBuiltins()._info_block())
+        reference = FilterVM(program, info=info)
+        lowered = FilterVM(AdmittedProgram(program), info=info)
+        for vm in (reference, lowered):
+            vm.run_init()
+        for packet in self._packets():
+            for entry in ("send", "recv"):
+                if not reference.has_entry(entry):
+                    continue
+                args = (0, len(packet))
+                assert lowered.invoke(entry, packet=packet, args=args) == \
+                    reference.invoke(entry, packet=packet, args=args)
+                assert (lowered.instructions_executed, lowered.faults,
+                        lowered.last_fault, bytes(lowered.globals)) == \
+                    (reference.instructions_executed, reference.faults,
+                     reference.last_fault, bytes(reference.globals))

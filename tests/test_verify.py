@@ -2,12 +2,15 @@
 into endpoint admission (ISSUE 3)."""
 
 import glob
+import importlib
 import os
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from repro.core.testbed import Testbed
+from repro.endpoint.endpoint import admit_filter_program
+from repro.endpoint.memory import MEMORY_SIZE
 from repro.netsim.clock import NANOSECONDS
 from repro.cpf.compiler import (
     FIGURE2_CORRECTED,
@@ -18,10 +21,13 @@ from repro.cpf.compiler import (
 from repro.cpf.lint import lint_source
 from repro.crypto.certificate import Restrictions
 from repro.filtervm import (
+    VERDICT_CONSUME,
+    AdmittedProgram,
     AssemblyError,
     BytesInfo,
     FilterProgram,
     FilterVM,
+    Finding,
     Function,
     Instruction,
     Op,
@@ -32,7 +38,10 @@ from repro.filtervm import (
     verify,
     verify_or_raise,
 )
+from repro.filtervm.isa import OPS_WITH_OPERAND
+from repro.filtervm.verify import stack_effect
 from repro.filtervm.vm import DEFAULT_FUEL, MAX_CALL_DEPTH
+from repro.obs import Observability
 from repro.proto.constants import ERR_MONITOR_REJECTED
 
 I = Instruction
@@ -238,6 +247,13 @@ class TestRejects:
         program = FilterProgram(code=code, functions=functions)
         assert "call-depth" in error_codes(verify(program))
 
+    def test_callee_leaving_values_under_its_result(self):
+        assert "callee-residue" in error_codes(verify(_residue_loop()))
+
+    def test_nested_frames_deeper_than_the_shared_stack(self):
+        codes = error_codes(verify(_deep_frames()))
+        assert codes == {"stack-overflow"}
+
     def test_local_index_out_of_range(self):
         report = verify(recv_program([I(Op.LDL, 9), I(Op.RET)], n_locals=2))
         assert "bad-local" in error_codes(report)
@@ -303,6 +319,15 @@ class TestWarnings:
         report = verify(recv_program(code))
         assert report.ok
         assert "unreachable-code" in warning_codes(report)
+
+    @pytest.mark.parametrize("dead", [I(Op.ADD), I(Op.CALL, 0)],
+                             ids=["underflowing", "self-call"])
+    def test_code_after_a_return_is_not_analysed(self, dead):
+        report = verify(recv_program([I(Op.PUSH, 0), I(Op.RET), dead,
+                                      I(Op.RET)]))
+        assert report.ok, report.render()
+        assert [f.code for f in report.findings] == ["unreachable-code"]
+        assert report.fuel_bounds["recv"] == 2
 
     def test_uncalled_function_warns(self):
         code = [
@@ -451,59 +476,126 @@ _EXCLUDED_FAULTS = (
     "unhandled opcode",
 )
 
-_OP_POOL = [
-    lambda d: I(Op.PUSH, d(st.integers(-4, 260))),
-    lambda d: I(Op.POP),
-    lambda d: I(Op.DUP),
-    lambda d: I(Op.SWAP),
-    lambda d: I(Op.LDL, d(st.integers(0, 4))),
-    lambda d: I(Op.STL, d(st.integers(0, 4))),
-    lambda d: I(Op.ADD),
-    lambda d: I(Op.SUB),
-    lambda d: I(Op.MUL),
-    lambda d: I(Op.DIVU),
-    lambda d: I(Op.MODS),
-    lambda d: I(Op.EQ),
-    lambda d: I(Op.LTS),
-    lambda d: I(Op.LNOT),
-    lambda d: I(Op.BNOT),
-    lambda d: I(Op.PKTLEN),
-    lambda d: I(Op.PKTLD8),
-    lambda d: I(Op.PKTLD16),
-    lambda d: I(Op.INFOLD8),
-    lambda d: I(Op.GLD8),
-    lambda d: I(Op.GST8),
-]
+# Every opcode without an operand, with its (pops, pushes): all ALU ops,
+# every packet/info/globals load and store width, stack shuffles, PKTLEN
+# and RET.
+_OPERAND_FREE = [(op, stack_effect(I(op), [])) for op in Op
+                 if op not in OPS_WITH_OPERAND]
+
+# Small values make plausible offsets, lengths and locals; the full i64
+# range exercises 64-bit wrap-around, signedness and negative offsets.
+_IMMEDIATES = st.one_of(st.integers(-4, 40),
+                        st.integers(-(1 << 63), (1 << 63) - 1))
+
+
+@st.composite
+def _body(draw, index, signatures):
+    """Function ``index``'s code, less jump targets: JMP/JZ/JNZ carry
+    None. Drawing only what the stack can feed keeps most programs valid;
+    jumps and early returns still unbalance some, which the verifier
+    rejects."""
+    n_locals = signatures[index][1]
+    slots = [Op.LDL, Op.STL] if n_locals else []
+    depth, body = 0, []
+    for _ in range(draw(st.integers(0, 24 if index == 0 else 10))):
+        if draw(st.integers(0, 2)) == 0:
+            op = draw(st.sampled_from([Op.PUSH] + slots[:1]))
+        else:
+            options = [Op.JMP] + [op for op, (pops, _) in _OPERAND_FREE
+                                  if pops <= depth]
+            if depth:
+                options += [Op.JZ, Op.JNZ] + slots[1:]
+            callees = [callee for callee, (n_args, _) in enumerate(signatures)
+                       if n_args <= depth]
+            options += [Op.CALL] * bool(callees)
+            op = draw(st.sampled_from(options))
+        if op == Op.PUSH:
+            body.append(I(op, draw(_IMMEDIATES)))
+            depth += 1
+        elif op in (Op.LDL, Op.STL):
+            # Now and then a slot outside the frame: an error where it can
+            # run, only a warning in dead code.
+            slots_drawn = (st.integers(0, n_locals - 1) if draw(st.integers(0, 15))
+                           else st.sampled_from([-1, n_locals, 1 << 40]))
+            body.append(I(op, draw(slots_drawn)))
+            depth += 1 if op == Op.LDL else -1
+        elif op == Op.CALL:
+            callee = draw(st.sampled_from(callees))
+            body.append(I(op, callee))
+            depth += 1 - signatures[callee][0]
+        elif op in (Op.JMP, Op.JZ, Op.JNZ):
+            body.append(I(op, 0))  # target drawn once the body is complete
+            depth -= op != Op.JMP
+        else:
+            pops, pushes = stack_effect(I(op), [])
+            body.append(I(op))
+            depth = 0 if op == Op.RET else depth - pops + pushes
+    return body + [I(Op.POP)] * depth + [I(Op.PUSH, draw(_IMMEDIATES)),
+                                         I(Op.RET)]
 
 
 @st.composite
 def random_programs(draw):
-    """Random recv programs, biased toward-but-not-guaranteed valid.
+    """Random programs, biased toward-but-not-guaranteed valid.
 
-    Straight-line bodies from the op pool with optional forward jumps,
-    always terminated by PUSH/RET. The verifier is the filter: the
-    property only exercises programs it accepts.
+    ``recv`` plus up to two helpers, any of which may CALL any function
+    (recursion is rejected unless the call is dead code). Bodies draw
+    from every opcode, with jumps to anywhere in their own
+    function (backward ones make loops), and end by returning one value.
+    The verifier is the filter: properties only exercise programs it
+    accepts.
     """
-    body = [
-        _OP_POOL[draw(st.integers(0, len(_OP_POOL) - 1))](draw)
-        for _ in range(draw(st.integers(0, 24)))
-    ]
-    n_jumps = draw(st.integers(0, 3))
-    total = len(body) + 2  # plus the PUSH/RET terminator
-    for _ in range(n_jumps):
-        at = draw(st.integers(0, len(body)))
-        op = draw(st.sampled_from([Op.JMP, Op.JZ, Op.JNZ]))
-        target = draw(st.integers(0, total))
-        body.insert(at, I(op, min(target, total - 1) + 1))
-        total += 1
-    code = body + [I(Op.PUSH, 0), I(Op.RET)]
-    n_locals = draw(st.integers(2, 5))
-    globals_size = draw(st.integers(0, 8))
-    return FilterProgram(
-        code=code,
-        functions=[Function("recv", 0, 2, n_locals)],
-        globals_size=globals_size,
-    )
+    n_functions = draw(st.integers(1, 3))
+    signatures = []
+    for index in range(n_functions):
+        n_args = 2 if index == 0 else draw(st.integers(0, 2))
+        signatures.append((n_args, n_args + draw(st.integers(0, 3))))
+    code: list = []
+    functions = []
+    for index, (n_args, n_locals) in enumerate(signatures):
+        offset = len(code)
+        body = draw(_body(index, signatures))
+        for at, instruction in enumerate(body):
+            if instruction.op in (Op.JMP, Op.JZ, Op.JNZ):
+                target = offset + draw(st.integers(0, len(body) - 1))
+                body[at] = I(instruction.op, target)
+        code += body
+        functions.append(Function("recv" if index == 0 else f"h{index}",
+                                  offset, n_args, n_locals))
+    return FilterProgram(code=code, functions=functions,
+                         globals_size=draw(st.integers(0, 12)))
+
+
+def _residue_loop():
+    """recv loops calling g, which leaves one value under its result each
+    time; the shared stack overflows before fuel runs out."""
+    code = [I(Op.CALL, 1), I(Op.POP), I(Op.JMP, 0),
+            I(Op.PUSH, 1), I(Op.PUSH, 2), I(Op.RET)]
+    return FilterProgram(code=code, functions=[Function("recv", 0, 2, 2),
+                                               Function("g", 3, 0, 0)])
+
+
+def _dead_self_call():
+    """recv returns at once; the CALL after its RET can never run."""
+    code = [I(Op.PUSH, 0), I(Op.RET), I(Op.CALL, 0), I(Op.RET)]
+    return FilterProgram(code=code, functions=[Function("recv", 0, 2, 2)])
+
+
+def _deep_frames():
+    """recv holds 1000 values when it calls g, which needs 30 more: each
+    frame fits MAX_STACK, the two together do not."""
+    code = [I(Op.PUSH, 1)] * 1000 + [I(Op.CALL, 1), I(Op.RET)]
+    helper = len(code)
+    code += [I(Op.PUSH, 1)] * 30 + [I(Op.ADD)] * 29 + [I(Op.RET)]
+    return FilterProgram(code=code, functions=[Function("recv", 0, 2, 2),
+                                               Function("g", helper, 0, 0)])
+
+
+_PROPERTY_SETTINGS = settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
 
 
 class TestSoundnessProperty:
@@ -513,12 +605,14 @@ class TestSoundnessProperty:
         arg=st.integers(0, 1 << 32),
         info=st.binary(max_size=32),
     )
-    @settings(
-        max_examples=300,
-        deadline=None,
-        suppress_health_check=[HealthCheck.filter_too_much,
-                               HealthCheck.too_slow],
-    )
+    # Both were accepted, then faulted "stack overflow": frames share one
+    # operand stack, and the verifier only bounded each frame alone.
+    @example(program=_residue_loop(), packet=b"", arg=0, info=b"")
+    @example(program=_deep_frames(), packet=b"", arg=0, info=b"")
+    # verify() raised RecursionError: a block ran on past a RET, so the
+    # fuel bound followed the dead self-call.
+    @example(program=_dead_self_call(), packet=b"", arg=0, info=b"")
+    @_PROPERTY_SETTINGS
     def test_accepted_programs_never_hit_excluded_faults(
         self, program, packet, arg, info
     ):
@@ -556,6 +650,253 @@ class TestSoundnessProperty:
         vm = FilterVM(program)
         vm.invoke("recv", packet=b"", args=(0, 0))
         assert vm.last_fault is None
+
+
+def _outcome(vm):
+    return (vm.instructions_executed, vm.faults, vm.last_fault,
+            bytes(vm.globals))
+
+
+def _block_hazards():
+    """One block that reads local 0 before and after storing to it, and
+    swaps two different values before a subtraction: b - a + 7."""
+    code = [I(Op.LDL, 0), I(Op.LDL, 1), I(Op.PUSH, 7), I(Op.STL, 0),
+            I(Op.SWAP), I(Op.SUB), I(Op.LDL, 0), I(Op.ADD), I(Op.RET)]
+    return recv_program(code)
+
+
+def _countdown_calls():
+    """do { acc += h(n, 1) } while (--n): a taken backward JNZ, and a
+    helper h(a, b) = a - b that tells its arguments apart."""
+    code = [I(Op.LDL, 0), I(Op.PUSH, 1), I(Op.CALL, 1), I(Op.LDL, 2),
+            I(Op.ADD), I(Op.STL, 2), I(Op.LDL, 0), I(Op.PUSH, 1), I(Op.SUB),
+            I(Op.DUP), I(Op.STL, 0), I(Op.JNZ, 0), I(Op.LDL, 2), I(Op.RET),
+            I(Op.LDL, 0), I(Op.LDL, 1), I(Op.SUB), I(Op.RET)]
+    return recv_program(code, n_locals=3, extra=[Function("h", 14, 2, 2)])
+
+
+def _dead_bad_store():
+    """recv returns at once; after it, dead code stores to slot -1. The
+    verifier only warns about dead code, so the program is accepted."""
+    code = [I(Op.PUSH, 0), I(Op.RET), I(Op.PUSH, 1), I(Op.STL, -1),
+            I(Op.PUSH, 0), I(Op.RET)]
+    return recv_program(code)
+
+
+def _fuel_edges():
+    """One block: a store, a packet load, a return. Fuel 2 runs out just
+    before the store, fuel 4 just before the load, fuel 5 just before the
+    return."""
+    code = [I(Op.PUSH, 1), I(Op.PUSH, 0), I(Op.GST8), I(Op.PUSH, 100),
+            I(Op.PKTLD8), I(Op.RET)]
+    return recv_program(code, globals_size=1)
+
+
+class TestLoweredMatchesExecute:
+    """An admitted program runs lowered code without the checks the
+    verifier proved; ``_execute`` keeps every check and is the oracle."""
+
+    @given(
+        program=random_programs(),
+        calls=st.lists(st.tuples(st.binary(max_size=64),
+                                 st.integers(0, 1 << 64)),
+                       min_size=3, max_size=5),
+        info=st.binary(max_size=32),
+        # Small budgets run out mid-block, between a guarded load or
+        # store and the block's end.
+        fuel=st.one_of(st.just(DEFAULT_FUEL), st.integers(0, 40)),
+    )
+    @example(program=_block_hazards(), calls=[(b"", 3), (b"ab", 9), (b"x", 0)],
+             info=b"", fuel=DEFAULT_FUEL)
+    @example(program=_countdown_calls(), calls=[(b"", 3), (b"", 5), (b"", 0)],
+             info=b"", fuel=DEFAULT_FUEL)
+    @example(program=_fuel_edges(), calls=[(b"", 0)] * 3, info=b"", fuel=2)
+    @example(program=_fuel_edges(), calls=[(b"", 0)] * 3, info=b"", fuel=4)
+    @example(program=_fuel_edges(), calls=[(bytes(120), 0)] * 3, info=b"",
+             fuel=5)
+    # Admission raised SyntaxError: the dead STL -1 was lowered to
+    # "l-1 = 1", although the verifier never checks dead code.
+    @example(program=_dead_bad_store(), calls=[(b"", 0)] * 3, info=b"",
+             fuel=DEFAULT_FUEL)
+    @_PROPERTY_SETTINGS
+    def test_same_verdicts_fuel_faults_and_globals(self, program, calls,
+                                                   info, fuel):
+        assume(verify(program, info_size=len(info), fuel_limit=fuel).ok)
+        reference = FilterVM(program, info=BytesInfo(info), fuel_limit=fuel)
+        lowered = FilterVM(AdmittedProgram(program, info_size=len(info),
+                                           fuel_limit=fuel),
+                           info=BytesInfo(info), fuel_limit=fuel)
+        # Globals carry state from one invocation to the next.
+        for packet, arg in calls:
+            args = (arg, len(packet))
+            assert lowered.invoke("recv", packet=packet, args=args) == \
+                reference.invoke("recv", packet=packet, args=args)
+            assert _outcome(lowered) == _outcome(reference)
+
+    def test_admitted_entries_never_reach_execute(self):
+        program = figure2_monitor(corrected=True)
+        vm = FilterVM(AdmittedProgram(program), info=BytesInfo(b"\x00" * 64))
+
+        def unreachable(*args):
+            raise AssertionError("an admitted entry ran on _execute")
+
+        vm._execute = unreachable
+        vm.run_init()
+        assert vm.invoke("send", packet=b"\x00" * 40, args=(0, 40)) == 0
+        assert vm.invoke("recv", packet=b"\x00" * 40, args=(0, 40)) == 0
+
+    def test_only_a_program_the_verifier_accepts_is_admitted(self):
+        with pytest.raises(VerifyRejected) as rejected:
+            AdmittedProgram(recv_program([I(Op.ADD), I(Op.RET)]))
+        assert "stack-underflow" in rejected.value.report.render()
+
+    def test_admission_verifies_the_program_it_is_given(self):
+        """A passing verdict on a program edited afterwards admits
+        nothing: admission checks the content it is handed."""
+        program = builtins.capture_all()
+        assert verify(program).ok
+        program.code[0] = I(Op.ADD)
+        with pytest.raises(VerifyRejected):
+            AdmittedProgram(program)
+
+    def test_dead_code_is_not_lowered(self):
+        program = _dead_bad_store()
+        admitted = AdmittedProgram(program)
+        assert admitted.report.ok
+        assert warning_codes(admitted.report) == {"unreachable-code"}
+        assert FilterVM(admitted).invoke("recv", args=(0, 0)) == 0
+
+    def test_admitted_program_is_immutable_and_keeps_its_code(self):
+        program = builtins.capture_all()
+        admitted = AdmittedProgram(program)
+        with pytest.raises(AttributeError):
+            admitted.entries = {}
+        program.code[0] = I(Op.PUSH, 0)  # after admission: not what runs
+        vm = FilterVM(admitted)
+        assert vm.invoke("recv", packet=b"x", args=(0, 1)) == VERDICT_CONSUME
+
+
+# ---------------------------------------------------------------------------
+# Admission memo: each distinct program is analysed and lowered once, and no
+# admission can tell
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def cold_memos(monkeypatch):
+    """Empty the admission memos; returns a list that records each time
+    the analysis actually runs."""
+    program_module = importlib.import_module("repro.filtervm.program")
+    verify_module = importlib.import_module("repro.filtervm.verify")
+    vm_module = importlib.import_module("repro.filtervm.vm")
+    for cache in (program_module._DECODE_CACHE, verify_module._VERIFY_CACHE,
+                  vm_module._LOWERED_CACHE):
+        cache.clear()
+    analyses = []
+    real_run = verify_module._Verifier.run
+
+    def counting_run(self):
+        analyses.append(self.program.snapshot())
+        return real_run(self)
+
+    monkeypatch.setattr(verify_module._Verifier, "run", counting_run)
+    return analyses
+
+
+class TestAdmissionMemo:
+    def test_fuel_limit_is_part_of_the_key(self, cold_memos):
+        blob = builtins.capture_protocol(1).encode()
+
+        def admit(fuel):
+            report, admitted = admit_filter_program(
+                FilterProgram.decode(blob), obs=Observability(),
+                fuel_limit=fuel, kind="ncap",
+            )
+            assert admitted is not None and admitted.report == report
+            return report
+
+        default = admit(DEFAULT_FUEL)
+        tight = admit(3)
+        assert "fuel-bound" not in warning_codes(default)
+        assert "fuel-bound" in warning_codes(tight)
+        assert "worst-case cost 7 exceeds the fuel limit 3" in tight.render()
+        assert admit(DEFAULT_FUEL).render() == default.render()
+        assert len(cold_memos) == 2
+
+    def test_rejected_monitor_report_is_identical_from_the_memo(
+        self, cold_memos
+    ):
+        def reject_once():
+            testbed = Testbed()
+            server, descriptor = testbed.make_controller(
+                experiment_restrictions=Restrictions(
+                    monitor=_broken_monitor_bytes())
+            )
+            testbed.connect_endpoint(descriptor)
+            testbed.run(until=testbed.sim.now + 30.0)
+            server.stop()
+            return server.monitor_rejections, server.auth_failures
+
+        first, second = reject_once(), reject_once()
+        assert len(first[0]) == 1 and "stack-underflow" in first[0][0]
+        assert second == first
+        assert len(cold_memos) == 1
+
+    def test_rejected_ncap_payload_is_identical_from_the_memo(
+        self, cold_memos
+    ):
+        def reject_once():
+            def experiment(handle):
+                yield from handle.nopen_raw(0)
+                now = yield from handle.read_clock()
+                status = yield from handle.ncap(
+                    0, now + 60 * NANOSECONDS, _broken_monitor_bytes()
+                )
+                return status, handle.last_verifier_report
+
+            return Testbed().run_experiment(experiment)
+
+        first, second = reject_once(), reject_once()
+        assert first[0] == ERR_MONITOR_REJECTED
+        assert second == first
+        assert len(cold_memos) == 1
+
+    def test_ncap_filter_with_a_bad_slot_in_dead_code_is_admitted(
+        self, cold_memos
+    ):
+        """What the verifier leaves unchecked is never compiled: the
+        filter installs and runs instead of crashing the session."""
+        def install_twice(handle):
+            yield from handle.nopen_raw(0)
+            now = yield from handle.read_clock()
+            statuses = []
+            for _ in range(2):
+                statuses.append((yield from handle.ncap(
+                    0, now + 60 * NANOSECONDS, _dead_bad_store().encode()
+                )))
+            return statuses, handle.last_verifier_report
+
+        assert Testbed().run_experiment(install_twice) == ([0, 0], None)
+        assert len(cold_memos) == 1
+
+    def test_mutating_what_a_caller_got_does_not_reach_the_next(
+        self, cold_memos
+    ):
+        blob = builtins.icmp_echo_monitor().encode()
+        program = FilterProgram.decode(blob)
+        report = verify(program, info_size=MEMORY_SIZE)
+        expected = report.render()
+        program.code[0] = I(Op.ADD)
+        program.functions.clear()
+        program.globals_size = 0
+        report.findings.append(Finding("error", "forged", "mutated"))
+        report.fuel_bounds.clear()
+
+        again = FilterProgram.decode(blob)
+        assert again.encode() == blob
+        second = verify(again, info_size=MEMORY_SIZE)
+        assert second.ok and second.render() == expected
+        assert len(cold_memos) == 1
 
 
 # ---------------------------------------------------------------------------
