@@ -16,6 +16,11 @@ Design:
   and compacts the heap once more than half of the stored entries are
   dead, so tight create/cancel loops (RPC timeouts, retry backoff)
   cannot bloat the pending set.
+- :meth:`Simulator.at_instant_end` defers a callback to the end of the
+  current instant: after every live event at ``now``, before the clock
+  advances. It is not a timer and takes no sequence number. The mini-TCP
+  holds its in-order ACK there, so a reply sent in the same instant
+  carries it.
 - Concurrency uses plain Python generators (SimPy style). A process is a
   generator that ``yield``s what it wants to wait for:
 
@@ -293,6 +298,8 @@ class Simulator:
         self._cancelled = 0  # cancelled timers still stored in the heap
         self._seq = 0
         self._orphan_errors: list[tuple[Process, BaseException]] = []
+        # at_instant_end() callbacks still to run at the current time.
+        self._at_end: list[Callable[[], None]] = []
         self._running = False
         self._halt = False
         # Per-simulator observability hub; disabled unless a caller opts in.
@@ -323,6 +330,33 @@ class Simulator:
         self._seq += 1
         heapq.heappush(self._heap, (time, self._seq, timer))
         return timer
+
+    def at_instant_end(self, callback: Callable[[], None]) -> None:
+        """Run ``callback()`` once every live event at the current time
+        has run, before the clock advances.
+
+        Callbacks run in registration order. Not a timer: no sequence
+        number, no heap entry. An event a callback schedules at the
+        current time runs before the clock moves, and so does any
+        callback registered meanwhile. After :meth:`halt` pending
+        callbacks wait for the next :meth:`run`.
+        """
+        self._at_end.append(callback)
+
+    def cancel_instant_end(self, callback: Callable[[], None]) -> None:
+        """Withdraw a pending :meth:`at_instant_end` callback (the first
+        one equal to ``callback``); a no-op once it has been taken to
+        run. An instant with nothing left pending ends for free."""
+        try:
+            self._at_end.remove(callback)
+        except ValueError:
+            pass
+
+    def _end_instant(self) -> None:
+        callbacks = self._at_end[:]
+        self._at_end.clear()  # in place: run() holds a reference
+        for callback in callbacks:
+            callback()
 
     def _note_cancel(self) -> None:
         """Called by :meth:`Timer.cancel` while the timer is stored."""
@@ -397,21 +431,35 @@ class Simulator:
         # invoked directly, and the orphan check only runs when an error
         # is actually pending. Telemetry accumulates in locals and is
         # flushed once per run() call, so a disabled run pays nothing
-        # beyond the `enabled` read.
+        # beyond the `enabled` read. With no at_instant_end() callback
+        # pending, the instant's end costs one truthiness check.
         heap = self._heap
         heappop = heapq.heappop
         orphans = self._orphan_errors
+        at_end = self._at_end
         enabled = self.obs.enabled
         events = 0
         max_depth = 0
         try:
-            while heap:
-                entry = heappop(heap)
-                timer = entry[2]
-                if timer.cancelled:
-                    self._cancelled -= 1
+            while True:
+                if heap:
+                    entry = heappop(heap)
+                    timer = entry[2]
+                    if timer.cancelled:
+                        self._cancelled -= 1
+                        continue
+                    time = entry[0]
+                    if at_end and time > self._now:
+                        # The instant is over. Its callbacks may schedule
+                        # work before this entry, so the entry goes back.
+                        heapq.heappush(heap, entry)
+                        self._end_instant()
+                        continue
+                elif at_end:
+                    self._end_instant()
                     continue
-                time = entry[0]
+                else:
+                    break
                 if until is not None and time > until:
                     # Still stored, so a later cancel() is still counted.
                     heapq.heappush(heap, entry)

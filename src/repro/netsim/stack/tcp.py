@@ -6,9 +6,20 @@ Implements the subset of TCP that PacketLab's design depends on:
 - **RST generation for segments that match no connection** — the kernel
   behaviour that motivates the `ncap` consume/ignore/mirror verdicts (§3.1),
 - cumulative ACKs with go-back-N retransmission, RFC 6298 RTO estimation,
+- **piggybacked ACKs**: the ACK for in-order data is held to the end of
+  the sim instant (``Simulator.at_instant_end``), so any segment the
+  connection sends in that instant — typically the application's reply —
+  carries it; otherwise a bare ACK leaves at that same sim time (a
+  delayed ACK in the sense of RFC 1122 §4.2.3.2, with zero delay).
+  Duplicate, out-of-order, FIN, nothing-accepted, TIME_WAIT and
+  handshake ACKs and window updates still leave at once,
 - **receive-window flow control** — the mechanism behind the paper's claim
   that a full endpoint capture buffer creates back pressure on TCP (§3.1),
 - zero-window probing and spontaneous window updates,
+- sender-side silly-window avoidance: while data is in flight, a segment
+  the window would cut short waits for it to open. Held ACKs advertise
+  the window after the application's read, so a bulk sender would
+  otherwise chase every sliver of it with a runt,
 - slow start / congestion avoidance with fast retransmit.
 
 Out-of-order segments are not queued (the receiver dup-ACKs and the sender
@@ -141,6 +152,9 @@ class TcpConnection:
         self.rcv_buffer_capacity = rcv_buffer
         self.rcv_eof = False
         self._advertised_zero = False
+        # In-order data not yet acknowledged: _flush_ack is pending at
+        # the end of the instant, withdrawn if a segment carries the ACK.
+        self._ack_owed = False
 
         # Congestion control.
         self.cwnd = 4 * self.mss
@@ -168,9 +182,6 @@ class TcpConnection:
 
         # Stats.
         self.retransmissions = 0
-        self.segments_sent = 0
-        self.segments_received = 0
-        self.bytes_delivered = 0
 
     def _label(self) -> str:
         return f"{self.node.name}:{self.local_port}->{self.remote_port}"
@@ -310,7 +321,13 @@ class TcpConnection:
         payload: bytes = b"",
         mss: Optional[int] = None,
     ) -> None:
-        ack = self.rcv_nxt if flags & FLAG_ACK else 0
+        if flags & FLAG_ACK:
+            ack = self.rcv_nxt
+            if self._ack_owed:
+                self._ack_owed = False
+                self.sim.cancel_instant_end(self._flush_ack)
+        else:
+            ack = 0
         window = self.advertised_window
         self._advertised_zero = window == 0
         segment = TcpSegment(
@@ -329,7 +346,6 @@ class TcpConnection:
             proto=PROTO_TCP,
             payload=segment.encode(self.local_ip, self.remote_ip),
         )
-        self.segments_sent += 1
         self.node.send_ip(packet)
 
     def _send_window(self) -> int:
@@ -351,6 +367,11 @@ class TcpConnection:
             if allowance <= 0:
                 break
             count = min(self.mss, available, allowance)
+            if count < available and count < self.mss and in_flight:
+                # Sender-side silly-window avoidance (RFC 1122 §4.2.3.4):
+                # a runt cut short by the window waits for the ACKs in
+                # flight to open it.
+                break
             chunk = bytes(self.snd_buffer[unsent_offset : unsent_offset + count])
             seq = self.snd_nxt
             self.snd_nxt = seq_add(self.snd_nxt, count)
@@ -470,7 +491,6 @@ class TcpConnection:
     # ------------------------------------------------------------------
 
     def handle_segment(self, packet: IPv4Packet, segment: TcpSegment) -> None:
-        self.segments_received += 1
         if segment.has(FLAG_RST):
             self._handle_rst(segment)
             return
@@ -615,7 +635,6 @@ class TcpConnection:
         if accepted:
             self.rcv_buffer.extend(accepted)
             self.rcv_nxt = seq_add(self.rcv_nxt, len(accepted))
-            self.bytes_delivered += len(accepted)
             self._wake(self._recv_waiters)
         fin_in_order = (
             segment.has(FLAG_FIN)
@@ -627,7 +646,21 @@ class TcpConnection:
             self.rcv_eof = True
             self._wake(self._recv_waiters)
             self._on_fin_received()
+        elif accepted:
+            # Held to the end of the instant, so that a reply the
+            # application sends meanwhile carries it.
+            if not self._ack_owed:
+                self._ack_owed = True
+                self.sim.at_instant_end(self._flush_ack)
+            return
         self._emit(FLAG_ACK, seq=self.snd_nxt)
+
+    def _flush_ack(self) -> None:
+        """End of the instant: nothing carried the owed ACK, so send it."""
+        if self._ack_owed:
+            self._ack_owed = False
+            if self.state != CLOSED:
+                self._emit(FLAG_ACK, seq=self.snd_nxt)
 
     def _on_fin_received(self) -> None:
         if self.state == ESTABLISHED:

@@ -74,7 +74,6 @@ class UdpLayer:
         self.node = node
         self._sockets: dict[int, UdpSocket] = {}
         self._next_ephemeral = EPHEMERAL_PORT_BASE
-        self.datagrams_received = 0
         self.port_unreachable_sent = 0
         self.rx_rejected = 0
 
@@ -122,5 +121,4 @@ class UdpLayer:
                 )
             )
             return
-        self.datagrams_received += 1
         socket._deliver(datagram.payload, packet.src, datagram.src_port, packet.dst)

@@ -368,3 +368,115 @@ def test_run_until_pushback_keeps_order():
     assert seen == ["early"]
     sim.run()
     assert seen == ["early", "late", "later"]
+
+
+# -- the end of an instant --------------------------------------------------
+
+
+def _note(seen, sim, label):
+    return lambda: seen.append((label, sim.now))
+
+
+def test_instant_end_runs_after_the_instant_before_the_clock_moves():
+    sim = Simulator()
+    seen = []
+
+    def first():
+        seen.append(("first", sim.now))
+        sim.at_instant_end(_note(seen, sim, "end-a"))
+        sim.at_instant_end(_note(seen, sim, "end-b"))
+
+    sim.schedule(1.0, first)
+    sim.schedule(1.0, _note(seen, sim, "second"))
+    sim.schedule(2.0, _note(seen, sim, "later"))
+    sim.run()
+    assert seen == [("first", 1.0), ("second", 1.0), ("end-a", 1.0),
+                    ("end-b", 1.0), ("later", 2.0)]
+
+
+def test_cancelled_entry_at_now_does_not_delay_the_instant_end():
+    """A dead entry due now is still in the heap when the instant's live
+    events are done; the callbacks must not wait for the next live one."""
+    sim = Simulator()
+    seen = []
+    sim.schedule(1.0, sim.at_instant_end, _note(seen, sim, "end"))
+    sim.schedule(1.0, _note(seen, sim, "dead")).cancel()
+    sim.schedule(2.0, _note(seen, sim, "later"))
+    sim.run()
+    assert seen == [("end", 1.0), ("later", 2.0)]
+
+
+def test_instant_end_drains_at_run_until_and_on_an_empty_heap():
+    sim = Simulator()
+    seen = []
+    sim.schedule(1.0, sim.at_instant_end, _note(seen, sim, "end"))
+    sim.schedule(5.0, _note(seen, sim, "late"))
+    sim.run(until=2.0)
+    assert seen == [("end", 1.0)] and sim.now == 2.0
+    sim.schedule(1.0, sim.at_instant_end, _note(seen, sim, "last"))
+    sim.run()
+    assert seen == [("end", 1.0), ("last", 3.0), ("late", 5.0)]
+    sim.at_instant_end(_note(seen, sim, "idle"))
+    sim.run()  # nothing queued at all
+    assert seen[-1] == ("idle", 5.0)
+
+
+def test_instant_end_waits_out_a_halt():
+    sim = Simulator()
+    seen = []
+
+    def stop():
+        sim.at_instant_end(_note(seen, sim, "end"))
+        sim.halt()
+
+    sim.schedule(1.0, stop)
+    sim.schedule(3.0, _note(seen, sim, "later"))
+    sim.run()
+    assert seen == [] and sim.now == 1.0
+    sim.run()
+    assert seen == [("end", 1.0), ("later", 3.0)]
+
+
+def test_work_scheduled_by_an_instant_end_callback_extends_the_instant():
+    sim = Simulator()
+    seen = []
+
+    def extra():
+        seen.append(("extra", sim.now))
+        sim.at_instant_end(_note(seen, sim, "end-2"))
+
+    def end():
+        seen.append(("end-1", sim.now))
+        sim.schedule(0.0, extra)
+        sim.schedule(0.5, _note(seen, sim, "soon"))
+
+    sim.schedule(1.0, sim.at_instant_end, end)
+    sim.schedule(2.0, _note(seen, sim, "later"))
+    sim.run()
+    assert seen == [("end-1", 1.0), ("extra", 1.0), ("end-2", 1.0),
+                    ("soon", 1.5), ("later", 2.0)]
+
+
+def test_instant_end_is_not_a_timer():
+    sim = Simulator()
+    seen = []
+    sim.at_instant_end(_note(seen, sim, "end"))
+    assert sim._seq == 0 and sim._heap == []
+    sim.run()
+    assert seen == [("end", 0.0)] and sim._seq == 0
+
+
+def test_cancelled_instant_end_callback_does_not_run():
+    sim = Simulator()
+    seen = []
+    first, second, third = (_note(seen, sim, label) for label in "abc")
+
+    def register():
+        for callback in (first, second, third):
+            sim.at_instant_end(callback)
+        sim.cancel_instant_end(second)
+        sim.cancel_instant_end(second)  # no longer pending: a no-op
+
+    sim.schedule(1.0, register)
+    sim.run()
+    assert seen == [("a", 1.0), ("c", 1.0)]

@@ -3,11 +3,13 @@ zero-window probing, TIME_WAIT, and RTT estimation."""
 
 import pytest
 
+from repro.core.testbed import Testbed
 from repro.netsim.kernel import Simulator
 from repro.netsim.links import Link
 from repro.netsim.node import Node
 from repro.netsim.topology import Network
 from repro.packet.ipv4 import IPv4Packet, PROTO_TCP
+from repro.packet.tcp import TcpSegment
 
 
 def lossy_pair(**kwargs):
@@ -187,3 +189,68 @@ def test_double_loss_still_delivers():
     net.sim.spawn(client(), name="client")
     net.run(until=120.0)
     assert result["ok"]
+
+
+def test_rpc_round_trips_carry_their_acks():
+    """Back-to-back RPCs over the Testbed access link: each command and
+    each reply is one data segment that acknowledges the last one the
+    other way, and no bare ACK crosses the link."""
+    testbed = Testbed()
+    segments = {"fwd": [], "rev": []}
+    recording = []
+
+    def observe(now, direction, packet, outcome):
+        if recording and outcome == "sent" and packet.proto == PROTO_TCP:
+            segment = TcpSegment.decode(packet.payload, packet.src,
+                                        packet.dst)
+            segments[direction.name[-3:]].append(
+                "data" if segment.payload else f"flags={segment.flags:#x}")
+
+    testbed.access_link.add_observer(observe)
+
+    def experiment(handle):
+        yield from handle.read_clock()  # the session is fully up
+        yield 1.0
+        recording.append(True)
+        for _ in range(3):
+            yield from handle.read_clock()
+        recording.clear()
+
+    testbed.run_experiment(experiment)
+    assert segments == {"fwd": ["data"] * 3, "rev": ["data"] * 3}
+
+
+def test_bulk_sender_sends_no_window_limited_runts():
+    """The receiver acknowledges after its application read, so it
+    advertises its whole buffer. A sender that filled each sliver of
+    window as it opened would fall into silly-window syndrome: one-byte
+    segments and an ACK for each."""
+    net, a, b, link = lossy_pair(bandwidth_bps=5e6, delay=0.005)
+    sizes = []  # TCP payload bytes of each segment a -> b
+
+    def observe(now, direction, packet, outcome):
+        if outcome == "sent":
+            sizes.append(packet.total_length - 40)
+
+    link.forward.add_observer(observe)
+    total = 300_000
+    done = {}
+
+    def server():
+        conn = yield b.tcp.listen(80).accept()
+        data = yield from conn.recv_exactly(total)
+        done["ok"] = data == b"S" * total
+
+    def client():
+        conn = yield from a.tcp.open_connection(b.primary_address(), 80)
+        yield from conn.send(b"S" * total)
+        conn.close()
+
+    net.sim.spawn(server(), name="server")
+    net.sim.spawn(client(), name="client")
+    net.run(until=60.0)
+    assert done["ok"]
+    # A runt that carries all the data queued at the time is allowed: the
+    # application refills its buffer just after the ACK that freed it.
+    runts = [size for size in sizes if 0 < size < 1460]
+    assert len(runts) * 20 <= len(sizes), runts[:10]
