@@ -448,19 +448,19 @@ def _public_functions(package):
 class TestOneCampaignDriver:
     @pytest.mark.parametrize("campaign, digest", [
         (_golden_sharded_star,
-         "61c3708b5cd20016a00a5e4afc3cd853d339bad1daa2c891b2ac395b9604dcde"),
+         "ecb060a4a55b2967bc147a9891f23070e45fe07706d7e1e0943f46f906a627e8"),
         (_golden_heartbeat_churn,
-         "410e94ca171995d8bbdc1def28b5db058d1c14559ee17eb2823052b1cc371054"),
+         "d1c8d9d5425f62325fd8fc4f16049c756a05a9f07cb0902bf870ad98ba29c9bf"),
         (_golden_byzantine,
-         "2ba03858fc41c6196bbd15076da52d0846fed57895b36724d7578293da09d419"),
+         "4ff6fbb7a24aa4a9cf548351259d8d1183e78c0fd0fc02995554ee1a3ba18d44"),
         (_golden_single_endpoint_retry,
-         "60f3ee7c3c24bb7b8221571b94eb4ce1e8e348c303febc3d6be260db6eb17a64"),
+         "1bc235d39e92d76ad9732294a35934b31e6e09ad32c8de775b2f6d8859cab7c4"),
         (_golden_bandwidth,
-         "2d269a4f42082907f1ed6247a559d5d9e2bc85d948309e8a374427c6e2bfb16e"),
+         "704b4a38bc08e74a95f2539865f66dfadcd6dbd3d0cac4786fbbe47feaa01346"),
         (_golden_traceroute_monitor,
-         "b9084e6a10e2ff004496a57cfbe2c557a05ec5e1620c76b31109334d90c3ceb0"),
+         "b087e2946aa287860e6f29b2ed191bec26086590e9a63ab78f625726c9bc314f"),
         (_golden_lossy_reuse,
-         "0b3d226c8591a476450e13a1c5285f27842fc240aa82a33c2cfd4cb2f3b30980"),
+         "1925e81aeb8fddc3f8cbcd44534b76286ca340ea8fcbc94f3ddf9a2e5bef50d3"),
     ], ids=["sharded-star", "heartbeat-churn", "byzantine", "single-retry",
             "bandwidth", "traceroute-monitor", "lossy-reuse"])
     def test_golden_report_digests(self, campaign, digest):

@@ -404,15 +404,15 @@ PINNED_REPLIES = [
      "6b206d617920686f6c64206f6e6c7920300a776f7273742d636173652066"
      "75656c3a2072656376203c3d2032"),
     ("npoll past its deadline", "150000001000000000000000000000000000000000"),
-    ("mread ok", "140000001100000000080de0b6b3f2c45680"),
+    ("mread ok", "140000001100000000080de0b6b3f2ad6180"),
     ("npoll blocked, data arrives",
      "150000001200000000000000000000000000000001000000020de0b6b408"
-     "3bad80000000056669727374"),
-    ("mread ok", "140000001300000000080de0b6b40bd1f800"),
+     "240f80000000056669727374"),
+    ("mread ok", "140000001300000000080de0b6b40bb9b280"),
     ("npoll blocked, times out", "150000001400000000000000000000000000000000"),
     ("npoll after a timed-out one",
      "150000001500000000000000000000000000000001000000020de0b6b41b"
-     "52ce80000000057374616c65"),
+     "3a8980000000057374616c65"),
     ("mread ok", "140000001600000000040a000002"),
     ("mread fault", "14000000170700000000"),
     ("mwrite ok", "14000000180000000000"),
