@@ -27,7 +27,7 @@ same-seed runs.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator, Optional, Protocol
+from typing import TYPE_CHECKING, Generator, Protocol
 
 if TYPE_CHECKING:
     from repro.fleet.pool import EndpointPool
@@ -63,10 +63,6 @@ class HeartbeatMonitor:
         self.sim = pool.sim
         self._obs = pool.sim.obs
         self._proc = None
-        self.sweeps = 0
-        self.drained = 0
-        self.undrained = 0
-        self.removed = 0
 
     # -- process plumbing -----------------------------------------------------
 
@@ -99,38 +95,24 @@ class HeartbeatMonitor:
         # its adoption.
         return max(record.last_seen, pooled.adopted_at)
 
-    def sweep(self, records: Optional[dict] = None) -> None:
-        """One pass: drain the stale, undrain the fresh, remove the gone."""
-        from repro.fleet.pool import ACTIVE, DRAINING
+    def sweep(self) -> None:
+        """One pass: drain the stale, undrain the fresh, remove the gone.
 
-        self.sweeps += 1
+        The pool's moves refuse what does not apply (draining a drained
+        endpoint, undraining an active one), so each endpoint simply gets
+        the move its age calls for.
+        """
+        pool = self.pool
         now = self.sim.now
-        if records is None:
-            records = self.source.liveness()
-        # Sorted for determinism; list() because removal mutates the dict.
-        for name in sorted(self.pool.endpoints):
-            pooled = self.pool.endpoints.get(name)
-            if pooled is None:
-                continue
+        records = self.source.liveness()
+        # Sorted for determinism, and a copy: removal mutates the dict.
+        for name, pooled in sorted(pool.endpoints.items()):
             age = now - self._freshness_base(pooled, records.get(name))
             if age > self.depart_after:
-                if self.pool.remove(name, reason="heartbeat-departed"):
-                    self.removed += 1
+                pool.remove(name, reason="heartbeat-departed")
             elif age > self.stale_after:
-                if pooled.state == ACTIVE and self.pool.drain(
-                    name, reason="stale-heartbeat"
-                ):
-                    self.drained += 1
-            elif pooled.state == DRAINING:
-                if self.pool.undrain(name, reason="heartbeat-fresh"):
-                    self.undrained += 1
+                pool.drain(name, reason="stale-heartbeat")
+            else:
+                pool.undrain(name, reason="heartbeat-fresh")
         if self._obs.enabled:
             self._obs.counter("fleet.heartbeat_sweeps").inc()
-
-    def describe(self) -> str:
-        return (
-            f"heartbeat-monitor: sweeps={self.sweeps} drained={self.drained} "
-            f"undrained={self.undrained} removed={self.removed} "
-            f"(interval={self.interval:g}s stale>{self.stale_after:g}s "
-            f"depart>{self.depart_after:g}s)"
-        )

@@ -281,7 +281,6 @@ class CampaignScheduler:
         self._pinned_queued = 0
         self._wake = self.sim.queue(name=f"{name}-wake")
         self._inflight = 0
-        self._outstanding = 0  # queued + inflight + pending requeues
         self._pending_requeues = 0  # backoff timers not yet fired
         self._token_timer_armed = False
         self.report = CampaignReport(name, seed, self.aggregator, pool)
@@ -324,6 +323,11 @@ class CampaignScheduler:
                 )
         self.jobs = expanded
 
+    @property
+    def _outstanding(self) -> int:
+        """Jobs not finished yet: queued, in flight or awaiting requeue."""
+        return len(self._queue) + self._inflight + self._pending_requeues
+
     # -- main loop ------------------------------------------------------------
 
     def run(self) -> Generator:
@@ -344,7 +348,6 @@ class CampaignScheduler:
         self._pinned_queued = sum(
             1 for job in self.jobs if job.endpoint is not None
         )
-        self._outstanding = len(self.jobs)
         self._note_queue_depth()
         # Wake when pool dispatchability shifts underneath us: a churned
         # endpoint rejoining, a quarantine readmission, a drain/removal.
@@ -642,10 +645,7 @@ class CampaignScheduler:
 
     def _harvest_deferred(self, pooled: PooledEndpoint) -> None:
         """Fold newly observed late nsend_nowait failures into results."""
-        handle = pooled.handle
-        if handle is None:
-            return
-        fresh = self._count_fresh(pooled, handle.evidence(),
+        fresh = self._count_fresh(pooled, pooled.handle.evidence(),
                                   "deferred_errors", "deferred_send_errors")
         if fresh and self._obs.enabled:
             self._obs.counter("fleet.deferred_send_errors").inc(fresh)
@@ -656,8 +656,6 @@ class CampaignScheduler:
         """Fold newly observed session evidence into scoring + results
         (violations, budget exhaustions, silent abandons, timeouts)."""
         handle = pooled.handle
-        if handle is None:
-            return
         evidence = handle.evidence()
         report = self.pool.report_misbehavior
         fresh = self._count_fresh(pooled, evidence, "violations",
@@ -688,7 +686,6 @@ class CampaignScheduler:
 
     def _finish_job(self, job: CampaignJob, result, failed: bool,
                     endpoint_name: str) -> None:
-        self._outstanding -= 1
         metrics = None
         if not failed and job.metrics is not None:
             metrics = job.metrics(result)
