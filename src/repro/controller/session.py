@@ -118,19 +118,6 @@ class Experimenter:
         )
         return chain
 
-    def endpoint_chain(
-        self,
-        descriptor: ExperimentDescriptor,
-        grant: Optional[OperatorGrant] = None,
-        experiment_restrictions: Optional[Restrictions] = None,
-    ) -> CertificateChain:
-        """The chain presented to endpoints (operator-anchored)."""
-        if grant is None:
-            if not self.endpoint_grants:
-                raise RuntimeError(f"{self.name} has no endpoint grants")
-            grant = self.endpoint_grants[0]
-        return self._chain_from_grant(grant, descriptor, experiment_restrictions)
-
     def publish_chain(
         self,
         descriptor: ExperimentDescriptor,

@@ -130,7 +130,6 @@ class CodeGen:
         self._scopes: list[dict[str, tuple[int, CpfType]]] = []
         self._param_spaces: dict[str, str] = {}
         self._n_locals = 0
-        self._current_return: CpfType = U64
         self._loop_stack: list[tuple[list[int], list[int]]] = []  # (breaks, continues)
 
     # ------------------------------------------------------------------
@@ -222,7 +221,6 @@ class CodeGen:
         self._param_spaces = {}
         self._n_locals = 0
         self._scratch_slot_value = -1
-        self._current_return = node.return_type
         self._loop_stack = []
         for param_name, param_type in node.params:
             slot = self._n_locals

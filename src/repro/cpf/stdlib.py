@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from repro.cpf.parser import Parser
-from repro.cpf.types import CpfType, PointerType, StructType
+from repro.cpf.types import CpfType, StructType
 
 PRELUDE_SOURCE = """
 /* Quoted original IP header as it appears inside ICMP error bodies. */
@@ -157,7 +157,3 @@ def packet_union() -> StructType:
 
 def plinfo_struct() -> StructType:
     return prelude()[0]["struct plinfo"]
-
-
-def info_pointer_type() -> PointerType:
-    return PointerType(plinfo_struct())

@@ -59,10 +59,6 @@ class Member:
     bit_offset: int = 0  # from the MSB of the byte at byte_offset
     bit_width: int = 0  # 0 = not a bitfield
 
-    @property
-    def is_bitfield(self) -> bool:
-        return self.bit_width > 0
-
 
 @dataclass
 class StructType:

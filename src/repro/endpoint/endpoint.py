@@ -210,7 +210,6 @@ class Session:
         self.decode_errors = 0
         self._resume_event = sim.event(name=f"{self.name}-resume")
         self.outbox = sim.queue(name=f"{self.name}-outbox")
-        self._writer = None
         self.ended = False
         self.commands_processed = 0
         # Fired once with the end reason ("bye" | "transport" | "eof");
@@ -266,7 +265,7 @@ class Session:
 
     def start(self) -> None:
         sim = self.endpoint.node.sim
-        self._writer = sim.spawn(self._write_loop(), name=f"{self.name}-writer")
+        sim.spawn(self._write_loop(), name=f"{self.name}-writer")
         sim.spawn(self._command_loop(), name=f"{self.name}-commands")
         if self.endpoint.config.stream_captures:
             sim.spawn(self._streaming_loop(), name=f"{self.name}-streamer")

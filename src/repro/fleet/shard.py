@@ -52,9 +52,6 @@ class ShardedRendezvous:
     def shard_index(self, channel: bytes) -> int:
         return shard_for(channel, self.shard_count)
 
-    def server_for(self, channel: bytes) -> RendezvousServer:
-        return self.servers[self.shard_index(channel)]
-
     def start(self) -> "ShardedRendezvous":
         for server in self.servers:
             if not server.running:
@@ -123,14 +120,6 @@ class ShardedRendezvous:
                     merged[name] = record
         return merged
 
-    @property
-    def heartbeats_received(self) -> int:
-        return sum(
-            record.beats
-            for server in self.servers
-            for record in server.heartbeats.values()
-        )
-
     # -- merged statistics ----------------------------------------------------
 
     @property
@@ -148,16 +137,6 @@ class ShardedRendezvous:
     @property
     def subscriber_count(self) -> int:
         return sum(len(server.subscribers) for server in self.servers)
-
-    def describe(self) -> str:
-        lines = []
-        for index, server in enumerate(self.servers):
-            lines.append(
-                f"shard {index}: {server.node.name}:{server.port} "
-                f"subs={len(server.subscribers)} "
-                f"delivered={server.experiments_delivered}"
-            )
-        return "\n".join(lines)
 
 
 def subscribe_endpoint(endpoint, sharded: ShardedRendezvous,

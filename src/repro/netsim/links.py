@@ -146,10 +146,6 @@ class LinkDirection:
         backlog_time = max(0.0, self._busy_until - self._sim.now)
         return backlog_time * self.bandwidth_bps / 8.0
 
-    def queueing_delay(self) -> float:
-        """Time a packet arriving now would wait before serialization."""
-        return max(0.0, self._busy_until - self._sim.now)
-
     def transmit(self, packet: IPv4Packet) -> bool:
         """Attempt to transmit; returns False if dropped at the queue."""
         if self.dst_iface is None:

@@ -40,9 +40,7 @@ class NatBox(Node):
         # (proto, external_id) -> (inside_ip, inside_id)
         self._in_map: dict[tuple[int, int], tuple[int, int]] = {}
         self._next_external = _EXTERNAL_PORT_BASE
-        self.translations_out = 0
         self.translations_in = 0
-        self.untranslatable_dropped = 0
 
     def set_sides(self, inside: Interface, outside: Interface) -> None:
         self.inside_iface = inside
@@ -80,7 +78,6 @@ class NatBox(Node):
         ):
             translated = self._translate_outbound(packet)
             if translated is None:
-                self.untranslatable_dropped += 1
                 return
             super().receive(translated, iface)
             return
@@ -135,7 +132,6 @@ class NatBox(Node):
                 return None
         except DecodeError:
             return None
-        self.translations_out += 1
         return replace(packet, src=external_ip, payload=payload)
 
     def _translate_inbound(self, packet: IPv4Packet) -> Optional[IPv4Packet]:

@@ -123,9 +123,6 @@ class Node:
 
     # -- address helpers ----------------------------------------------------
 
-    def local_addresses(self) -> list[int]:
-        return [iface.addr for iface in self.interfaces if iface.addr]
-
     def is_local_address(self, addr: int) -> bool:
         return addr in self._local_addrs
 

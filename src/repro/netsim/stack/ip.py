@@ -56,7 +56,6 @@ class IpLayer:
         self._taps: list[RawTap] = []
         self.packets_forwarded = 0
         self.packets_delivered = 0
-        self.packets_dropped_no_route = 0
 
     # -- raw taps ---------------------------------------------------------
 
@@ -102,7 +101,6 @@ class IpLayer:
             return
         out = node.lookup_route(packet.dst)
         if out is None:
-            self.packets_dropped_no_route += 1
             self._send_icmp_error(
                 packet,
                 in_iface,
@@ -152,6 +150,5 @@ class IpLayer:
             return True
         out = node.lookup_route(packet.dst)
         if out is None:
-            self.packets_dropped_no_route += 1
             return False
         return out.send(packet)

@@ -51,10 +51,6 @@ class UdpSocket:
             raise RuntimeError("socket is closed")
         return self.rx.get()
 
-    def try_recvfrom(self):
-        """Non-blocking receive; returns None when no datagram is queued."""
-        return self.rx.try_get()
-
     def close(self) -> None:
         if not self.closed:
             self.closed = True

@@ -37,7 +37,6 @@ campaigns.
 from __future__ import annotations
 
 import hashlib
-import math
 import os
 import sys
 from array import array
@@ -682,7 +681,3 @@ def zone_overlaps(meta: dict, op: str, value: Any) -> bool:
     if op == "in":
         return any(zmin <= item <= zmax for item in value)
     return True
-
-
-def nan_safe(value: float) -> bool:
-    return not (isinstance(value, float) and math.isnan(value))
