@@ -19,16 +19,12 @@ The oracle, checked after every run:
   gave up; the application's deadline is needed only after a timeout;
 - no TCP timer fires after its connection tore down, and none is left
   armed;
-- every segment ``_try_transmit`` sends (new data, or a go-back-N
-  resend) ends within ``min(cwnd, peer window)`` of ``snd_una``, as the
-  sender saw them when it sent it. ``bytes_in_flight <= min(cwnd, peer
-  window)`` at every instant is false, for three reasons. An RTO
-  collapses ``cwnd`` to one segment before the rewind. ``_handle_ack``
-  takes the window from any ACK, so a reordered stale one can shrink it
-  under data already in flight. And a fast retransmit resends
-  ``snd_buffer[:mss]``, which runs past ``snd_nxt`` into bytes never
-  sent when the buffer holds more; those bytes ignore the window.
-  Window probes and fast retransmits are therefore left out;
+- on every data segment (new data, a go-back-N resend or a fast
+  retransmit) ``bytes_in_flight <= min(cwnd, peer window)`` as the
+  sender sees them, counting any bytes the segment carries past
+  ``snd_nxt``. Only window probes, which go one byte past a zero window
+  by design, are left out. Between segments the bound may lapse: an
+  RTO collapses ``cwnd`` to one segment before the go-back-N rewind;
 - every arrival that moves ``rcv_nxt`` is acknowledged by a segment
   the receiver emits at the same sim time, and apart from the ACKs that
   stay immediate (duplicate, out-of-order, FIN, nothing accepted,
@@ -40,7 +36,7 @@ The oracle, checked after every run:
 from collections import Counter
 from random import Random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.netsim.kernel import Simulator
@@ -200,17 +196,17 @@ class ScriptedWire:
             self.at_once[self.sim.now, conn] += 1
 
     def _check_window(self, conn: TcpConnection, segment) -> None:
-        # Only what _try_transmit sends: a window probe starts at snd_nxt
-        # (which _try_transmit has already moved past its segment), and a
-        # fast retransmit starts at snd_una on the third duplicate ACK.
+        # Every data segment but a window probe, which goes one byte past
+        # a zero window at snd_nxt; _try_transmit has already moved
+        # snd_nxt past its own segments. A segment reaching past snd_nxt
+        # carries never-sent bytes, which count as in flight too.
         if not segment.payload or segment.seq == conn.snd_nxt:
             return
-        if segment.seq == conn.snd_una and conn.dup_acks == 3:
-            return
         end = seq_add(segment.seq, len(segment.payload))
-        reach, bound = seq_sub(end, conn.snd_una), min(conn.cwnd, conn.snd_wnd)
-        if reach > bound:
-            self.window_breaches.append((self.sim.now, reach, bound))
+        in_flight = max(conn.bytes_in_flight, seq_sub(end, conn.snd_una))
+        bound = min(conn.cwnd, conn.snd_wnd)
+        if in_flight > bound:
+            self.window_breaches.append((self.sim.now, in_flight, bound))
 
 
 def _client(conn, messages, log):
@@ -332,6 +328,19 @@ _MESSAGES = st.lists(st.integers(1, 4000), min_size=1, max_size=5).map(
 
 
 @settings(max_examples=150, deadline=None)
+# Window-bound counterexamples, pinned. A fast retransmit used to resend
+# snd_buffer[:mss], past snd_nxt into never-sent bytes.
+@example(fates=[DUPLICATE] * 8, messages=[Random(0).randbytes(1401)],
+         rcv_buffer=700, pause=0.0)
+# A delayed ACK tied on seq and ack with a later window update, but
+# narrower, used to shrink the window under the byte in flight.
+@example(fates=[1] + [DUPLICATE] * 8 + [1] * 3,
+         messages=[Random(0).randbytes(1401)], rcv_buffer=700, pause=0.0)
+# Newer by seq than a data retransmission carrying a later ack: RFC 793's
+# seq-first order takes its window, though it is stale.
+@example(fates=[4] * 9 + [DUPLICATE] * 4,
+         messages=[Random(0).randbytes(1), Random(1).randbytes(1401)],
+         rcv_buffer=700, pause=0.7)
 @given(
     fates=fate_scripts(),
     messages=_MESSAGES,
