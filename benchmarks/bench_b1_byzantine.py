@@ -74,7 +74,7 @@ def run_point(
     if byzantine_fraction > 0:
         plan.byzantine(fleet.endpoints, fraction=byzantine_fraction)
     # Unpinned measurement load plus one pinned audit per endpoint:
-    # audit_pinned cross-validation replicates every audit against a
+    # cross-validation replicates every audit against a
     # quorum of other endpoints, so each endpoint's results are
     # spot-checked deterministically — fabricators cannot hide in the
     # unsampled majority.

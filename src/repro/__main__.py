@@ -73,23 +73,39 @@ def positive_rate(text: str) -> float:
     return value
 
 
+def positive_int(text: str) -> int:
+    """argparse type for a count that cannot be zero (``--endpoints``)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return value
+
+
+def non_negative_int(text: str) -> int:
+    """argparse type for ``--jobs``, where 0 means one job per endpoint."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {text}")
+    return value
+
+
 def add_fleet_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--endpoints", type=int, default=20,
+    parser.add_argument("--endpoints", type=positive_int, default=20,
                         help="fleet size (default 20)")
-    parser.add_argument("--jobs", type=int, default=0,
+    parser.add_argument("--jobs", type=non_negative_int, default=0,
                         help="campaign jobs (default: one per endpoint)")
-    parser.add_argument("--shards", type=int, default=2,
+    parser.add_argument("--shards", type=positive_int, default=2,
                         help="rendezvous shard count (default 2)")
-    parser.add_argument("--operators", type=int, default=4,
+    parser.add_argument("--operators", type=positive_int, default=4,
                         help="endpoint operator keys (default 4)")
     parser.add_argument("--topology", default="star",
                         choices=("star", "tree", "mesh"))
-    parser.add_argument("--concurrency", type=int, default=16,
+    parser.add_argument("--concurrency", type=positive_int, default=16,
                         help="max concurrent sessions (default 16)")
     parser.add_argument("--rate", type=positive_rate, default=None,
                         help="session starts per simulated second "
                              "(default unlimited)")
-    parser.add_argument("--count", type=int, default=3,
+    parser.add_argument("--count", type=positive_int, default=3,
                         help="probes per ping job (default 3)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--export", metavar="PATH", default=None,

@@ -60,6 +60,10 @@ from repro.endpoint.memory import OFF_CLOCK
 # Wire overhead charged per streamed CaptureRecord (sktid + timestamp +
 # length prefix) so empty-payload floods still consume the byte budget.
 STREAM_RECORD_OVERHEAD = 16
+# Under a SessionBudget, the protocol violations and undecodable frames a
+# session may show before the handle severs it.
+MAX_VIOLATIONS = 8
+MAX_DECODE_ERRORS = 4
 
 
 class CommandError(Exception):
@@ -85,19 +89,18 @@ class SessionBudget:
     severs the session and surfaces a typed :class:`MisbehaviorError`
     to all callers instead of hanging or buffering without bound.
 
-    ``max_streamed_bytes`` defaults to the session's negotiated
-    ``AuthOk.buffer_limit`` when left ``None`` — an endpoint may never
-    push more unconsumed streamed capture than its own advertised
-    buffer.  ``max_pending_age`` is slowloris detection beyond the
-    per-RPC timeout: the oldest unanswered reqid may not stay pending
-    longer than this, no matter how many fresh RPCs keep succeeding.
+    Armed, a budget also caps the session at :data:`MAX_VIOLATIONS`
+    protocol violations and :data:`MAX_DECODE_ERRORS` undecodable
+    frames.  Unconsumed streamed capture is always capped at the
+    session's negotiated ``AuthOk.buffer_limit``: an endpoint may never
+    push more than its own advertised buffer.  ``max_pending_age`` is
+    slowloris detection beyond the per-RPC timeout: the oldest
+    unanswered reqid may not stay pending longer than this, no matter
+    how many fresh RPCs keep succeeding.
     """
 
-    max_streamed_bytes: Optional[int] = None  # None = negotiated buffer_limit
     max_streamed_records: Optional[int] = 4096
     max_pending_age: Optional[float] = None
-    max_violations: Optional[int] = 8
-    max_decode_errors: Optional[int] = 4
 
 
 class MisbehaviorError(SessionClosed):
@@ -412,10 +415,8 @@ class EndpointHandle(Table1Commands):
                 self.decode_errors += 1
                 violation = self.machine.record(V_DECODE_ERROR, str(exc))
                 self._note_violation(violation)
-                budget = self.budget
-                if (budget is not None
-                        and budget.max_decode_errors is not None
-                        and self.decode_errors > budget.max_decode_errors):
+                if (self.budget is not None
+                        and self.decode_errors > MAX_DECODE_ERRORS):
                     self._exhaust("decode-budget",
                                   f"{self.decode_errors} undecodable frames")
                 if self.misbehavior is not None:
@@ -475,10 +476,8 @@ class EndpointHandle(Table1Commands):
             self._obs.emit("proto", "sequence-violation",
                            endpoint=self.endpoint_name, kind=violation.kind,
                            message=violation.message, detail=violation.detail)
-        budget = self.budget
-        if (budget is not None
-                and budget.max_violations is not None
-                and len(self.machine.violations) > budget.max_violations
+        if (self.budget is not None
+                and len(self.machine.violations) > MAX_VIOLATIONS
                 and self.misbehavior is None):
             self._exhaust(
                 "violation-budget",
@@ -503,11 +502,8 @@ class EndpointHandle(Table1Commands):
         )
         budget = self.budget
         limit_bytes = self.buffer_limit or None
-        limit_records = None
-        if budget is not None:
-            if budget.max_streamed_bytes is not None:
-                limit_bytes = budget.max_streamed_bytes
-            limit_records = budget.max_streamed_records
+        limit_records = (budget.max_streamed_records if budget is not None
+                         else None)
         over = (
             (limit_bytes is not None
              and self._streamed_bytes + size > limit_bytes)

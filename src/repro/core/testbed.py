@@ -100,9 +100,9 @@ class Testbed(World):
 
     # -- component helpers --------------------------------------------------
 
-    def start_rendezvous(self, port: Optional[int] = DEFAULT_RENDEZVOUS_PORT,
-                         host: Optional[Node] = None) -> RendezvousServer:
-        """Start a rendezvous server (on the controller host by default).
+    def start_rendezvous(self, port: Optional[int] = DEFAULT_RENDEZVOUS_PORT
+                         ) -> RendezvousServer:
+        """Start a rendezvous server on the controller host.
 
         ``port=None`` allocates a fresh port, so several rendezvous
         servers can coexist on the controller host alongside any number
@@ -110,14 +110,11 @@ class Testbed(World):
         recorded in ``rendezvous_servers``; ``self.rendezvous`` tracks
         the most recently started one.
         """
-        node = host or self.controller_host
-        if node is self.controller_host:
-            port = self.allocate_port() if port is None \
-                else self.reserve_port(port)
-        elif port is None:
-            port = DEFAULT_RENDEZVOUS_PORT
+        port = self.allocate_port() if port is None \
+            else self.reserve_port(port)
         self.rendezvous = RendezvousServer(
-            node, port, trusted_publisher_key_ids=[self.rendezvous_operator.key_id]
+            self.controller_host, port,
+            trusted_publisher_key_ids=[self.rendezvous_operator.key_id],
         ).start()
         self.rendezvous_servers.append(self.rendezvous)
         return self.rendezvous
@@ -140,7 +137,6 @@ class Testbed(World):
         self,
         experiment: Callable[[EndpointHandle], Generator],
         experiment_name: str = "experiment",
-        priority: int = 0,
         experiment_restrictions: Optional[Restrictions] = None,
         timeout: float = 600.0,
         collect_telemetry: bool = False,
@@ -180,7 +176,6 @@ class Testbed(World):
         )
         server, descriptor = self.make_controller(
             experiment_name,
-            priority=priority,
             experiment_restrictions=experiment_restrictions,
             rpc_timeout=rpc_timeout,
         )

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.proto.constants import CAP_RAW, CAP_TCP, CAP_UDP
-from repro.util.retry import RetryPolicy
 
 
 @dataclass
@@ -22,8 +21,6 @@ class EndpointConfig:
     trusted_key_ids: list[bytes] = field(default_factory=list)
     capture_buffer_bytes: int = 64 * 1024
     allow_raw: bool = True
-    max_sockets: int = 32
-    auth_timeout: float = 10.0
     monitor_fuel: int = 10_000
     # Ablation switch (NOT part of the paper's design): when True, the
     # endpoint pushes captured records to the controller immediately
@@ -37,9 +34,6 @@ class EndpointConfig:
     # silently. Off by default — the paper's baseline endpoint makes one
     # connection attempt per discovered experiment.
     reconnect: bool = False
-    reconnect_policy: RetryPolicy = field(default_factory=RetryPolicy)
-    # Seeds the backoff jitter so fault-injection runs are deterministic.
-    reconnect_seed: int = 0
     # Liveness: when positive, the endpoint publishes an RdzHeartbeat on
     # its open rendezvous subscription stream every this-many simulated
     # seconds. Controllers (the fleet pool's HeartbeatMonitor) use the
@@ -47,11 +41,6 @@ class EndpointConfig:
     # stale *before* an RPC ever has to time out on them. 0 = off —
     # the paper's baseline endpoint advertises nothing.
     heartbeat_interval: float = 0.0
-    # Byzantine containment: per-session budgets for controller
-    # misbehavior. A controller exceeding either budget gets a
-    # SessionEnd(reason="protocol-error") farewell and the session ends.
-    session_violation_budget: int = 8
-    session_decode_budget: int = 4
 
     def caps(self) -> int:
         value = CAP_TCP | CAP_UDP

@@ -85,10 +85,23 @@ from repro.proto.messages import (
 )
 from repro.rendezvous.descriptor import ExperimentDescriptor
 from repro.util.byteio import DecodeError
+from repro.util.retry import RetryPolicy
 
 # Verifier reports travel in AuthFail.report (str_u16) and Result.payload;
 # keep them bounded so a pathological program can't bloat the handshake.
 MAX_REPORT_CHARS = 4096
+# Socket ids a session may open: 0 .. MAX_SOCKETS - 1.
+MAX_SOCKETS = 32
+# Seconds a fresh dial waits for the controller's Auth.
+AUTH_TIMEOUT = 10.0
+# Byzantine containment: a controller past either per-session budget
+# gets a SessionEnd(reason="protocol-error") farewell and the session ends.
+SESSION_VIOLATION_BUDGET = 8
+SESSION_DECODE_BUDGET = 4
+# Backoff of a supervised (``config.reconnect``) controller or rendezvous
+# dial; its jitter is seeded, so fault-injection runs are deterministic.
+RECONNECT_POLICY = RetryPolicy()
+RECONNECT_SEED = 0
 
 
 class MonitorRejected(Exception):
@@ -310,10 +323,9 @@ class Session:
         self.outbox.put(message)
 
     def _over_session_budget(self) -> bool:
-        config = self.endpoint.config
         return (
-            len(self.machine.violations) > config.session_violation_budget
-            or self.decode_errors > config.session_decode_budget
+            len(self.machine.violations) > SESSION_VIOLATION_BUDGET
+            or self.decode_errors > SESSION_DECODE_BUDGET
         )
 
     def _note_violation(self, violation) -> None:
@@ -411,7 +423,7 @@ class Session:
         endpoint = self.endpoint
         config = endpoint.config
         sktid = message.sktid
-        if sktid in self.sockets or not 0 <= sktid < config.max_sockets:
+        if sktid in self.sockets or not 0 <= sktid < MAX_SOCKETS:
             return ST_BAD_SOCKET
         shared = (sktid, endpoint.node, self.buffer, endpoint.clock_ticks,
                   self.check_recv)
@@ -559,9 +571,9 @@ class Session:
 class Endpoint:
     """A measurement endpoint agent running on a simulated host."""
 
-    def __init__(self, node: Node, config: Optional[EndpointConfig] = None) -> None:
+    def __init__(self, node: Node, config: EndpointConfig) -> None:
         self.node = node
-        self.config = config or EndpointConfig()
+        self.config = config
         self.memory = EndpointMemory(self)
         self.memory.set_caps(self.config.caps())
         self.memory.set_addresses(ip=node.primary_address())
@@ -577,7 +589,7 @@ class Endpoint:
         # Crash-and-restart fault model (driven by netsim.faults).
         self.crashed = False
         self._restart_event = None
-        self._rng = _Random(self.config.reconnect_seed)
+        self._rng = _Random(RECONNECT_SEED)
         # The connections the agent opened itself, keyed by the (remote
         # ip, remote port, local port) a packet from the peer carries:
         # controller dials from connect until their session ends, and
@@ -696,7 +708,6 @@ class Endpoint:
 
     def _supervised_connect(self, addr: int, port: int,
                             descriptor_hash: bytes) -> Generator:
-        policy = self.config.reconnect_policy
         obs = self.node.sim.obs
         attempt = 0
         while True:
@@ -715,12 +726,12 @@ class Endpoint:
                 if reason == "bye":
                     return None  # clean goodbye: the experiment is over
                 continue  # re-dial immediately after an established session
-            if attempt >= policy.max_attempts:
+            if attempt >= RECONNECT_POLICY.max_attempts:
                 if obs.enabled:
                     obs.emit("endpoint", "reconnect-giveup",
                              endpoint=self.config.name, attempts=attempt)
                 return None
-            delay = policy.delay_for(attempt, self._rng)
+            delay = RECONNECT_POLICY.delay_for(attempt, self._rng)
             attempt += 1
             if obs.enabled:
                 obs.counter("endpoint.reconnect_attempts").inc()
@@ -775,10 +786,10 @@ class Endpoint:
             except (TcpError, FramingError):
                 return None
 
-        # Wait for Auth, bounded by the configured timeout: the timer
+        # Wait for Auth, bounded by AUTH_TIMEOUT: the timer
         # kills the receiver, which the join then sees end with None.
         auth_proc = sim.spawn(recv_safe(), name="auth-recv")
-        timer = sim.schedule(self.config.auth_timeout, auth_proc.kill)
+        timer = sim.schedule(AUTH_TIMEOUT, auth_proc.kill)
         auth = yield auth_proc
         timer.cancel()
         if not isinstance(auth, Auth):
@@ -856,7 +867,6 @@ class Endpoint:
         return None
 
     def _rendezvous_supervisor(self, rdz_addr: int, rdz_port: int) -> Generator:
-        policy = self.config.reconnect_policy
         obs = self.node.sim.obs
         attempt = 0
         while True:
@@ -869,12 +879,12 @@ class Endpoint:
             subscribed = yield from self._rendezvous_loop(rdz_addr, rdz_port)
             if subscribed:
                 attempt = 0  # connection held for a while; fresh budget
-            if attempt >= policy.max_attempts:
+            if attempt >= RECONNECT_POLICY.max_attempts:
                 if obs.enabled:
                     obs.emit("endpoint", "rdz-giveup",
                              endpoint=self.config.name, attempts=attempt)
                 return None
-            delay = policy.delay_for(attempt, self._rng)
+            delay = RECONNECT_POLICY.delay_for(attempt, self._rng)
             attempt += 1
             if obs.enabled:
                 obs.counter("endpoint.rdz_resubscribes").inc()

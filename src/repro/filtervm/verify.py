@@ -243,7 +243,6 @@ class FunctionCfg:
     def __init__(self, code: list[Instruction], extent: FunctionExtent) -> None:
         self.extent = extent
         self._blocks: Optional[list[tuple[int, int]]] = None
-        self._dfs_result: Optional[tuple[bool, list[int]]] = None
         self.successors: dict[int, list[int]] = {}
         # pc -> description of where control escapes to (or None for a
         # well-behaved instruction).
@@ -308,43 +307,6 @@ class FunctionCfg:
             blocks.append((start, end))
         self._blocks = blocks
         return blocks
-
-    def dfs(self) -> tuple[bool, list[int]]:
-        """One DFS from the entry: (is_acyclic, postorder of reachable pcs).
-
-        For an acyclic CFG the postorder visits every pc after all of its
-        successors, which is exactly the order longest-path propagation
-        needs. Cached: both the cycle check and the fuel bound use it.
-        """
-        if self._dfs_result is not None:
-            return self._dfs_result
-        WHITE, GREY, BLACK = 0, 1, 2
-        color = {pc: WHITE for pc in self.successors}
-        postorder: list[int] = []
-        acyclic = True
-        stack: list[tuple[int, int]] = [(self.extent.start, 0)]
-        color[self.extent.start] = GREY
-        while stack:
-            pc, index = stack[-1]
-            successors = self.successors[pc]
-            if index < len(successors):
-                stack[-1] = (pc, index + 1)
-                successor = successors[index]
-                if color[successor] == GREY:
-                    acyclic = False
-                elif color[successor] == WHITE:
-                    color[successor] = GREY
-                    stack.append((successor, 0))
-            else:
-                color[pc] = BLACK
-                postorder.append(pc)
-                stack.pop()
-        self._dfs_result = (acyclic, postorder)
-        return self._dfs_result
-
-    def is_acyclic(self) -> bool:
-        """DFS cycle check over the successor graph."""
-        return self.dfs()[0]
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ shifts; quarantine only takes capacity away.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
 from typing import TYPE_CHECKING, Callable, Generator, Optional
 from zlib import crc32
@@ -96,10 +96,10 @@ DEFAULT_QUARANTINE_BACKOFF = RetryPolicy(
     jitter=0.1,
 )
 
-# Default offence weights: how strongly each misbehavior kind moves an
+# Offence weights: how strongly each misbehavior kind moves an
 # endpoint's score. Kinds are the statemachine/budget vocabulary plus
 # the fleet-level detectors (result-mismatch, auth-failure, job-failure).
-DEFAULT_MISBEHAVIOR_WEIGHTS: dict[str, float] = {
+MISBEHAVIOR_WEIGHTS: dict[str, float] = {
     "sequence-violation": 1.0,
     "decode-error": 1.0,
     "stream-overflow": 3.0,
@@ -117,6 +117,12 @@ DEFAULT_MISBEHAVIOR_WEIGHTS: dict[str, float] = {
     # that only eats probes mid-run leaves no scored evidence at all.
     "rpc-timeout": 0.5,
 }
+# The weight of a kind missing from MISBEHAVIOR_WEIGHTS.
+OTHER_MISBEHAVIOR_WEIGHT = 1.0
+# A score at or above QUARANTINE_SCORE quarantines an ACTIVE endpoint;
+# at or above DEPART_SCORE the endpoint is removed for good.
+QUARANTINE_SCORE = 5.0
+DEPART_SCORE = 20.0
 
 
 @dataclass
@@ -125,19 +131,13 @@ class MisbehaviorPolicy:
 
     Scores decay exponentially with simulated time (``half_life``), so a
     burst of old offences is eventually forgiven, while an endpoint that
-    keeps offending ratchets upward.  Crossing ``quarantine_score``
+    keeps offending ratchets upward.  Crossing :data:`QUARANTINE_SCORE`
     sends an ACTIVE endpoint through the existing quarantine/backoff
     machinery (repeat offenders back off harder, exactly like repeat
-    job-failers); crossing ``depart_score`` removes it permanently.
+    job-failers); crossing :data:`DEPART_SCORE` removes it permanently.
     """
 
-    weights: dict[str, float] = field(
-        default_factory=lambda: dict(DEFAULT_MISBEHAVIOR_WEIGHTS)
-    )
-    default_weight: float = 1.0
     half_life: float = 60.0
-    quarantine_score: float = 5.0
-    depart_score: float = 20.0
 
 
 # One session carries one job at a time. sktids are a per-session
@@ -228,7 +228,7 @@ class EndpointPool:
         # score totals and per-kind offence counts per endpoint name.
         self.misbehavior_totals: dict[str, float] = {}
         self.offense_log: dict[str, dict[str, int]] = {}
-        # Names removed for crossing depart_score (chronic offenders).
+        # Names removed for crossing DEPART_SCORE (chronic offenders).
         # `banned` makes the departure permanent: unlike ordinary churn
         # departure, a banned endpoint re-dialing is turned away at
         # adoption instead of rejoining with a clean slate.
@@ -480,9 +480,9 @@ class EndpointPool:
         """Score an offence against an endpoint; returns the new score.
 
         No-op unless the pool was built with a
-        :class:`MisbehaviorPolicy`.  Crossing ``quarantine_score`` sends
-        an ACTIVE offender through the quarantine/backoff machinery;
-        crossing ``depart_score`` removes it permanently.  Evidence is
+        :class:`MisbehaviorPolicy`.  Crossing :data:`QUARANTINE_SCORE`
+        sends an ACTIVE offender through the quarantine/backoff machinery;
+        crossing :data:`DEPART_SCORE` removes it permanently.  Evidence is
         also logged to ``misbehavior_totals``/``offense_log``, which
         survive departure so reports and benches can audit detection
         even after the offender is gone.
@@ -491,7 +491,7 @@ class EndpointPool:
         if policy is None:
             return 0.0
         if weight is None:
-            weight = policy.weights.get(kind, policy.default_weight)
+            weight = MISBEHAVIOR_WEIGHTS.get(kind, OTHER_MISBEHAVIOR_WEIGHT)
         added = weight * count
         self.misbehavior_totals[name] = (
             self.misbehavior_totals.get(name, 0.0) + added
@@ -508,11 +508,11 @@ class EndpointPool:
         self._decay_score(pooled)
         pooled.score += added
         score = pooled.score
-        if score >= policy.depart_score:
+        if score >= DEPART_SCORE:
             self.banned.add(name)
             self.misbehavior_departed.append(name)
             self.remove(name, reason="chronic-misbehavior")
-        elif score >= policy.quarantine_score and pooled.state == ACTIVE:
+        elif score >= QUARANTINE_SCORE and pooled.state == ACTIVE:
             self._quarantine(pooled, reason="misbehavior")
         return score
 

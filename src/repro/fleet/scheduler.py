@@ -23,7 +23,7 @@ schedule and byte-identical aggregate reports.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
 from typing import Any, Callable, Generator, Optional
 
@@ -47,7 +47,6 @@ class CampaignContext:
     target_address: int = 0
     allocate_port: Optional[Callable[[], int]] = None
     attempt: int = 0
-    extras: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -84,19 +83,17 @@ class CrossValidation:
     any disagreeing member is an *outlier* — its metrics are discarded
     (kept out of the campaign rollups) and the endpoint that produced it
     is reported to the pool's misbehavior scoring as ``result-mismatch``.
+    Fingerprints are canonical counter JSON: value streams such as RTTs
+    may legitimately differ across vantage points.
+
+    Pinned jobs are audited deterministically (every one replicated,
+    ignoring ``fraction``): pinning names the endpoint you care about,
+    so a campaign can spot-check its whole fleet by pinning one audit
+    job per endpoint. The replicas themselves run unpinned elsewhere.
     """
 
     fraction: float = 0.1
     k: int = 3
-    # Optional override: metrics dict -> hashable fingerprint.  Default
-    # compares canonical counter JSON (value streams like RTTs may
-    # legitimately differ across vantage points).
-    fingerprint: Optional[Callable[[dict], Any]] = None
-    # Pinned jobs are audited deterministically (every one replicated,
-    # ignoring ``fraction``): pinning names the endpoint you care about,
-    # so a campaign can spot-check its whole fleet by pinning one audit
-    # job per endpoint. The replicas themselves run unpinned elsewhere.
-    audit_pinned: bool = True
 
 
 class _ReplicaGroup:
@@ -263,7 +260,6 @@ class CampaignScheduler:
         self.sim = pool.sim
         self.name = name
         self.jobs = list(jobs)
-        self.cross_validate = cross_validate
         if cross_validate is not None:
             self._expand_replicas(cross_validate, seed)
         self.max_concurrency = max(1, max_concurrency)
@@ -301,10 +297,7 @@ class CampaignScheduler:
             expanded.append(job)
             if config.k < 2:
                 continue
-            if job.endpoint is not None:
-                if not config.audit_pinned:
-                    continue
-            elif rng.random() >= config.fraction:
+            if job.endpoint is None and rng.random() >= config.fraction:
                 continue
             group = _ReplicaGroup(job.name, expect=config.k)
             job.group = group
@@ -523,7 +516,6 @@ class CampaignScheduler:
             target_address=self.context.target_address,
             allocate_port=self.context.allocate_port,
             attempt=job.attempts,
-            extras=self.context.extras,
         )
         try:
             result = yield from job.run(handle, ctx)
@@ -713,13 +705,8 @@ class CampaignScheduler:
 
     def _adjudicate(self, group: _ReplicaGroup) -> None:
         """Compare a completed replica group; flag and discard outliers."""
-        config = self.cross_validate
-        fingerprint = (
-            config.fingerprint if config is not None
-            and config.fingerprint is not None else counters_fingerprint
-        )
         fingerprints = [
-            fingerprint(metrics)
+            counters_fingerprint(metrics)
             for _, metrics, failed in group.members
             if not failed and metrics is not None
         ]
@@ -734,7 +721,7 @@ class CampaignScheduler:
         for endpoint_name, metrics, failed in group.members:
             outlier = (
                 quorum and not failed and metrics is not None
-                and fingerprint(metrics) != majority
+                and counters_fingerprint(metrics) != majority
             )
             if outlier:
                 # The job completed, but its numbers disagree with the

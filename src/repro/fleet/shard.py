@@ -126,18 +126,6 @@ class ShardedRendezvous:
     def experiments_delivered(self) -> int:
         return sum(server.experiments_delivered for server in self.servers)
 
-    @property
-    def publications_accepted(self) -> int:
-        return sum(server.publications_accepted for server in self.servers)
-
-    @property
-    def publications_rejected(self) -> int:
-        return sum(server.publications_rejected for server in self.servers)
-
-    @property
-    def subscriber_count(self) -> int:
-        return sum(len(server.subscribers) for server in self.servers)
-
 
 def subscribe_endpoint(endpoint, sharded: ShardedRendezvous,
                        channels: Optional[list[bytes]] = None):

@@ -113,17 +113,17 @@ class World:
         priority: int = 0,
         port: Optional[int] = None,
         experiment_restrictions: Optional[Restrictions] = None,
-        controller_host: Optional[Node] = None,
         experimenter: Optional[Experimenter] = None,
         rpc_timeout: Optional[float] = None,
         session_budget: Optional[SessionBudget] = None,
     ) -> tuple[ControllerServer, ExperimentDescriptor]:
-        """Start a ControllerServer for a named experiment."""
-        host = controller_host or self.controller_host
+        """Start a ControllerServer for a named experiment on the
+        controller host."""
+        host = self.controller_host
         who = experimenter or self.experimenter
         if port is None:
             port = self.allocate_port()
-        elif host is self.controller_host:
+        else:
             self._used_ports.add(port)
         descriptor = who.make_descriptor(host, port, experiment_name)
         identity = who.identity(
@@ -141,7 +141,7 @@ class World:
     def target_address(self) -> int:
         return self.target_host.primary_address()
 
-    def enable_telemetry(self, ring_capacity: Optional[int] = None):
+    def enable_telemetry(self):
         """Switch on the observability layer for this world's simulator.
 
         Returns the in-memory ring sink that will collect structured
@@ -151,7 +151,7 @@ class World:
         """
         obs = self.sim.obs
         obs.enabled = True
-        return obs.ensure_ring_sink(ring_capacity)
+        return obs.ensure_ring_sink()
 
     def telemetry_snapshot(self) -> TelemetrySnapshot:
         """Bundle the current metrics + buffered events for export."""
@@ -191,10 +191,8 @@ class World:
         burst: float = 1.0,
         retry_policy: Optional[RetryPolicy] = None,
         pool_policy: Optional[RetryPolicy] = None,
-        priority: int = 0,
         rpc_timeout: Optional[float] = 5.0,
         quarantine_after: Optional[int] = None,
-        quarantine_backoff: Optional[RetryPolicy] = None,
         reacquire_timeout: float = 30.0,
         timeout: float = 3600.0,
         experiment_restrictions: Optional[Restrictions] = None,
@@ -260,7 +258,6 @@ class World:
         with self._campaign_rendezvous() as liveness:
             server, descriptor = self.make_controller(
                 campaign_name,
-                priority=priority,
                 rpc_timeout=rpc_timeout,
                 experiment_restrictions=experiment_restrictions,
                 session_budget=session_budget,
@@ -270,7 +267,6 @@ class World:
                 policy=pool_policy,
                 seed=self.seed,
                 quarantine_after=quarantine_after,
-                quarantine_backoff=quarantine_backoff,
                 reacquire_timeout=reacquire_timeout,
                 misbehavior=misbehavior,
             )
@@ -354,11 +350,6 @@ class FleetTestbed(World):
         operator_count: int = 1,
         seed: int = 0,
         fanout: int = 8,
-        access_bandwidth_bps: float = 10e6,
-        access_delay: float = 0.010,
-        allow_raw: bool = True,
-        capture_buffer_bytes: int = 64 * 1024,
-        endpoint_reconnect: bool = True,
         scheduler: Optional[str] = None,
         heartbeat_interval: float = 0.0,
     ) -> None:
@@ -373,8 +364,6 @@ class FleetTestbed(World):
             endpoint_count,
             kind=topology,
             fanout=fanout,
-            access_bandwidth_bps=access_bandwidth_bps,
-            access_delay=access_delay,
             seed=seed,
         )
         super().__init__(net, controller_host, target_host,
@@ -398,9 +387,9 @@ class FleetTestbed(World):
             config = EndpointConfig(
                 name=f"ep{index}",
                 trusted_key_ids=[operator.key_id],
-                capture_buffer_bytes=capture_buffer_bytes,
-                allow_raw=allow_raw,
-                reconnect=endpoint_reconnect,
+                # Fleet endpoints ride out churn: they re-dial their
+                # controller and rendezvous after a loss or a restart.
+                reconnect=True,
                 heartbeat_interval=heartbeat_interval,
             )
             self.endpoints.append(Endpoint(host, config))

@@ -43,6 +43,15 @@ LinkLike = Union[Link, LinkDirection]
 #: Adversary behaviors :meth:`FaultPlan.byzantine` can assign, in the
 #: round-robin order used when a plan seeds several adversaries.
 BYZANTINE_BEHAVIORS = ("stall", "flood", "fabricate", "desequence", "tamper")
+# A flood adversary sends FLOOD_RECORDS records per PollData, one burst
+# every FLOOD_INTERVAL * U(0.5, 1.5) seconds; a desequence adversary
+# sends one illegal frame every DESEQUENCE_INTERVAL * U(0.5, 1.5)
+# seconds; a fabricate adversary pads each reply with FABRICATE_RECORDS
+# invented records.
+FLOOD_INTERVAL = 0.05
+FLOOD_RECORDS = 32
+DESEQUENCE_INTERVAL = 0.25
+FABRICATE_RECORDS = 4
 
 
 class ByzantineAdversary:
@@ -77,13 +86,8 @@ class ByzantineAdversary:
         "endpoint_name",
         "behavior",
         "rng",
-        "start",
         "stall_prob",
-        "flood_interval",
-        "flood_records",
         "flood_record_bytes",
-        "fabricate_records",
-        "desequence_interval",
     )
 
     def __init__(
@@ -92,13 +96,8 @@ class ByzantineAdversary:
         endpoint_name: str,
         behavior: str,
         rng: Random,
-        start: float = 0.0,
         stall_prob: float = 0.35,
-        flood_interval: float = 0.05,
-        flood_records: int = 32,
         flood_record_bytes: int = 512,
-        fabricate_records: int = 4,
-        desequence_interval: float = 0.25,
     ) -> None:
         if behavior not in BYZANTINE_BEHAVIORS:
             raise ValueError(f"unknown byzantine behavior {behavior!r}")
@@ -106,13 +105,8 @@ class ByzantineAdversary:
         self.endpoint_name = endpoint_name
         self.behavior = behavior
         self.rng = rng
-        self.start = start
         self.stall_prob = stall_prob
-        self.flood_interval = flood_interval
-        self.flood_records = flood_records
         self.flood_record_bytes = flood_record_bytes
-        self.fabricate_records = fabricate_records
-        self.desequence_interval = desequence_interval
 
     def _activate(self, sim: Simulator) -> None:
         plan = self.plan
@@ -150,8 +144,6 @@ class ByzantineAdversary:
         if getattr(message, "reqid", None) is None:
             return False
         sim = session.endpoint.node.sim
-        if sim.now < self.start:
-            return False
         if self.rng.random() >= self.stall_prob:
             return False
         self._activate(sim)
@@ -164,8 +156,6 @@ class ByzantineAdversary:
         if not isinstance(message, PollData) or message.reqid == 0:
             return message
         sim = session.endpoint.node.sim
-        if sim.now < self.start:
-            return message
         rng = self.rng
         if self.behavior == "fabricate":
             if not message.records:
@@ -183,7 +173,7 @@ class ByzantineAdversary:
                     timestamp=rng.getrandbits(48),
                     data=rng.randbytes(24),
                 )
-                for _ in range(self.fabricate_records)
+                for _ in range(FABRICATE_RECORDS)
             )
             self._activate(sim)
             return replace(message, records=tuple(kept) + junk)
@@ -199,8 +189,6 @@ class ByzantineAdversary:
     # -- active loops ---------------------------------------------------------
 
     def _flood_loop(self, session, sim: Simulator) -> Generator:
-        if sim.now < self.start:
-            yield self.start - sim.now
         rng = self.rng
         while not session.ended:
             records = tuple(
@@ -209,15 +197,13 @@ class ByzantineAdversary:
                     timestamp=rng.getrandbits(48),
                     data=rng.randbytes(self.flood_record_bytes),
                 )
-                for _ in range(self.flood_records)
+                for _ in range(FLOOD_RECORDS)
             )
             session.send_message(PollData(reqid=0, records=records))
             self._activate(sim)
-            yield self.flood_interval * (0.5 + rng.random())
+            yield FLOOD_INTERVAL * (0.5 + rng.random())
 
     def _desequence_loop(self, session, sim: Simulator) -> Generator:
-        if sim.now < self.start:
-            yield self.start - sim.now
         rng = self.rng
         while not session.ended:
             if rng.random() < 0.5:
@@ -228,14 +214,14 @@ class ByzantineAdversary:
                 message = Resumed()
             session.send_message(message)
             self._activate(sim)
-            yield self.desequence_interval * (0.5 + rng.random())
+            yield DESEQUENCE_INTERVAL * (0.5 + rng.random())
 
 
 class DirectionFaults:
     """Mutable fault state consulted by ``LinkDirection.transmit``.
 
     ``down`` is a nesting counter so overlapping outage windows compose;
-    the probability fields are set/cleared by impairment window timers.
+    the probability fields are set when an impairment starts.
     """
 
     __slots__ = (
@@ -398,7 +384,6 @@ class FaultPlan:
         reorder: float = 0.0,
         reorder_delay: float = 0.05,
         start: float = 0.0,
-        duration: Optional[float] = None,
         direction: str = "both",
     ) -> "FaultPlan":
         """Impair ``link`` with per-packet fault probabilities.
@@ -406,8 +391,7 @@ class FaultPlan:
         ``corrupt`` drops the frame after it has consumed its link time
         (checksum-failure analog); ``duplicate`` delivers a back-to-back
         second copy; ``reorder`` holds a packet back ``reorder_delay``
-        seconds so later packets overtake it. Active from ``start`` for
-        ``duration`` seconds (forever when ``duration`` is None).
+        seconds so later packets overtake it. Active from ``start`` on.
         """
         for prob in (corrupt, duplicate, reorder):
             if not 0.0 <= prob <= 1.0:
@@ -430,18 +414,7 @@ class FaultPlan:
                            corrupt=corrupt, duplicate=duplicate,
                            reorder=reorder)
 
-            def end() -> None:
-                for state in states:
-                    state.corrupt_prob = 0.0
-                    state.duplicate_prob = 0.0
-                    state.reorder_prob = 0.0
-                self._emit("impairment-off",
-                           links=[d.name for d in
-                                  self._directions(link, direction)])
-
             sim.schedule_at(start, begin)
-            if duration is not None:
-                sim.schedule_at(start + duration, end)
 
         self._arm(arm)
         return self
@@ -547,8 +520,6 @@ class FaultPlan:
         fraction: float = 0.05,
         count: Optional[int] = None,
         behaviors: tuple = BYZANTINE_BEHAVIORS,
-        start: float = 0.0,
-        **tuning,
     ) -> "FaultPlan":
         """Seed a fraction of the fleet with Byzantine adversaries.
 
@@ -562,9 +533,8 @@ class FaultPlan:
         Assignments land in :attr:`byzantine_assignments`; the first
         activation of each (endpoint, behavior) pair is recorded in
         :attr:`byzantine_events` and per-pair counts in
-        :attr:`byzantine_activations`. ``tuning`` is forwarded to
-        :class:`ByzantineAdversary` (``stall_prob``, ``flood_interval``,
-        ``fabricate_records``, ...).
+        :attr:`byzantine_activations`. Adversaries are active from the
+        start and keep :class:`ByzantineAdversary`'s default tuning.
         """
         if not endpoints:
             raise ValueError("byzantine needs at least one endpoint")
@@ -589,8 +559,6 @@ class FaultPlan:
                 endpoint_name=name,
                 behavior=behaviors[slot % len(behaviors)],
                 rng=Random((self.seed << 8) ^ crc32(name.encode())),
-                start=start,
-                **tuning,
             )
             self.byzantine_assignments[name] = endpoint.adversary.behavior
         return self

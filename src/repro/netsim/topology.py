@@ -18,13 +18,23 @@ from repro.netsim.node import Interface, Node
 from repro.util.inet import format_ip, parse_ip
 
 _BASE_NETWORK = parse_ip("10.0.0.0")
+# Core links of the access and fleet topologies.
+CORE_BANDWIDTH_BPS = 1e9
+# The fleet's links: every access link runs at FLEET_ACCESS_BANDWIDTH_BPS
+# with its delay drawn, seeded, from FLEET_ACCESS_DELAY
+# * (1 ± FLEET_ACCESS_DELAY_SPREAD), so fleet-wide latency
+# distributions are non-degenerate yet deterministic.
+FLEET_ACCESS_BANDWIDTH_BPS = 10e6
+FLEET_ACCESS_DELAY = 0.010
+FLEET_ACCESS_DELAY_SPREAD = 0.5
+FLEET_CORE_DELAY = 0.005
 
 
 class Network:
     """A simulated network: simulator + nodes + links + addressing."""
 
-    def __init__(self, sim: Optional[Simulator] = None) -> None:
-        self.sim = sim or Simulator()
+    def __init__(self) -> None:
+        self.sim = Simulator()
         self.nodes: dict[str, Node] = {}
         self.links: list[Link] = []
         self._next_subnet = 0
@@ -205,13 +215,12 @@ def linear_topology(
     hop_count: int,
     link_delay: float = 0.005,
     bandwidth_bps: float = 100e6,
-    network: Optional[Network] = None,
 ) -> tuple[Network, Node, Node]:
     """``src -- r1 -- r2 -- ... -- rN -- dst`` chain, routed and ready.
 
     Returns ``(network, src_host, dst_host)``.
     """
-    net = network or Network()
+    net = Network()
     src = net.add_host("src")
     previous: Node = src
     for index in range(hop_count):
@@ -228,10 +237,8 @@ def access_topology(
     access_bandwidth_bps: float = 10e6,
     access_delay: float = 0.010,
     core_delay: float = 0.020,
-    core_bandwidth_bps: float = 1e9,
     uplink_bandwidth_bps: Optional[float] = None,
     access_jitter: float = 0.0,
-    network: Optional[Network] = None,
 ) -> tuple[Network, Node, Node, Node]:
     """The paper's deployment shape: an endpoint behind a constrained access
     link, a controller and a measurement target on the far side of a core.
@@ -245,7 +252,7 @@ def access_topology(
     access link is asymmetric when ``uplink_bandwidth_bps`` is given
     (``bandwidth`` = downstream to the endpoint, ``uplink`` = upstream).
     """
-    net = network or Network()
+    net = Network()
     endpoint = net.add_host("endpoint")
     gateway = net.add_router("gw")
     controller = net.add_host("controller")
@@ -258,8 +265,10 @@ def access_topology(
         bandwidth_up_bps=uplink_bandwidth_bps,
         jitter=access_jitter,
     )
-    net.link(gateway, controller, bandwidth_bps=core_bandwidth_bps, delay=core_delay)
-    net.link(gateway, target, bandwidth_bps=core_bandwidth_bps, delay=core_delay)
+    net.link(gateway, controller, bandwidth_bps=CORE_BANDWIDTH_BPS,
+             delay=core_delay)
+    net.link(gateway, target, bandwidth_bps=CORE_BANDWIDTH_BPS,
+             delay=core_delay)
     net.compute_routes()
     return net, endpoint, controller, target
 
@@ -268,13 +277,7 @@ def fleet_topology(
     endpoint_count: int,
     kind: str = "star",
     fanout: int = 8,
-    access_bandwidth_bps: float = 10e6,
-    access_delay: float = 0.010,
-    access_delay_spread: float = 0.5,
-    core_delay: float = 0.005,
-    core_bandwidth_bps: float = 1e9,
     seed: int = 0,
-    network: Optional[Network] = None,
 ) -> tuple[Network, list[Node], Node, Node]:
     """A measurement *fleet*: many endpoint hosts behind a shared core.
 
@@ -287,19 +290,14 @@ def fleet_topology(
     - ``mesh`` — a router ring with cross-chords; endpoints distribute
       round-robin over the ring.
 
-    Access-link delays vary per endpoint by ``±access_delay_spread``
-    (fractional, seeded) so fleet-wide latency distributions are
-    non-degenerate yet fully deterministic.
+    Access-link delays vary per endpoint by
+    ``±FLEET_ACCESS_DELAY_SPREAD`` (fractional, seeded by ``seed``).
 
     Returns ``(network, endpoint_hosts, controller_host, target_host)``.
     """
     if endpoint_count < 1:
         raise ValueError(f"endpoint_count must be >= 1, got {endpoint_count}")
-    net = network or Network()
-    # The specialized route install below assumes it sees every node and
-    # link; a pre-populated network falls back to the generic all-pairs
-    # pass at the end.
-    preexisting = bool(net.nodes) or bool(net.links)
+    net = Network()
     rng = Random(seed)
 
     # Parent -> child edges recorded during construction; the specialized
@@ -314,8 +312,8 @@ def fleet_topology(
         edges.append((parent, child, parent_iface, child_iface))
 
     def access_delay_for() -> float:
-        spread = max(0.0, min(access_delay_spread, 0.95))
-        return access_delay * (1.0 + rng.uniform(-spread, spread))
+        spread = FLEET_ACCESS_DELAY_SPREAD
+        return FLEET_ACCESS_DELAY * (1.0 + rng.uniform(-spread, spread))
 
     routers: list[Node] = []
     if kind == "star":
@@ -337,8 +335,8 @@ def fleet_topology(
                         f"t{depth}-{parent.name}-{child_index}"
                     )
                     attach(parent, child,
-                           bandwidth_bps=core_bandwidth_bps,
-                           delay=core_delay)
+                           bandwidth_bps=CORE_BANDWIDTH_BPS,
+                           delay=FLEET_CORE_DELAY)
                     next_level.append(child)
                     if len(next_level) >= leaves_needed:
                         break
@@ -351,13 +349,14 @@ def fleet_topology(
         routers = [net.add_router(f"m{index}") for index in range(ring_size)]
         for index, router in enumerate(routers):
             net.link(router, routers[(index + 1) % ring_size],
-                     bandwidth_bps=core_bandwidth_bps, delay=core_delay)
+                     bandwidth_bps=CORE_BANDWIDTH_BPS, delay=FLEET_CORE_DELAY)
         # Chords halve the ring diameter.
         if ring_size >= 5:
             half = ring_size // 2
             for index in range(0, half, 2):
                 net.link(routers[index], routers[index + half],
-                         bandwidth_bps=core_bandwidth_bps, delay=core_delay)
+                         bandwidth_bps=CORE_BANDWIDTH_BPS,
+                         delay=FLEET_CORE_DELAY)
         core = routers[0]
         attach_points = routers
     else:
@@ -365,11 +364,11 @@ def fleet_topology(
 
     controller = net.add_host("controller")
     target = net.add_host("target")
-    attach(core, controller, bandwidth_bps=core_bandwidth_bps,
-           delay=core_delay)
+    attach(core, controller, bandwidth_bps=CORE_BANDWIDTH_BPS,
+           delay=FLEET_CORE_DELAY)
     target_attach = attach_points[len(attach_points) // 2]
-    attach(target_attach, target, bandwidth_bps=core_bandwidth_bps,
-           delay=core_delay)
+    attach(target_attach, target, bandwidth_bps=CORE_BANDWIDTH_BPS,
+           delay=FLEET_CORE_DELAY)
 
     endpoints = []
     for index in range(endpoint_count):
@@ -377,13 +376,11 @@ def fleet_topology(
         attach(
             attach_points[index % len(attach_points)],
             host,
-            bandwidth_bps=access_bandwidth_bps,
+            bandwidth_bps=FLEET_ACCESS_BANDWIDTH_BPS,
             delay=access_delay_for(),
         )
         endpoints.append(host)
-    if preexisting:
-        net.compute_routes()
-    elif kind == "mesh":
+    if kind == "mesh":
         _install_mesh_routes(net, routers, edges)
     else:
         _install_tree_routes(net, core, edges)

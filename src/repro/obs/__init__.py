@@ -209,14 +209,10 @@ class Observability:
     def remove_sink(self, sink: Sink) -> None:
         self.bus.remove_sink(sink)
 
-    def ensure_ring_sink(
-        self, capacity: Optional[int] = None
-    ) -> RingBufferSink:
+    def ensure_ring_sink(self) -> RingBufferSink:
         """Idempotently attach the default in-memory ring buffer sink."""
         if self._ring is None:
-            self._ring = RingBufferSink(
-                capacity if capacity is not None else 65536
-            )
+            self._ring = RingBufferSink()
             self.bus.add_sink(self._ring)
         return self._ring
 

@@ -263,7 +263,7 @@ class TestByzantineCampaign:
         plan.byzantine(fleet.endpoints, count=self.ADVERSARIES)
         jobs = [ping_job(f"ping-{i}", count=4, interval=0.5)
                 for i in range(n)]
-        # One pinned audit per endpoint: audit_pinned cross-validation
+        # One pinned audit per endpoint: cross-validation
         # replicates each deterministically, so every endpoint's results
         # face a quorum at least once.
         jobs += [ping_job(f"audit-ep{i}", count=8, interval=0.25,

@@ -77,8 +77,20 @@ def test_cpf_cli_reports_errors(tmp_path):
     (["fleet", "--endpoints", "4", "--rate", "0"], 2, "usage:"),
     (["fleet", "--endpoints", "4", "--rate", "-1"], 2, "usage:"),
     (["fleet", "--endpoints", "4", "--rate", "nan"], 2, "usage:"),
+    # So are counts the fleet cannot honour; --jobs 0 means one per
+    # endpoint, so only a negative job count is refused.
+    (["fleet", "--endpoints", "0"], 2, "usage:"),
+    (["fleet", "--endpoints", "-2"], 2, "usage:"),
+    (["fleet", "--shards", "0"], 2, "usage:"),
+    (["fleet", "--operators", "0"], 2, "usage:"),
+    (["fleet", "--concurrency", "0"], 2, "usage:"),
+    (["fleet", "--count", "0"], 2, "usage:"),
+    (["fleet", "--count", "-1"], 2, "usage:"),
+    (["fleet", "--jobs", "-1"], 2, "usage:"),
 ], ids=["typo", "misspelt-flag", "help", "rate-zero", "rate-negative",
-        "rate-nan"])
+        "rate-nan", "endpoints-zero", "endpoints-negative", "shards-zero",
+        "operators-zero", "concurrency-zero", "count-zero", "count-negative",
+        "jobs-negative"])
 def test_unknown_cli_input_does_not_run_the_demo(argv, returncode, expected):
     result = subprocess.run(
         [sys.executable, "-m", "repro", *argv],

@@ -13,7 +13,10 @@ import inspect
 import pytest
 
 import repro.core
+import repro.endpoint
 import repro.fleet
+import repro.netsim
+import repro.obs
 from repro.controller.client import SessionBudget, SessionClosed
 from repro.controller.session import Experimenter
 from repro.core.testbed import Testbed
@@ -32,7 +35,7 @@ from repro.fleet import (
     TokenBucket,
     shard_for,
 )
-from repro.netsim.faults import FaultPlan
+from repro.netsim.faults import ByzantineAdversary, FaultPlan
 from repro.netsim.kernel import Simulator
 from repro.netsim.topology import fleet_topology
 from repro.util.retry import RetryPolicy
@@ -431,6 +434,41 @@ RETIRED_OPTIONS = {
     "recovery_policy", "endpoint_reconnect_policy",
 }
 
+# Settings no caller set, retired into module constants, as (function,
+# parameters) pairs: names such as `priority`, `network`, `access_delay`
+# and `start` live on in other signatures.
+RETIRED_PARAMETERS = {
+    "EndpointConfig.__init__": {
+        "max_sockets", "auth_timeout", "reconnect_policy", "reconnect_seed",
+        "session_violation_budget", "session_decode_budget"},
+    "SessionBudget.__init__": {
+        "max_streamed_bytes", "max_violations", "max_decode_errors"},
+    "MisbehaviorPolicy.__init__": {
+        "weights", "default_weight", "quarantine_score", "depart_score"},
+    "CrossValidation.__init__": {"fingerprint", "audit_pinned"},
+    "CampaignContext.__init__": {"extras"},
+    "World.run_campaign": {"priority", "quarantine_backoff"},
+    "World.make_controller": {"controller_host"},
+    "World.enable_telemetry": {"ring_capacity"},
+    "Observability.ensure_ring_sink": {"capacity"},
+    "Testbed.start_rendezvous": {"host"},
+    "Testbed.run_experiment": {"priority"},
+    "FleetTestbed.__init__": {
+        "access_bandwidth_bps", "access_delay", "allow_raw",
+        "capture_buffer_bytes", "endpoint_reconnect"},
+    "fleet_topology": {
+        "access_bandwidth_bps", "access_delay", "access_delay_spread",
+        "core_delay", "core_bandwidth_bps", "network"},
+    "access_topology": {"core_bandwidth_bps", "network"},
+    "linear_topology": {"network"},
+    "Network.__init__": {"sim"},
+    "FaultPlan.link_impairment": {"duration"},
+    "FaultPlan.byzantine": {"start", "tuning"},
+    "ByzantineAdversary.__init__": {
+        "start", "flood_interval", "flood_records", "fabricate_records",
+        "desequence_interval"},
+}
+
 
 def _public_functions(package):
     """Every public function, method and constructor a package exports."""
@@ -470,12 +508,25 @@ class TestOneCampaignDriver:
 
     def test_testbeds_share_the_driver_and_retired_options_stay_gone(self):
         assert Testbed.run_campaign is FleetTestbed.run_campaign
-        # <= 20 campaign parameters, plus self.
-        assert len(inspect.signature(Testbed.run_campaign).parameters) <= 21
-        for package in (repro.core, repro.fleet):
+        # <= 18 campaign parameters, plus self.
+        assert len(inspect.signature(Testbed.run_campaign).parameters) <= 19
+        # Not exported by their packages, so named here.
+        functions = {
+            function.__qualname__: function
+            for function in (SessionBudget.__init__,
+                             ByzantineAdversary.__init__)
+        }
+        for package in (repro.core, repro.fleet, repro.endpoint,
+                        repro.netsim, repro.obs):
             for name, function in _public_functions(package):
                 parameters = set(inspect.signature(function).parameters)
                 assert not parameters & RETIRED_OPTIONS, name
+                functions[function.__qualname__] = function
+        for qualname, retired in RETIRED_PARAMETERS.items():
+            parameters = set(inspect.signature(functions[qualname]).parameters)
+            assert not parameters & retired, qualname
+        config = inspect.signature(repro.endpoint.Endpoint).parameters["config"]
+        assert config.default is inspect.Parameter.empty
         # One event queue: only the ledger-pinned spelling is accepted.
         assert "scheduler" not in inspect.signature(Simulator).parameters
         FleetTestbed(endpoint_count=1, scheduler="heap")

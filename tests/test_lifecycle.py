@@ -41,8 +41,10 @@ from repro.fleet import (
 )
 from repro.fleet.pool import (
     ACTIVE,
+    DEPART_SCORE,
     DEPARTED,
     DRAINING,
+    QUARANTINE_SCORE,
     QUARANTINED,
     TRANSITIONS,
 )
@@ -613,11 +615,10 @@ class PoolModel:
             return
         slot.score += weight
         assert score == slot.score
-        policy = self.pool.misbehavior
-        if slot.score >= policy.depart_score:
+        if slot.score >= DEPART_SCORE:
             self.banned.add(name)
             self._remove(name)
-        elif slot.score >= policy.quarantine_score and slot.state == ACTIVE:
+        elif slot.score >= QUARANTINE_SCORE and slot.state == ACTIVE:
             self._quarantine(slot)
 
     def run(self, seconds):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.testbed import Testbed
+from repro.endpoint.endpoint import AUTH_TIMEOUT
 from repro.netsim.topology import Network
 from repro.rendezvous.server import RendezvousServer
 
@@ -158,7 +159,7 @@ class TestSessionFailures:
 
     def test_unauthenticated_client_times_out_at_endpoint(self):
         """An endpoint that connects to a silent controller gives up after
-        auth_timeout instead of hanging forever."""
+        AUTH_TIMEOUT instead of hanging forever."""
         testbed = Testbed()
         # A listener that accepts but never sends Auth.
         silent_port = 7999
@@ -173,7 +174,7 @@ class TestSessionFailures:
         proc = testbed.endpoint.connect_to_controller(
             testbed.controller_host.primary_address(), silent_port
         )
-        testbed.run(until=testbed.endpoint_config.auth_timeout + 10.0)
+        testbed.run(until=AUTH_TIMEOUT + 10.0)
         assert not proc.alive
         assert proc.result is None
         assert testbed.endpoint.sessions == {}

@@ -1,6 +1,7 @@
 """Soak tests: many sequential sessions must not leak endpoint state."""
 
 from repro.core.testbed import Testbed
+from repro.endpoint.endpoint import MAX_SOCKETS
 from repro.experiments.ping import ping
 
 
@@ -56,21 +57,20 @@ def test_experiment_reuses_endpoint_after_prior_bye():
 
 
 def test_many_sockets_in_one_session():
-    """Exercise the socket table up to the configured maximum."""
+    """Exercise the socket table up to its maximum."""
     testbed = Testbed()
-    max_sockets = testbed.endpoint_config.max_sockets
 
     def experiment(handle):
-        for sktid in range(max_sockets):
+        for sktid in range(MAX_SOCKETS):
             status = yield from handle.nopen_udp(sktid, locport=0)
             handle.expect_ok(status, f"nopen #{sktid}")
         # One past the limit is rejected.
         from repro.proto.constants import ST_BAD_SOCKET
 
-        status = yield from handle.nopen_udp(max_sockets, locport=0)
+        status = yield from handle.nopen_udp(MAX_SOCKETS, locport=0)
         assert status == ST_BAD_SOCKET
         # Close them all; ids become reusable.
-        for sktid in range(max_sockets):
+        for sktid in range(MAX_SOCKETS):
             status = yield from handle.nclose(sktid)
             handle.expect_ok(status, f"nclose #{sktid}")
         status = yield from handle.nopen_udp(0, locport=0)
