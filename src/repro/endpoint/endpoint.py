@@ -32,6 +32,7 @@ from repro.endpoint.memory import (
 )
 from repro.endpoint.netio import (
     EndpointSocket,
+    FrameBuilder,
     RawEndpointSocket,
     TcpEndpointSocket,
     UdpEndpointSocket,
@@ -248,10 +249,16 @@ class Session:
 
     # -- monitor checks ----------------------------------------------------------
 
-    def check_send(self, packet_bytes: bytes) -> bool:
-        """All certificate monitors must allow an outgoing packet."""
+    def check_send(self, frame: FrameBuilder) -> bool:
+        """All certificate monitors must allow an outgoing packet.
+
+        ``frame()`` builds the packet's bytes; it runs only if a monitor
+        judges sends, so a session without one builds none."""
+        packet_bytes = None
         for monitor in self.monitors:
             if monitor.has_entry("send"):
+                if packet_bytes is None:
+                    packet_bytes = frame()
                 if monitor.invoke("send", packet=packet_bytes,
                                   args=(0, len(packet_bytes))) == 0:
                     obs = self._obs
@@ -262,10 +269,14 @@ class Session:
                     return False
         return True
 
-    def check_recv(self, packet_bytes: bytes) -> bool:
-        """All certificate monitors must allow a captured packet."""
+    def check_recv(self, frame: FrameBuilder) -> bool:
+        """All certificate monitors must allow a captured packet; ``frame``
+        as for :meth:`check_send`."""
+        packet_bytes = None
         for monitor in self.monitors:
             if monitor.has_entry("recv"):
+                if packet_bytes is None:
+                    packet_bytes = frame()
                 if monitor.invoke("recv", packet=packet_bytes,
                                   args=(0, len(packet_bytes))) == 0:
                     obs = self._obs
@@ -614,12 +625,18 @@ class Endpoint:
         session or the rendezvous subscription, and mirroring them would
         leak other experimenters' control traffic and offers.
         """
-        payload = packet.payload
-        return (
-            packet.proto == PROTO_TCP and len(payload) >= 4
-            and (packet.src, int.from_bytes(payload[0:2], "big"),
-                 int.from_bytes(payload[2:4], "big")) in self._own_conns
-        )
+        if packet.proto != PROTO_TCP:
+            return False
+        segment = packet.segment
+        if segment is not None:
+            ports = (segment.src_port, segment.dst_port)
+        else:
+            payload = packet.payload
+            if len(payload) < 4:
+                return False
+            ports = (int.from_bytes(payload[0:2], "big"),
+                     int.from_bytes(payload[2:4], "big"))
+        return (packet.src, *ports) in self._own_conns
 
     def _own(self, conn: TcpConnection, subscription: bool = False) -> None:
         key = (conn.remote_ip, conn.remote_port, conn.local_port)

@@ -18,6 +18,7 @@ monitors; a monitor deny suppresses the operation.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Generator, Optional
 
 from repro.endpoint.capture import CaptureBuffer
@@ -44,8 +45,10 @@ if TYPE_CHECKING:
 
 TCP_READ_CHUNK = 1460
 
-# Monitor callbacks receive raw IPv4 packet bytes; True = allowed.
-MonitorCheck = Callable[[bytes], bool]
+# A frame builder returns a packet's IPv4 bytes. A monitor check calls it
+# only if some certificate monitor judges that direction; True = allowed.
+FrameBuilder = Callable[[], bytes]
+MonitorCheck = Callable[[FrameBuilder], bool]
 
 
 def _frame(proto: int, src: int, src_port: int, dst: int, dst_port: int,
@@ -57,8 +60,7 @@ def _frame(proto: int, src: int, src_port: int, dst: int, dst_port: int,
     else:
         l4 = TcpSegment(src_port=src_port, dst_port=dst_port, seq=0, ack=0,
                         flags=FLAG_ACK | FLAG_PSH, window=0, payload=payload)
-    return IPv4Packet(src=src, dst=dst, proto=proto,
-                      payload=l4.encode(src, dst)).encode()
+    return IPv4Packet(src, dst, proto, segment=l4).encode()
 
 
 class EndpointSocket:
@@ -143,7 +145,7 @@ class RawEndpointSocket(EndpointSocket):
         raw = packet.encode()
         verdict = self._filter.invoke("recv", packet=raw, args=(0, len(raw)))
         # Certificate monitors decide whether the controller may see it.
-        if verdict == VERDICT_DROP or not self._check_recv(raw):
+        if verdict == VERDICT_DROP or not self._check_recv(lambda: raw):
             return TAP_IGNORE
         self._capture(raw)
         if verdict == VERDICT_MIRROR:
@@ -158,7 +160,7 @@ class RawEndpointSocket(EndpointSocket):
             packet = IPv4Packet.decode(data, verify_checksum=False)
         except DecodeError:
             return False
-        if not check_send(data):
+        if not check_send(lambda: data):
             return False
         return self.node.send_ip(packet)
 
@@ -197,9 +199,10 @@ class UdpEndpointSocket(EndpointSocket):
             if item is None:
                 return
             payload, src_ip, src_port, dst_ip = item
-            raw = _frame(PROTO_UDP, src_ip, src_port, dst_ip, self.local_port,
-                         payload)
-            if not self._check_recv(raw):
+            if not self._check_recv(partial(
+                _frame, PROTO_UDP, src_ip, src_port, dst_ip, self.local_port,
+                payload,
+            )):
                 continue
             if not self._buffer.space_for(len(payload)):
                 self._buffer.note_drop(len(payload))
@@ -209,9 +212,10 @@ class UdpEndpointSocket(EndpointSocket):
     def send_scheduled(self, data: bytes, check_send: MonitorCheck) -> bool:
         if self.closed:
             return False
-        raw = _frame(PROTO_UDP, self.node.primary_address(), self.local_port,
-                     self.remaddr, self.remport, data)
-        if not check_send(raw):
+        if not check_send(partial(
+            _frame, PROTO_UDP, self.node.primary_address(), self.local_port,
+            self.remaddr, self.remport, data,
+        )):
             return False
         return self._udp.sendto(data, self.remaddr, self.remport)
 
@@ -258,18 +262,20 @@ class TcpEndpointSocket(EndpointSocket):
                 return
             if not chunk:
                 return
-            raw = _frame(PROTO_TCP, self.remaddr, self.remport,
-                         self.node.primary_address(), self.local_port, chunk)
-            if not self._check_recv(raw):
+            if not self._check_recv(partial(
+                _frame, PROTO_TCP, self.remaddr, self.remport,
+                self.node.primary_address(), self.local_port, chunk,
+            )):
                 continue
             self._capture(chunk)
 
     def send_scheduled(self, data: bytes, check_send: MonitorCheck) -> bool:
         if self.closed or self.conn.error is not None:
             return False
-        raw = _frame(PROTO_TCP, self.node.primary_address(), self.local_port,
-                     self.remaddr, self.remport, data)
-        if not check_send(raw):
+        if not check_send(partial(
+            _frame, PROTO_TCP, self.node.primary_address(), self.local_port,
+            self.remaddr, self.remport, data,
+        )):
             return False
 
         def sender() -> Generator:

@@ -96,25 +96,15 @@ class NatBox(Node):
     def _translate_outbound(self, packet: IPv4Packet) -> Optional[IPv4Packet]:
         external_ip = self.external_address()
         try:
-            if packet.proto == PROTO_UDP:
-                datagram = UdpDatagram.decode(packet.payload, packet.src, packet.dst)
+            if packet.proto in (PROTO_UDP, PROTO_TCP):
+                segment = _l4(packet)
                 external = self._allocate_external(
-                    PROTO_UDP, packet.src, datagram.src_port
+                    packet.proto, packet.src, segment.src_port
                 )
-                rewritten = UdpDatagram(
-                    src_port=external,
-                    dst_port=datagram.dst_port,
-                    payload=datagram.payload,
-                )
-                payload = rewritten.encode(external_ip, packet.dst)
-            elif packet.proto == PROTO_TCP:
-                segment = TcpSegment.decode(packet.payload, packet.src, packet.dst)
-                external = self._allocate_external(
-                    PROTO_TCP, packet.src, segment.src_port
-                )
-                rewritten = replace(segment, src_port=external)
-                payload = rewritten.encode(external_ip, packet.dst)
-            elif packet.proto == PROTO_ICMP:
+                rewritten_l4 = replace(segment, src_port=external)
+                return _readdressed(packet, external_ip, packet.dst,
+                                    segment=rewritten_l4)
+            if packet.proto == PROTO_ICMP:
                 message = IcmpMessage.decode(packet.payload)
                 if message.is_error:
                     return None  # outbound errors from inside hosts: drop
@@ -127,35 +117,23 @@ class NatBox(Node):
                     rest=((external & 0xFFFF) << 16) | message.echo_seq,
                     body=message.body,
                 )
-                payload = rewritten.encode()
-            else:
-                return None
+                return _readdressed(packet, external_ip, packet.dst,
+                                    rewritten.encode())
         except DecodeError:
-            return None
-        return replace(packet, src=external_ip, payload=payload)
+            pass
+        return None
 
     def _translate_inbound(self, packet: IPv4Packet) -> Optional[IPv4Packet]:
         try:
-            if packet.proto == PROTO_UDP:
-                datagram = UdpDatagram.decode(packet.payload, packet.src, packet.dst)
-                mapping = self.lookup_inbound(PROTO_UDP, datagram.dst_port)
+            if packet.proto in (PROTO_UDP, PROTO_TCP):
+                segment = _l4(packet)
+                mapping = self.lookup_inbound(packet.proto, segment.dst_port)
                 if mapping is None:
                     return None
                 inside_ip, inside_port = mapping
-                rewritten = UdpDatagram(
-                    src_port=datagram.src_port,
-                    dst_port=inside_port,
-                    payload=datagram.payload,
-                )
-                payload = rewritten.encode(packet.src, inside_ip)
-            elif packet.proto == PROTO_TCP:
-                segment = TcpSegment.decode(packet.payload, packet.src, packet.dst)
-                mapping = self.lookup_inbound(PROTO_TCP, segment.dst_port)
-                if mapping is None:
-                    return None
-                inside_ip, inside_port = mapping
-                rewritten = replace(segment, dst_port=inside_port)
-                payload = rewritten.encode(packet.src, inside_ip)
+                rewritten_l4 = replace(segment, dst_port=inside_port)
+                translated = _readdressed(packet, packet.src, inside_ip,
+                                          segment=rewritten_l4)
             elif packet.proto == PROTO_ICMP:
                 message = IcmpMessage.decode(packet.payload)
                 if message.is_error:
@@ -170,13 +148,14 @@ class NatBox(Node):
                     rest=((inside_ident & 0xFFFF) << 16) | message.echo_seq,
                     body=message.body,
                 )
-                payload = rewritten.encode()
+                translated = _readdressed(packet, packet.src, inside_ip,
+                                          rewritten.encode())
             else:
                 return None
         except DecodeError:
             return None
         self.translations_in += 1
-        return replace(packet, dst=inside_ip, payload=payload)
+        return translated
 
     def _translate_inbound_error(
         self, packet: IPv4Packet, message: IcmpMessage
@@ -218,7 +197,25 @@ class NatBox(Node):
             body=bytes(rebuilt),
         )
         self.translations_in += 1
-        return replace(packet, dst=inside_ip, payload=rewritten.encode())
+        return _readdressed(packet, packet.src, inside_ip, rewritten.encode())
+
+
+def _l4(packet: IPv4Packet) -> TcpSegment | UdpDatagram:
+    """The packet's TCP segment or UDP datagram: the one the stack built,
+    or its bytes, verified (a NAT recomputes the checksum it rewrites, so
+    it must not launder a bad one)."""
+    if packet.segment is not None:
+        return packet.segment
+    codec = TcpSegment if packet.proto == PROTO_TCP else UdpDatagram
+    return codec.decode(packet.payload, packet.src, packet.dst)
+
+
+def _readdressed(packet: IPv4Packet, src: int, dst: int,
+                 payload: Optional[bytes] = None,
+                 segment: TcpSegment | UdpDatagram | None = None) -> IPv4Packet:
+    """``packet`` with new addresses and a rewritten payload or segment."""
+    return IPv4Packet(src, dst, packet.proto, payload, packet.ttl, packet.ident,
+                      packet.dscp, packet.dont_fragment, segment)
 
 
 def natted_topology(

@@ -342,13 +342,9 @@ class TcpConnection:
             payload=payload,
             mss=mss,
         )
-        packet = IPv4Packet(
-            src=self.local_ip,
-            dst=self.remote_ip,
-            proto=PROTO_TCP,
-            payload=segment.encode(self.local_ip, self.remote_ip),
+        self.node.send_ip(
+            IPv4Packet(self.local_ip, self.remote_ip, PROTO_TCP, segment=segment)
         )
-        self.node.send_ip(packet)
 
     def _send_window(self) -> int:
         return min(self.snd_wnd, self.cwnd)
@@ -843,14 +839,17 @@ class TcpLayer:
     # -- wire entry point ----------------------------------------------------
 
     def receive(self, packet: IPv4Packet) -> None:
-        try:
-            segment = TcpSegment.decode(packet.payload, packet.src, packet.dst)
-        except DecodeError:
-            self.rx_rejected += 1
-            obs = self.node.sim.obs
-            if obs.enabled:
-                obs.counter("tcp.rx_rejected", node=self.node.name).inc()
-            return
+        segment = packet.segment
+        if segment is None:
+            # The packet entered as bytes (raw nsend): verify them.
+            try:
+                segment = TcpSegment.decode(packet.payload, packet.src, packet.dst)
+            except DecodeError:
+                self.rx_rejected += 1
+                obs = self.node.sim.obs
+                if obs.enabled:
+                    obs.counter("tcp.rx_rejected", node=self.node.name).inc()
+                return
         key = (packet.dst, segment.dst_port, packet.src, segment.src_port)
         conn = self._connections.get(key)
         if conn is not None:
@@ -910,12 +909,7 @@ class TcpLayer:
                 window=0,
             )
         self.node.send_ip(
-            IPv4Packet(
-                src=packet.dst,
-                dst=packet.src,
-                proto=PROTO_TCP,
-                payload=reply.encode(packet.dst, packet.src),
-            )
+            IPv4Packet(packet.dst, packet.src, PROTO_TCP, segment=reply)
         )
 
     def _forget(self, conn: TcpConnection) -> None:

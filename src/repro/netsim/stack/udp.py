@@ -6,7 +6,7 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.netsim.kernel import Event, Queue
 from repro.packet.icmp import UNREACH_PORT, IcmpMessage
-from repro.packet.ipv4 import PROTO_UDP, IPv4Packet
+from repro.packet.ipv4 import IP_HEADER_LEN, IP_MAX_PACKET, PROTO_UDP, IPv4Packet
 from repro.packet.udp import UdpDatagram
 from repro.util.byteio import DecodeError
 
@@ -14,6 +14,8 @@ if TYPE_CHECKING:
     from repro.netsim.node import Node
 
 EPHEMERAL_PORT_BASE = 49152
+# The largest datagram one IPv4 packet holds.
+UDP_MAX_LENGTH = IP_MAX_PACKET - IP_HEADER_LEN
 
 
 class UdpSocket:
@@ -40,11 +42,11 @@ class UdpSocket:
         node = self._layer.node
         src = src_ip or node.primary_address()
         datagram = UdpDatagram(src_port=self.port, dst_port=dst_port, payload=payload)
-        packet = IPv4Packet(
-            src=src, dst=dst_ip, proto=PROTO_UDP,
-            payload=datagram.encode(src, dst_ip), ttl=ttl,
+        if datagram.wire_len > UDP_MAX_LENGTH:
+            raise ValueError(f"datagram too large: {len(payload)} payload bytes")
+        return node.send_ip(
+            IPv4Packet(src, dst_ip, PROTO_UDP, ttl=ttl, segment=datagram)
         )
-        return node.send_ip(packet)
 
     def recvfrom(self) -> Event:
         if self.closed:
@@ -96,14 +98,17 @@ class UdpLayer:
         self._sockets.pop(port, None)
 
     def receive(self, packet: IPv4Packet) -> None:
-        try:
-            datagram = UdpDatagram.decode(packet.payload, packet.src, packet.dst)
-        except DecodeError:
-            self.rx_rejected += 1
-            obs = self.node.sim.obs
-            if obs.enabled:
-                obs.counter("udp.rx_rejected", node=self.node.name).inc()
-            return
+        datagram = packet.segment
+        if datagram is None:
+            # The packet entered as bytes (raw nsend): verify them.
+            try:
+                datagram = UdpDatagram.decode(packet.payload, packet.src, packet.dst)
+            except DecodeError:
+                self.rx_rejected += 1
+                obs = self.node.sim.obs
+                if obs.enabled:
+                    obs.counter("udp.rx_rejected", node=self.node.name).inc()
+                return
         socket = self._sockets.get(datagram.dst_port)
         if socket is None or socket.closed:
             self.port_unreachable_sent += 1

@@ -1,10 +1,10 @@
 """IPv4 header codec.
 
 The simulator's on-wire unit is an :class:`IPv4Packet`: a parsed IPv4 header
-plus an opaque L4 payload. Packets are encoded to real header bytes whenever
-they cross a boundary that the paper defines in terms of bytes — the raw
-socket interface, packet filters, and capture buffers — so controller-side
-code sees genuine IPv4 packets.
+plus its L4 payload, as bytes or as the parsed segment the stack built.
+Packets are encoded to real bytes whenever they cross a boundary that the
+paper defines in terms of bytes — the raw socket interface, packet filters,
+and capture buffers — so controller-side code sees genuine IPv4 packets.
 
 Limitations (documented, deliberate): no IP options (IHL is always 5) and no
 fragmentation. Neither is needed by any experiment in the paper, and both
@@ -14,10 +14,14 @@ are rejected loudly rather than mis-parsed.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from typing import TYPE_CHECKING, Optional
 
 from repro.packet.checksum import internet_checksum
 from repro.util.byteio import DecodeError
+
+if TYPE_CHECKING:
+    from repro.packet.tcp import TcpSegment
+    from repro.packet.udp import UdpDatagram
 
 IP_HEADER_LEN = 20
 IP_MAX_PACKET = 65535
@@ -36,35 +40,101 @@ DEFAULT_TTL = 64
 # src, dst — the 16-bit words the header checksum sums.
 _HEADER = struct.Struct(">HHHHHHII")
 
+_new_packet = object.__new__
 
-@dataclass(frozen=True)
+
 class IPv4Packet:
-    """A parsed IPv4 packet (header fields + payload bytes)."""
+    """A parsed IPv4 packet: header fields plus its L4 payload.
 
-    src: int
-    dst: int
-    proto: int
-    payload: bytes
-    ttl: int = DEFAULT_TTL
-    ident: int = 0
-    dscp: int = 0
-    dont_fragment: bool = True
+    The payload exists in one of two forms. A packet that entered the
+    simulator as bytes (``decode``, raw ``nsend``) carries them in
+    ``payload``, and a receiver verifies them. A TCP segment or UDP
+    datagram the stack built rides as ``segment``, the parsed object
+    itself: its bytes are built, once, only if something reads
+    ``payload`` (a raw tap, a link observer, an ICMP quote), and the
+    receiving stack takes the segment as it was sent, with no checksum to
+    verify because nothing could have changed it.
+
+    Instances are treated as immutable: ``decremented`` and the NAT build
+    copies, never edit one in place.
+    """
+
+    __slots__ = ("src", "dst", "proto", "ttl", "ident", "dscp",
+                 "dont_fragment", "segment", "total_length", "_payload")
+
+    def __init__(
+        self,
+        src: int,
+        dst: int,
+        proto: int,
+        payload: Optional[bytes] = None,
+        ttl: int = DEFAULT_TTL,
+        ident: int = 0,
+        dscp: int = 0,
+        dont_fragment: bool = True,
+        segment: Optional[TcpSegment | UdpDatagram] = None,
+    ) -> None:
+        if (payload is None) == (segment is None):
+            raise ValueError("a packet carries either payload bytes or a segment")
+        self.src = src
+        self.dst = dst
+        self.proto = proto
+        self.ttl = ttl
+        self.ident = ident
+        self.dscp = dscp
+        self.dont_fragment = dont_fragment
+        self.segment = segment
+        self._payload = payload
+        self.total_length = IP_HEADER_LEN + (
+            len(payload) if segment is None else segment.wire_len
+        )
 
     @property
-    def total_length(self) -> int:
-        return IP_HEADER_LEN + len(self.payload)
+    def payload(self) -> bytes:
+        """The L4 bytes; a carried segment is encoded on first read."""
+        payload = self._payload
+        if payload is None:
+            payload = self._payload = self.segment.encode(self.src, self.dst)
+        return payload
+
+    def _fields(self) -> tuple:
+        return (self.src, self.dst, self.proto, self.payload, self.ttl,
+                self.ident, self.dscp, self.dont_fragment)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not IPv4Packet:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        body = (f"payload={self._payload!r}" if self.segment is None
+                else f"segment={self.segment!r}")
+        return (f"IPv4Packet(src={self.src}, dst={self.dst}, proto={self.proto}, "
+                f"{body}, ttl={self.ttl}, ident={self.ident}, dscp={self.dscp}, "
+                f"dont_fragment={self.dont_fragment})")
 
     def decremented(self) -> "IPv4Packet":
         """Copy with TTL reduced by one (router forwarding)."""
         if self.ttl <= 0:
             raise ValueError("cannot decrement TTL below zero")
-        return IPv4Packet(
-            self.src, self.dst, self.proto, self.payload, self.ttl - 1,
-            self.ident, self.dscp, self.dont_fragment,
-        )
+        copy = _new_packet(IPv4Packet)
+        copy.src = self.src
+        copy.dst = self.dst
+        copy.proto = self.proto
+        copy.ttl = self.ttl - 1
+        copy.ident = self.ident
+        copy.dscp = self.dscp
+        copy.dont_fragment = self.dont_fragment
+        copy.segment = self.segment
+        copy._payload = self._payload
+        copy.total_length = self.total_length
+        return copy
 
     def _header(self) -> bytes:
-        total_length = IP_HEADER_LEN + len(self.payload)
+        total_length = self.total_length
         if total_length > IP_MAX_PACKET:
             raise ValueError(f"packet too large: {total_length}")
         ver_tos = 0x4500 | (self.dscp << 2) & 0xFF  # version 4, IHL 5

@@ -21,14 +21,15 @@ class UdpDatagram:
     payload: bytes
 
     @property
-    def length(self) -> int:
+    def wire_len(self) -> int:
+        """The UDP length field: header plus payload."""
         return UDP_HEADER_LEN + len(self.payload)
 
     def encode(self, src_ip: int, dst_ip: int) -> bytes:
         """Serialize; the checksum covers the IPv4 pseudo-header."""
         src_port = self.src_port & 0xFFFF
         dst_port = self.dst_port & 0xFFFF
-        length = self.length
+        length = self.wire_len
         checksum = internet_checksum(
             self.payload,
             pseudo_header_sum(src_ip, dst_ip, PROTO_UDP, length)

@@ -2,7 +2,8 @@
 
 from repro.netsim.nat import natted_topology
 from repro.packet.icmp import ICMP_ECHO_REPLY, ICMP_TIME_EXCEEDED
-from repro.packet.ipv4 import PROTO_ICMP
+from repro.packet.ipv4 import PROTO_ICMP, PROTO_UDP, IPv4Packet
+from repro.packet.udp import UdpDatagram
 
 
 def test_udp_through_nat_round_trip():
@@ -100,3 +101,17 @@ def test_unsolicited_inbound_dropped():
     net.run()
     assert endpoint_received == []
     assert nat.translations_in == 0
+
+
+def test_nat_verifies_the_bytes_it_rewrites():
+    """A datagram that entered as bytes is verified before the NAT puts a
+    fresh checksum on it: a corrupt one is dropped, not laundered."""
+    net, endpoint, nat, controller, target = natted_topology()
+    sock = target.udp.bind(9000)
+    src, dst = endpoint.primary_address(), target.primary_address()
+    raw = UdpDatagram(1234, 9000, b"ping").encode(src, dst)
+    for l4 in (raw[:-1] + bytes([raw[-1] ^ 0x01]), raw):
+        endpoint.send_ip(IPv4Packet(src=src, dst=dst, proto=PROTO_UDP, payload=l4))
+    net.run()
+    assert len(sock.rx) == 1
+    assert target.udp.rx_rejected == 0

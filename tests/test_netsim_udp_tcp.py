@@ -403,3 +403,108 @@ class TestRejectedOnReceive:
             "icmp",
         )
         assert icmp.echo_requests_answered == 1
+
+
+class TestStructuredCarriage:
+    """A segment or datagram the stack builds rides the IPv4Packet parsed:
+    between two sockets nothing encodes, checksums or decodes it. Its
+    bytes, built only when read, are the ones it would have had on the
+    wire, and they decode, checksum verified, to what was carried."""
+
+    @staticmethod
+    def count_codec_calls(monkeypatch):
+        calls = []
+        for codec in (TcpSegment, UdpDatagram, IPv4Packet):
+            for name in ("encode", "decode"):
+                original = getattr(codec, name)
+
+                def counted(*args, _original=original,
+                            _name=f"{codec.__name__}.{name}", **kwargs):
+                    calls.append(_name)
+                    return _original(*args, **kwargs)
+
+                # decode is a classmethod: getattr bound it already.
+                monkeypatch.setattr(codec, name, staticmethod(counted)
+                                    if name == "decode" else counted)
+        return calls
+
+    @staticmethod
+    def observe(net, seen):
+        for link in net.links:
+            link.add_observer(lambda t, d, packet, outcome: seen.append(packet))
+
+    @staticmethod
+    def tcp_exchange(net, src, dst):
+        def server():
+            listener = dst.tcp.listen(8080)
+            conn = yield listener.accept()
+            request = yield from conn.recv_exactly(3000)
+            yield from conn.send(request[::-1])
+            conn.close()
+
+        def client():
+            conn = yield from src.tcp.open_connection(dst.primary_address(), 8080)
+            yield from conn.send(bytes(range(250)) * 12)
+            reply = yield from conn.recv_exactly(3000)
+            conn.close()
+            return reply
+
+        net.sim.spawn(server())
+        return net.sim.run_process(client(), timeout=30.0)
+
+    @staticmethod
+    def udp_exchange(net, a, b):
+        def server():
+            sock = b.udp.bind(5000)
+            payload, src_ip, src_port, _ = yield sock.recvfrom()
+            sock.sendto(payload.upper(), src_ip, src_port)
+
+        def client():
+            sock = a.udp.bind(0)
+            sock.sendto(b"hello", b.primary_address(), 5000)
+            payload, _, _, _ = yield sock.recvfrom()
+            return payload
+
+        net.sim.spawn(server())
+        return net.sim.run_process(client(), timeout=5.0)
+
+    def test_nothing_between_two_sockets_touches_bytes(self, monkeypatch):
+        calls = self.count_codec_calls(monkeypatch)
+        net, src, dst = linear_topology(hop_count=3, bandwidth_bps=50e6)
+        assert self.tcp_exchange(net, src, dst) == (bytes(range(250)) * 12)[::-1]
+        net, a, b = simple_pair()
+        assert self.udp_exchange(net, a, b) == b"HELLO"
+        assert calls == []
+
+    def test_carried_segment_is_what_its_bytes_decode_to(self):
+        net, src, dst = linear_topology(hop_count=3, bandwidth_bps=50e6)
+        seen = []
+        self.observe(net, seen)
+        self.tcp_exchange(net, src, dst)
+        net, a, b = simple_pair()
+        self.observe(net, seen)
+        self.udp_exchange(net, a, b)
+        assert {p.proto for p in seen} == {PROTO_TCP, PROTO_UDP}
+        for packet in seen:
+            codec = TcpSegment if packet.proto == PROTO_TCP else UdpDatagram
+            assert packet.segment is not None
+            raw = packet.encode()
+            assert packet.total_length == len(raw)
+            assert codec.decode(packet.payload, packet.src,
+                                packet.dst) == packet.segment
+            # The bytes form of the same packet is the same packet.
+            assert IPv4Packet.decode(raw) == packet
+
+    def test_a_packet_carries_bytes_or_a_segment(self):
+        segment = UdpDatagram(1, 2, b"x")
+        with pytest.raises(ValueError):
+            IPv4Packet(1, 2, PROTO_UDP)
+        with pytest.raises(ValueError):
+            IPv4Packet(1, 2, PROTO_UDP, segment.encode(1, 2), segment=segment)
+
+    def test_oversized_datagram_refused_at_the_socket(self):
+        net, a, b = simple_pair()
+        sock = a.udp.bind(0)
+        with pytest.raises(ValueError):
+            sock.sendto(bytes(65535 - 20 - 8 + 1), b.primary_address(), 5000)
+        assert sock.sendto(bytes(65535 - 20 - 8), b.primary_address(), 5000)

@@ -78,7 +78,7 @@ def reference_tcp(segment: TcpSegment, src: int, dst: int) -> bytes:
 
 def reference_udp(datagram: UdpDatagram, src: int, dst: int) -> bytes:
     raw = struct.pack(">HHHH", datagram.src_port, datagram.dst_port,
-                      datagram.length, 0) + datagram.payload
+                      datagram.wire_len, 0) + datagram.payload
     checksum = reference_checksum(
         reference_pseudo_header(src, dst, PROTO_UDP, len(raw)) + raw)
     return raw[:6] + struct.pack(">H", checksum or 0xFFFF) + raw[8:]
