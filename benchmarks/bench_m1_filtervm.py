@@ -1,12 +1,13 @@
 """M1 — filter VM micro-benchmarks (the substrate under F2).
 
-Interpreter throughput by program complexity, fuel-limit behaviour, and
-assembler/serialization round-trip cost.
+Admitted-program throughput by program complexity, fuel-limit behaviour,
+and assembler/serialization round-trip cost.
 """
 
 from conftest import print_table
 
 from repro.filtervm import (
+    AdmittedProgram,
     BytesInfo,
     FilterProgram,
     FilterVM,
@@ -37,7 +38,7 @@ def test_m1_throughput_by_program(benchmark):
     }
     rows = []
     for name, program in programs.items():
-        vm = FilterVM(program, info=BytesInfo(INFO))
+        vm = FilterVM(AdmittedProgram(program), info=BytesInfo(INFO))
         vm.run_init()
         iterations = 3000
         start = time.perf_counter()
@@ -55,7 +56,7 @@ def test_m1_throughput_by_program(benchmark):
     # Shape: cost grows with program size but stays interactive (>10k/s).
     assert all(row[3] > 10_000 for row in rows)
 
-    vm = FilterVM(builtins.capture_protocol(PROTO_ICMP))
+    vm = FilterVM(AdmittedProgram(builtins.capture_protocol(PROTO_ICMP)))
 
     def one():
         return vm.invoke("recv", packet=PACKET, args=(0, len(PACKET)))
@@ -65,16 +66,16 @@ def test_m1_throughput_by_program(benchmark):
 
 def test_m1_fuel_limit_bounds_runaway_programs(benchmark):
     """An infinite loop burns exactly its fuel and denies — never hangs."""
-    program = assemble(
+    program = AdmittedProgram(assemble(
         """
         func recv args=2
         spin:
             jmp spin
         """
-    )
+    ), fuel_limit=5000)
 
     def run():
-        vm = FilterVM(program, fuel_limit=5000)
+        vm = FilterVM(program)
         verdict = vm.invoke("recv", packet=PACKET, args=(0, len(PACKET)))
         return verdict, vm.last_fault
 

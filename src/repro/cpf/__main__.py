@@ -3,7 +3,8 @@
 Compiles a Cpf monitor/filter source file into a serialized filter VM
 program (the bytes that go into a certificate's monitor restriction or an
 ``ncap`` command), with options to disassemble or to test entry points
-against a hex-encoded packet.
+against a hex-encoded packet. ``--run`` admits the program as an endpoint
+would first, and refuses (exit 1) what an endpoint would refuse.
 
 Examples::
 
@@ -21,7 +22,10 @@ from repro.cpf.codegen import CpfCompileError
 from repro.cpf.compiler import compile_cpf
 from repro.cpf.lexer import CpfSyntaxError
 from repro.cpf.lint import lint_source
-from repro.filtervm import BytesInfo, FilterVM, disassemble
+from repro.cpf.stdlib import INFO_SIZE
+from repro.filtervm import (AdmittedProgram, BytesInfo, FilterVM,
+                            VerifyRejected, disassemble)
+from repro.filtervm.program import ENTRY_INIT, ENTRY_SIGNATURES
 from repro.filtervm.verify import verify
 
 
@@ -39,7 +43,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="run the bytecode verifier and source lint; "
                         "exit 1 if the verifier rejects the program")
     parser.add_argument("--run", metavar="ENTRY",
-                        help="invoke an entry point (send/recv/init)")
+                        help="admit, then invoke an entry point (send/recv/init)")
     parser.add_argument("--packet", default="",
                         help="hex packet bytes for --run")
     parser.add_argument("--info", default="",
@@ -76,7 +80,7 @@ def main(argv: list[str] | None = None) -> int:
         print()
         for diagnostic in lint_source(source):
             print(diagnostic.render(args.source))
-        report = verify(program)
+        report = verify(program, info_size=INFO_SIZE)
         print(report.render())
         if not report.ok:
             return 1
@@ -84,10 +88,22 @@ def main(argv: list[str] | None = None) -> int:
         print()
         print(disassemble(program))
     if args.run:
+        try:
+            admitted = AdmittedProgram(program, info_size=INFO_SIZE)
+        except VerifyRejected as rejected:
+            print(rejected.report.render())
+            return 1
+        if args.run not in admitted.entries:
+            print(f"error: {args.run!r} is not an entry point of this "
+                  f"program ({', '.join(sorted(admitted.entries))})", file=sys.stderr)
+            return 1
         packet = bytes.fromhex(args.packet)
-        vm = FilterVM(program, info=BytesInfo(bytes.fromhex(args.info)))
-        vm.run_init()
-        verdict = vm.invoke(args.run, packet=packet, args=(0, len(packet)))
+        vm = FilterVM(admitted, info=BytesInfo(bytes.fromhex(args.info)))
+        if args.run != ENTRY_INIT:
+            vm.run_init()
+        arguments: tuple[int, ...] = (
+            (0, len(packet)) if ENTRY_SIGNATURES[args.run] else ())
+        verdict = vm.invoke(args.run, packet=packet, args=arguments)
         print(f"{args.run}({len(packet)}-byte packet) -> verdict {verdict}"
               + (f" (fault: {vm.last_fault})" if vm.faults else ""))
     return 0

@@ -141,6 +141,9 @@ enum {
 # Fixed offsets asserted against repro.endpoint.memory by tests.
 INFO_ADDR_IP_OFFSET = 8
 INFO_CLOCK_OFFSET = 24
+# The info-block size an endpoint admits monitors against: all of its
+# memory (MEMORY_SIZE there, asserted equal by tests).
+INFO_SIZE = 4096
 
 
 @lru_cache(maxsize=1)

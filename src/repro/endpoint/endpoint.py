@@ -211,9 +211,7 @@ class Session:
             )
             if admitted is None:
                 raise MonitorRejected(index, report)
-            vm = FilterVM(admitted, info=info_view,
-                          fuel_limit=endpoint.config.monitor_fuel,
-                          obs=self._obs)
+            vm = FilterVM(admitted, info=info_view, obs=self._obs)
             vm.run_init()
             self.monitors.append(vm)
 
@@ -502,15 +500,14 @@ class Session:
         except (DecodeError, ProgramError):
             return ST_BAD_ARGUMENT
         # Same admission gate as certificate monitors: a capture filter
-        # that would provably fault is rejected with its verifier report,
-        # and an admitted one runs on the fuel it was checked against.
-        fuel = self.endpoint.config.monitor_fuel
+        # that would provably fault is rejected with its verifier report.
         report, admitted = admit_filter_program(
-            program, obs=self._obs, fuel_limit=fuel, kind="ncap"
+            program, obs=self._obs,
+            fuel_limit=self.endpoint.config.monitor_fuel, kind="ncap"
         )
         if admitted is None:
             return ERR_MONITOR_REJECTED, _report_text(report).encode()
-        socket.install_filter(admitted, message.time, fuel)
+        socket.install_filter(admitted, message.time)
         return ST_OK
 
     def _npoll(self, message: NPoll) -> Union[Answer, Generator]:

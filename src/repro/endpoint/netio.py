@@ -118,13 +118,11 @@ class RawEndpointSocket(EndpointSocket):
         self._cap_until_ticks = 0
         self._tap = node.ip.add_tap(self._on_packet)
 
-    def install_filter(self, program: AdmittedProgram, until_ticks: int,
-                       fuel_limit: int) -> None:
+    def install_filter(self, program: AdmittedProgram, until_ticks: int) -> None:
         """ncap: install a capture filter active until the given local
-        time, running on the fuel it was admitted against. The filter's
-        persistent globals live as long as the filter."""
+        time. The filter's persistent globals live as long as the filter."""
         self._filter = FilterVM(program, info=self._info_view,
-                                fuel_limit=fuel_limit, obs=self.node.sim.obs)
+                                obs=self.node.sim.obs)
         self._filter.run_init()
         self._cap_until_ticks = until_ticks
 

@@ -36,11 +36,11 @@ Checks, in order:
 7. **Fuel bound** — for loop-free functions, the worst-case instruction
    count, compared against the runtime fuel limit.
 
-Soundness contract (tested property): a program accepted by
-:func:`verify` never raises a stack-underflow, stack-overflow, call-depth,
-invalid-jump, or out-of-range-local :class:`~repro.filtervm.vm.VmFault`
-at runtime. Dynamic faults that depend on data (packet bounds, non-constant
-division) remain the runtime's job and still fail closed.
+Soundness contract (tested property): on the fully checked reference VM
+(the tests' oracle), a program accepted by :func:`verify` never faults on
+stack underflow or overflow, call depth, jump or local range, so admitted
+code runs without those checks. Faults that depend on data (packet bounds,
+non-constant division) remain the runtime's job and still fail closed.
 
 Command line::
 

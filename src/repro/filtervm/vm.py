@@ -1,14 +1,13 @@
-"""The filter VM interpreter.
+"""The filter VM.
 
-Every invocation is bounded by a fuel budget; every fault — out-of-bounds
-access, stack underflow, division by zero, fuel exhaustion, call-depth
-overflow — aborts with verdict 0 (deny). Monitors therefore fail closed.
-
-A program the static verifier accepted runs as an :class:`AdmittedProgram`:
-lowered once to straight-line Python per basic block, without the checks
-the verifier proved unnecessary. Any other program runs on ``_execute``,
-which checks everything and is the reference the lowered code is tested
-against.
+Only a program the static verifier accepted runs: an
+:class:`AdmittedProgram` is lowered once to straight-line Python per basic
+block, without the checks the verifier proved unnecessary (stack depth,
+call depth, jump and local range). Every invocation is bounded by the fuel
+budget the program was admitted against, and every fault that remains
+possible — out-of-bounds packet, info or globals access, division by zero,
+fuel exhaustion — aborts with verdict 0 (deny). Monitors therefore fail
+closed.
 """
 
 from __future__ import annotations
@@ -72,40 +71,34 @@ class BytesInfo:
 
 
 class FilterVM:
-    """An instantiated program with its persistent globals.
+    """An admitted program instantiated with its persistent globals.
 
     One ``FilterVM`` lives for the duration of an experiment: its globals
     survive across invocations (the paper's stateful-filtering requirement)
-    while stack and locals are per-invocation. Built from an
-    :class:`AdmittedProgram`, its entry points run lowered; built from a
-    bare :class:`FilterProgram`, everything runs on ``_execute``.
+    while stack and locals are per-invocation. Only an
+    :class:`AdmittedProgram` can be instantiated, and it runs on the fuel
+    limit it was admitted against: the verifier's guarantees hold only for
+    that budget.
     """
 
     def __init__(
         self,
-        program: FilterProgram | AdmittedProgram,
+        program: AdmittedProgram,
         info: Optional[InfoSource] = None,
-        fuel_limit: int = DEFAULT_FUEL,
         obs: Optional["Observability"] = None,
     ) -> None:
-        lowered: Mapping[str, Callable[..., tuple[int, int]]] = {}
-        if isinstance(program, AdmittedProgram):
-            lowered = program.entries
-            program = program.program
-        program.verify()
-        self.program = program
+        if not isinstance(program, AdmittedProgram):
+            raise TypeError("FilterVM runs only an AdmittedProgram, "
+                            f"got {type(program).__name__}")
+        self.program = program.program
         self.info = info or BytesInfo(b"")
-        self.fuel_limit = fuel_limit
-        self.globals = bytearray(program.globals_size)
+        self.fuel_limit = program.fuel_limit
+        self.globals = bytearray(self.program.globals_size)
         self.faults = 0
         self.instructions_executed = 0
         self.last_fault: Optional[str] = None
         self._obs = obs
-        # name -> (function, its lowered code or None), resolved once.
-        self._entries = {
-            function.name: (function, lowered.get(function.name))
-            for function in program.functions
-        }
+        self._entries = program.entries
 
     def has_entry(self, name: str) -> bool:
         return name in self._entries
@@ -119,23 +112,21 @@ class FilterVM:
         self, entry: str, packet: bytes = b"", args: tuple[int, ...] = ()
     ) -> int:
         """Run an entry point; returns its verdict (0 on any fault)."""
-        resolved = self._entries.get(entry)
-        if resolved is None:
+        lowered = self._entries.get(entry)
+        if lowered is None:
             raise ProgramError(f"program has no entry point {entry!r}")
-        function, lowered = resolved
-        if len(args) != function.n_args:
+        # the verifier admits an entry point only with its signature
+        n_args = ENTRY_SIGNATURES[entry]
+        if len(args) != n_args:
             raise ProgramError(
-                f"entry {entry!r} takes {function.n_args} args, got {len(args)}"
+                f"entry {entry!r} takes {n_args} args, got {len(args)}"
             )
         budget = self.fuel_limit
         obs = self._obs
         try:
-            if lowered is None:
-                verdict, fuel_left = self._execute(function, packet, args, budget)
-            else:
-                verdict, fuel_left = lowered(
-                    self, [], packet, budget, *map(to_unsigned, args)
-                )
+            verdict, fuel_left = lowered(
+                self, [], packet, budget, *map(to_unsigned, args)
+            )
         except VmFault as fault:
             self.faults += 1
             self.last_fault = str(fault)
@@ -150,136 +141,6 @@ class FilterVM:
             obs.counter("filtervm.instructions").inc(budget - fuel_left)
             obs.counter("filtervm.allow" if verdict else "filtervm.deny").inc()
         return verdict
-
-    # -- interpreter core ----------------------------------------------------
-
-    def _execute(
-        self, function, packet: bytes, args: tuple[int, ...], fuel: int
-    ) -> tuple[int, int]:
-        """Run to completion; returns ``(verdict, fuel_remaining)``."""
-        code = self.program.code
-        functions = self.program.functions
-        stack: list[int] = []
-        locals_: list[int] = [to_unsigned(a) for a in args] + [0] * (
-            function.n_locals - function.n_args
-        )
-        frames: list[tuple[int, list[int]]] = []  # (return pc, saved locals)
-        pc = function.offset
-
-        def pop() -> int:
-            if not stack:
-                raise VmFault("stack underflow")
-            return stack.pop()
-
-        def push(value: int) -> None:
-            if len(stack) >= MAX_STACK:
-                raise VmFault("stack overflow")
-            stack.append(value & MASK64)
-
-        while True:
-            if fuel <= 0:
-                raise VmFault("fuel exhausted")
-            fuel -= 1
-            if pc >= len(code):
-                raise VmFault(f"pc {pc} ran off the end of code")
-            instruction = code[pc]
-            op = instruction.op
-            pc += 1
-
-            if op == Op.PUSH:
-                push(to_unsigned(instruction.operand))
-            elif op == Op.POP:
-                pop()
-            elif op == Op.DUP:
-                value = pop()
-                push(value)
-                push(value)
-            elif op == Op.SWAP:
-                a = pop()
-                b = pop()
-                push(a)
-                push(b)
-            elif op == Op.LDL:
-                index = instruction.operand
-                if not 0 <= index < len(locals_):
-                    raise VmFault(f"local {index} out of range")
-                push(locals_[index])
-            elif op == Op.STL:
-                index = instruction.operand
-                if not 0 <= index < len(locals_):
-                    raise VmFault(f"local {index} out of range")
-                locals_[index] = pop()
-            elif op in _BINARY_HANDLERS:
-                rhs = pop()
-                lhs = pop()
-                push(_BINARY_HANDLERS[op](lhs, rhs))
-            elif op in _UNARY_HANDLERS:
-                push(_UNARY_HANDLERS[op](pop()))
-            elif op == Op.JMP:
-                pc = instruction.operand
-            elif op == Op.JZ:
-                if pop() == 0:
-                    pc = instruction.operand
-            elif op == Op.JNZ:
-                if pop() != 0:
-                    pc = instruction.operand
-            elif op == Op.CALL:
-                if len(frames) >= MAX_CALL_DEPTH:
-                    raise VmFault("call depth exceeded")
-                callee = functions[instruction.operand]
-                call_args = [pop() for _ in range(callee.n_args)][::-1]
-                frames.append((pc, locals_))
-                locals_ = call_args + [0] * (callee.n_locals - callee.n_args)
-                pc = callee.offset
-            elif op == Op.RET:
-                result = pop()
-                if not frames:
-                    return result, fuel
-                pc, locals_ = frames.pop()
-                push(result)
-            elif op == Op.PKTLEN:
-                push(len(packet))
-            elif op in (Op.PKTLD8, Op.PKTLD16, Op.PKTLD32):
-                size = {Op.PKTLD8: 1, Op.PKTLD16: 2, Op.PKTLD32: 4}[op]
-                offset = to_signed(pop())
-                if offset < 0 or offset + size > len(packet):
-                    raise VmFault(
-                        f"packet read [{offset}:{offset + size}] out of bounds "
-                        f"(len {len(packet)})"
-                    )
-                push(int.from_bytes(packet[offset : offset + size], "big"))
-            elif op in (Op.INFOLD8, Op.INFOLD16, Op.INFOLD32, Op.INFOLD64):
-                size = {
-                    Op.INFOLD8: 1,
-                    Op.INFOLD16: 2,
-                    Op.INFOLD32: 4,
-                    Op.INFOLD64: 8,
-                }[op]
-                offset = to_signed(pop())
-                data = self.info.read(offset, size)
-                push(int.from_bytes(data, "big"))
-            elif op in (Op.GLD8, Op.GLD16, Op.GLD32, Op.GLD64):
-                size = {Op.GLD8: 1, Op.GLD16: 2, Op.GLD32: 4, Op.GLD64: 8}[op]
-                offset = to_signed(pop())
-                self._check_globals(offset, size)
-                push(int.from_bytes(self.globals[offset : offset + size], "big"))
-            elif op in (Op.GST8, Op.GST16, Op.GST32, Op.GST64):
-                size = {Op.GST8: 1, Op.GST16: 2, Op.GST32: 4, Op.GST64: 8}[op]
-                offset = to_signed(pop())
-                value = pop()
-                self._check_globals(offset, size)
-                self.globals[offset : offset + size] = (
-                    value & ((1 << (8 * size)) - 1)
-                ).to_bytes(size, "big")
-            else:  # pragma: no cover - verifier rejects unknown opcodes
-                raise VmFault(f"unhandled opcode {op}")
-
-    def _check_globals(self, offset: int, size: int) -> None:
-        if offset < 0 or offset + size > len(self.globals):
-            raise VmFault(
-                f"globals access [{offset}:{offset + size}] out of bounds "
-                f"(size {len(self.globals)})"
-            )
 
 
 def _div_u(lhs: int, rhs: int) -> int:
@@ -355,9 +216,9 @@ def evaluate(op: Op, *operands: int) -> int:
     """What the VM leaves on the stack for ALU ``op`` over ``operands``.
 
     The handler tables above are the one definition of 64-bit arithmetic:
-    ``_execute`` dispatches through them, and the verifier's constant
-    propagation and the Cpf compiler's constant folding call this, so
-    neither can disagree with what runs. Operands are taken mod 2^64; a
+    lowered code calls them, and the verifier's constant propagation and
+    the Cpf compiler's constant folding call this, so neither can disagree
+    with what runs. Operands are taken mod 2^64; a
     zero divisor raises :class:`VmFault`.
     """
     handler: Callable[..., int] = (
@@ -382,23 +243,25 @@ class AdmittedProgram:
     program (``verify``'s memo makes a repeat cheap) and raises
     :class:`~repro.filtervm.verify.VerifyRejected` unless the verifier
     accepts, so only the content that passed is ever lowered and run.
-    ``report`` is that verification's report.
+    ``report`` is that verification's report, and ``fuel_limit`` the budget
+    it was checked against, which every :class:`FilterVM` of this program
+    runs on.
 
-    :class:`FilterVM` runs the entry points of an admitted program as
-    generated Python, one straight-line stretch per reachable basic block,
-    which leaves out exactly the checks the verifier discharged: stack
-    underflow and overflow, call depth, pc and jump range, and local-slot
-    range. Every data-dependent check stays, with ``_execute``'s fault
-    text: packet, info and globals bounds, non-constant division, and fuel.
+    The entry points run as generated Python, one straight-line stretch
+    per reachable basic block, which leaves out exactly the checks the
+    verifier discharged: stack underflow and overflow, call depth, pc and
+    jump range, and local-slot range. Every data-dependent check stays:
+    packet, info and globals bounds, non-constant division, and fuel.
 
     Immutable; the lowered code is shared by every admission of the same
     program content.
     """
 
-    __slots__ = ("program", "report", "entries")
+    __slots__ = ("program", "report", "entries", "fuel_limit")
     program: FilterProgram
     report: "VerifierReport"
     entries: Mapping[str, Callable[..., tuple[int, int]]]
+    fuel_limit: int
 
     def __init__(self, program: FilterProgram, *,
                  info_size: Optional[int] = None,
@@ -419,6 +282,7 @@ class AdmittedProgram:
         object.__setattr__(self, "program", copy)
         object.__setattr__(self, "report", report)
         object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "fuel_limit", fuel_limit)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("an admitted program is immutable")
@@ -431,10 +295,10 @@ _BLOCK_ENDS = JUMP_OPS | {Op.CALL, Op.RET}
 _FUEL_GUARD = "if fuel <= {}: raise VmFault('fuel exhausted')"
 
 
-def _packet_fault(value: int, width: int, length: int) -> VmFault:
+def _bounds_fault(access: str, value: int, width: int, limit: str) -> VmFault:
     offset = to_signed(value)
     return VmFault(
-        f"packet read [{offset}:{offset + width}] out of bounds (len {length})"
+        f"{access} [{offset}:{offset + width}] out of bounds ({limit})"
     )
 
 
@@ -442,9 +306,9 @@ def _lower(program: FilterProgram) -> dict[str, Callable[..., tuple[int, int]]]:
     """Compile the code an accepted program can run to Python.
 
     Function ``i`` becomes ``f<i>(vm, stack, packet, fuel, *args)``
-    returning ``(verdict, fuel left)``, like ``_execute``; a CALL is a
-    Python call, and all frames share one operand stack, as in
-    ``_execute``. Arithmetic goes through the handler tables above.
+    returning ``(verdict, fuel left)``; a CALL is a Python call, and all
+    frames share one operand stack. Arithmetic goes through the handler
+    tables above.
 
     Only what the verifier checked is lowered: the entry points, the
     functions they may call, and in each the blocks reachable from its
@@ -465,7 +329,7 @@ def _lower(program: FilterProgram) -> dict[str, Callable[..., tuple[int, int]]]:
         worklist += callees - lowered
         lowered |= callees
     scope: dict[str, Any] = {
-        "VmFault": VmFault, "to_signed": to_signed, "_packet_fault": _packet_fault,
+        "VmFault": VmFault, "to_signed": to_signed, "_bounds_fault": _bounds_fault,
     }
     for op, handler in {**_BINARY_HANDLERS, **_UNARY_HANDLERS}.items():
         scope[f"op_{op.name.lower()}"] = handler
@@ -627,8 +491,8 @@ def _lower_block(program: FilterProgram, lead: int, stop: int,
             offset = block.pop()
             uses.add("n")
             lines.append(_FUEL_GUARD.format(done))
-            lines.append(f"if {offset} > n - {width}: "
-                         f"raise _packet_fault({offset}, {width}, n)")
+            lines.append(f"if {offset} > n - {width}: raise _bounds_fault("
+                         f"'packet read', {offset}, {width}, f'len {{n}}')")
             pending.append(block.let(_load("P", offset, width)))
         elif op in INFO_LOADS:
             offset = block.pop()
@@ -648,8 +512,9 @@ def _lower_block(program: FilterProgram, lead: int, stop: int,
             if stored is not None or not in_bounds:
                 lines.append(_FUEL_GUARD.format(done))
             if not in_bounds:
-                lines.append(f"if {offset} > {globals_size - width}: "
-                             f"vm._check_globals(to_signed({offset}), {width})")
+                lines.append(f"if {offset} > {globals_size - width}: raise "
+                             f"_bounds_fault('globals access', {offset}, "
+                             f"{width}, 'size {globals_size}')")
             if stored is None:
                 pending.append(block.let(_load("G", offset, width)))
             elif width == 1:
@@ -662,7 +527,7 @@ def _lower_block(program: FilterProgram, lead: int, stop: int,
     last = program.code[stop - 1]
     op, target = last.op, last.operand
     # The terminator's operands leave the symbolic stack before the rest
-    # is pushed, as they leave the real stack in _execute.
+    # is pushed, as they leave the real stack in the VM's semantics.
     if op == Op.JZ or op == Op.JNZ:
         test = f"{block.pop()} {'==' if op == Op.JZ else '!='} 0"
     elif op == Op.RET:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.controller.clocksync import ClockEstimate
 from repro.core.testbed import Testbed
-from repro.filtervm import FilterVM, builtins
+from repro.filtervm import AdmittedProgram, FilterVM, builtins
 from repro.filtervm.program import ProgramError
 from repro.netsim.topology import Network
 from repro.netsim.trace import PacketTrace
@@ -87,7 +87,7 @@ class TestClockEstimateMath:
 class TestFilterBuiltinsSurface:
     def test_capture_from_host(self):
         addr = parse_ip("192.0.2.77")
-        vm = FilterVM(builtins.capture_from_host(addr))
+        vm = FilterVM(AdmittedProgram(builtins.capture_from_host(addr)))
         hit = IPv4Packet(src=addr, dst=1, proto=PROTO_RAW_TEST,
                          payload=b"").encode()
         miss = IPv4Packet(src=parse_ip("192.0.2.78"), dst=1,

@@ -1,6 +1,7 @@
 """Tests for the Cpf language: lexer, parser, layouts, codegen, Figure 2."""
 
 import pytest
+from filtervm_oracle import OracleVM
 from hypothesis import given, strategies as st
 
 from repro.cpf import (
@@ -12,16 +13,19 @@ from repro.cpf import (
     plinfo_struct,
 )
 from repro.cpf.lexer import tokenize
-from repro.cpf.stdlib import INFO_ADDR_IP_OFFSET, INFO_CLOCK_OFFSET
-from repro.filtervm import BytesInfo, FilterVM
+from repro.cpf.__main__ import main as cpf_main
+from repro.cpf.stdlib import INFO_ADDR_IP_OFFSET, INFO_CLOCK_OFFSET, INFO_SIZE
+from repro.endpoint.memory import MEMORY_SIZE
+from repro.filtervm import AdmittedProgram, BytesInfo, FilterVM
 from repro.packet.icmp import IcmpMessage
 from repro.packet.ipv4 import IPv4Packet, PROTO_ICMP
 from repro.util.inet import parse_ip
 
 
 def run_main(source, args=(), packet=b"", info=b"", globals_out=None):
+    """Run ``main``, which is no entry point, on the reference VM."""
     program = compile_cpf(source)
-    vm = FilterVM(program, info=BytesInfo(info))
+    vm = OracleVM(program, info=BytesInfo(info))
     vm.run_init()
     result = vm.invoke("main", packet=packet, args=args)
     if globals_out is not None:
@@ -125,7 +129,7 @@ class TestExpressions:
         }
         """
         program = compile_cpf(source)
-        vm = FilterVM(program)
+        vm = OracleVM(program)
         assert vm.invoke("main", packet=b"", args=(0, 0)) == 2
         assert vm.faults == 0
 
@@ -255,7 +259,7 @@ class TestGlobals:
         uint32_t main(void) { counter += 1; return counter; }
         """
         program = compile_cpf(source)
-        vm = FilterVM(program)
+        vm = OracleVM(program)
         assert [vm.invoke("main") for _ in range(3)] == [1, 2, 3]
 
     def test_global_initializers_via_init(self):
@@ -266,7 +270,7 @@ class TestGlobals:
         """
         program = compile_cpf(source)
         assert program.function_named("init") is not None
-        vm = FilterVM(program)
+        vm = OracleVM(program)
         vm.run_init()
         assert vm.invoke("main") == 49
 
@@ -279,7 +283,7 @@ class TestGlobals:
         }
         """
         program = compile_cpf(source)
-        vm = FilterVM(program)
+        vm = OracleVM(program)
         assert vm.invoke("main", args=(0, 5)) == 10
         assert vm.invoke("main", args=(2, 7)) == 12
 
@@ -341,7 +345,7 @@ class TestPacketAccess:
         }
         """
         program = compile_cpf(source)
-        vm = FilterVM(program)
+        vm = OracleVM(program)
         assert vm.invoke("main", packet=b"\x45\x00", args=(0, 2)) == 0
         assert vm.faults == 1
 
@@ -409,7 +413,7 @@ class TestFigure2:
         return b"\x00" * 8 + self.ENDPOINT.to_bytes(4, "big") + b"\x00" * 40
 
     def _vm(self, corrected=True):
-        vm = FilterVM(figure2_monitor(corrected=corrected),
+        vm = FilterVM(AdmittedProgram(figure2_monitor(corrected=corrected)),
                       info=BytesInfo(self._info()))
         vm.run_init()
         return vm
@@ -505,3 +509,51 @@ class TestFigure2:
             payload=IcmpMessage.echo_reply(1, 1).encode(),
         ).encode()
         assert vm.invoke("recv", packet=reply, args=(0, len(reply))) == 0
+
+
+class TestCommandLine:
+    """``python -m repro.cpf --run`` runs only what an endpoint admits."""
+
+    RECURSIVE = """
+    uint32_t spin(uint32_t n) { return spin(n + 1); }
+    uint32_t send(const union packet * pkt, uint32_t len) { return spin(len); }
+    """
+    ACCEPTED = """
+    uint32_t base = 1;
+    uint32_t helper(uint32_t n) { return n + base; }
+    uint32_t send(const union packet * pkt, uint32_t len) { return helper(len); }
+    """
+
+    def _run(self, tmp_path, source, *argv):
+        path = tmp_path / "monitor.cpf"
+        path.write_text(source)
+        return cpf_main([str(path), *argv])
+
+    def test_run_refuses_a_program_the_verifier_rejects(self, tmp_path, capsys):
+        assert self._run(tmp_path, self.RECURSIVE, "--run", "send") == 1
+        out = capsys.readouterr().out
+        assert "error[recursion]" in out
+        assert "verdict 0" not in out
+
+    def test_run_refuses_a_name_that_is_not_an_entry_point(self, tmp_path,
+                                                           capsys):
+        assert self._run(tmp_path, self.ACCEPTED, "--run", "helper") == 1
+        err = capsys.readouterr().err
+        assert err.strip().splitlines() == [
+            "error: 'helper' is not an entry point of this program (init, send)"
+        ]
+
+    @pytest.mark.parametrize("entry, printed", [
+        # init runs first, so send sees base = 1
+        ("send", "send(2-byte packet) -> verdict 3"),
+        ("init", "init(2-byte packet) -> verdict 0"),
+    ])
+    def test_run_invokes_an_admitted_entry_point(self, tmp_path, capsys,
+                                                 entry, printed):
+        assert self._run(tmp_path, self.ACCEPTED, "--run", entry,
+                         "--packet", "4500") == 0
+        assert printed in capsys.readouterr().out
+
+    def test_admits_against_the_endpoint_info_block_size(self):
+        assert INFO_SIZE == MEMORY_SIZE
+

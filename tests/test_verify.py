@@ -6,6 +6,7 @@ import importlib
 import os
 
 import pytest
+from filtervm_oracle import OracleVM
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from repro.core.testbed import Testbed
@@ -140,7 +141,7 @@ class TestAccepts:
         program = builtins.capture_udp_port(53)
         report = verify(program)
         bound = report.fuel_bounds["recv"]
-        vm = FilterVM(program)
+        vm = FilterVM(AdmittedProgram(program))
         vm.invoke("recv", packet=b"\x45" + b"\x00" * 40, args=(0, 41))
         assert vm.instructions_executed <= bound
 
@@ -385,10 +386,12 @@ class TestJumpRangeAgreement:
         program = FilterProgram(code=[], functions=[Function("recv", 0, 2, 2)])
         with pytest.raises(ProgramError):
             program.verify()
-        # The static verifier and the VM agree.
+        # The static verifier, admission and the reference VM agree.
         assert "bad-function-offset" in error_codes(verify(program))
+        with pytest.raises(VerifyRejected):
+            AdmittedProgram(program)
         with pytest.raises(ProgramError):
-            FilterVM(program)
+            OracleVM(program)
 
     def test_assembler_verifier_vm_agree_on_numeric_jump_bounds(self):
         for target in (-1, 3, 99):
@@ -398,8 +401,10 @@ class TestJumpRangeAgreement:
             assert "bad-jump" in error_codes(verify(program))
             with pytest.raises(ProgramError):
                 program.verify()
+            with pytest.raises(VerifyRejected):
+                AdmittedProgram(program)
             with pytest.raises(ProgramError):
-                FilterVM(program)
+                OracleVM(program)
 
     def test_last_instruction_is_a_valid_jump_target(self):
         source = """
@@ -414,7 +419,7 @@ class TestJumpRangeAgreement:
         """
         program = assemble(source)
         assert verify(program).ok
-        assert FilterVM(program).invoke("recv", args=(0, 0)) == 0
+        assert FilterVM(AdmittedProgram(program)).invoke("recv", args=(0, 0)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -447,14 +452,14 @@ class TestDeadTailElimination:
             }
             """
         )
-        vm = FilterVM(program)
+        vm = FilterVM(AdmittedProgram(program))
         assert vm.invoke("recv", packet=b"", args=(0, 5)) == 0
         assert vm.invoke("recv", packet=b"", args=(0, 100)) == 100
 
     def test_semantics_preserved_for_figure2(self):
         """Dead-tail elimination must not change a single verdict."""
         program = figure2_monitor(corrected=True)
-        vm = FilterVM(program, info=BytesInfo(b"\x00" * 64))
+        vm = FilterVM(AdmittedProgram(program), info=BytesInfo(b"\x00" * 64))
         vm.run_init()
         # Non-ICMP garbage packet: denied.
         assert vm.invoke("send", packet=b"\x00" * 40, args=(0, 40)) == 0
@@ -618,14 +623,20 @@ class TestSoundnessProperty:
     ):
         report = verify(program, info_size=len(info))
         assume(report.ok)
-        vm = FilterVM(program, info=BytesInfo(info))
-        vm.invoke("recv", packet=packet, args=(arg, len(packet)))
+        vm = OracleVM(program, info=BytesInfo(info))
+        verdict = vm.invoke("recv", packet=packet, args=(arg, len(packet)))
         if vm.last_fault is not None:
             for excluded in _EXCLUDED_FAULTS:
                 assert excluded not in vm.last_fault, (
                     f"verifier accepted a program that faulted "
                     f"{vm.last_fault!r}:\n{report.render()}"
                 )
+        # What runs without those checks agrees with the checked oracle.
+        lowered = FilterVM(AdmittedProgram(program, info_size=len(info)),
+                           info=BytesInfo(info))
+        assert lowered.invoke("recv", packet=packet,
+                              args=(arg, len(packet))) == verdict
+        assert _outcome(lowered) == _outcome(vm)
 
     @given(data=st.data())
     @settings(max_examples=100, deadline=None,
@@ -647,9 +658,12 @@ class TestSoundnessProperty:
         program = FilterProgram(code=code, functions=functions)
         report = verify(program)
         assume(report.ok)
-        vm = FilterVM(program)
-        vm.invoke("recv", packet=b"", args=(0, 0))
+        vm = OracleVM(program)
+        verdict = vm.invoke("recv", packet=b"", args=(0, 0))
         assert vm.last_fault is None
+        lowered = FilterVM(AdmittedProgram(program))
+        assert lowered.invoke("recv", packet=b"", args=(0, 0)) == verdict
+        assert _outcome(lowered) == _outcome(vm)
 
 
 def _outcome(vm):
@@ -694,7 +708,8 @@ def _fuel_edges():
 
 class TestLoweredMatchesExecute:
     """An admitted program runs lowered code without the checks the
-    verifier proved; ``_execute`` keeps every check and is the oracle."""
+    verifier proved; the reference VM's ``_execute`` keeps every check
+    and is the oracle."""
 
     @given(
         program=random_programs(),
@@ -722,10 +737,10 @@ class TestLoweredMatchesExecute:
     def test_same_verdicts_fuel_faults_and_globals(self, program, calls,
                                                    info, fuel):
         assume(verify(program, info_size=len(info), fuel_limit=fuel).ok)
-        reference = FilterVM(program, info=BytesInfo(info), fuel_limit=fuel)
+        reference = OracleVM(program, info=BytesInfo(info), fuel_limit=fuel)
         lowered = FilterVM(AdmittedProgram(program, info_size=len(info),
                                            fuel_limit=fuel),
-                           info=BytesInfo(info), fuel_limit=fuel)
+                           info=BytesInfo(info))
         # Globals carry state from one invocation to the next.
         for packet, arg in calls:
             args = (arg, len(packet))
@@ -733,17 +748,29 @@ class TestLoweredMatchesExecute:
                 reference.invoke("recv", packet=packet, args=args)
             assert _outcome(lowered) == _outcome(reference)
 
-    def test_admitted_entries_never_reach_execute(self):
-        program = figure2_monitor(corrected=True)
-        vm = FilterVM(AdmittedProgram(program), info=BytesInfo(b"\x00" * 64))
+    def test_a_bare_program_is_refused_before_it_runs(self):
+        """Only an admitted program can be instantiated: a bare one, even
+        one the verifier would accept, is refused by the constructor."""
+        program = builtins.capture_all()
+        assert verify(program).ok
+        with pytest.raises(TypeError, match="AdmittedProgram"):
+            FilterVM(program)
 
-        def unreachable(*args):
-            raise AssertionError("an admitted entry ran on _execute")
+    def test_only_entry_points_can_be_invoked(self):
+        """A helper is admitted as part of its caller, never on its own."""
+        program = _countdown_calls()
+        vm = FilterVM(AdmittedProgram(program))
+        with pytest.raises(ProgramError, match="no entry point 'h'"):
+            vm.invoke("h", args=(3, 1))
+        assert (vm.instructions_executed, vm.faults) == (0, 0)
+        assert vm.invoke("recv", args=(3, 0)) == 3
 
-        vm._execute = unreachable
-        vm.run_init()
-        assert vm.invoke("send", packet=b"\x00" * 40, args=(0, 40)) == 0
-        assert vm.invoke("recv", packet=b"\x00" * 40, args=(0, 40)) == 0
+    def test_runs_on_the_fuel_it_was_admitted_against(self):
+        admitted = AdmittedProgram(_fuel_edges(), fuel_limit=4)
+        vm = FilterVM(admitted)
+        assert vm.fuel_limit == admitted.fuel_limit == 4
+        assert vm.invoke("recv", args=(0, 0)) == 0
+        assert vm.last_fault == "fuel exhausted"
 
     def test_only_a_program_the_verifier_accepts_is_admitted(self):
         with pytest.raises(VerifyRejected) as rejected:
