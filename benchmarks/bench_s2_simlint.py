@@ -16,7 +16,6 @@ import time
 from conftest import print_table
 
 from repro.analysis import analyze_paths
-from repro.analysis.baseline import Baseline
 from repro.analysis.engine import collect_files
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -28,8 +27,7 @@ FULL_SCAN_BUDGET_S = 5.0
 
 
 def _full_scan():
-    baseline = Baseline.load(os.path.join(REPO, "simlint.baseline.json"))
-    return analyze_paths([SRC], root=REPO, baseline=baseline)
+    return analyze_paths([SRC], root=REPO)
 
 
 def test_full_repo_scan_under_budget(benchmark):

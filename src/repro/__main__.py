@@ -235,7 +235,7 @@ def main(argv: list[str] | None = None) -> int:
     commands.add_parser(
         "analysis", add_help=False,
         help="run the simlint determinism & sim-safety static analyzer "
-             "(exit 1 on any unsuppressed, non-baselined finding)")
+             "(exit 1 on any unsuppressed finding)")
     commands.add_parser(
         "warehouse", add_help=False,
         help="operate the durable results warehouse: "

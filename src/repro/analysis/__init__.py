@@ -23,27 +23,22 @@ Architecture (two passes over the whole program):
    same file.
 
 Rules (see :mod:`repro.analysis.rules`) then walk each module with the
-whole-program model in hand.  Findings can be silenced two ways, both
-auditable:
-
-- inline: ``# simlint: ok[RULE-ID] reason`` on (or directly above) the
-  offending line — the reason string is mandatory;
-- baseline: a committed ``simlint.baseline.json`` grandfathers known
-  findings so the CI gate can be enabled before the backlog is zero.
+whole-program model in hand.  The gate is every finding not silenced
+inline by ``# simlint: ok[RULE-ID] reason`` on (or directly above) the
+offending line; the reason string is mandatory, and a suppression that
+matches nothing is itself a finding (LINT002).
 
 Run it with ``python -m repro analysis [paths]``.
 """
 
 from __future__ import annotations
 
-from repro.analysis.baseline import Baseline
 from repro.analysis.engine import AnalysisResult, analyze_paths
 from repro.analysis.model import ModuleInfo, RepoModel
 from repro.analysis.rules import Finding, Rule, all_rules, rule_registry
 
 __all__ = [
     "AnalysisResult",
-    "Baseline",
     "Finding",
     "ModuleInfo",
     "RepoModel",

@@ -1,7 +1,9 @@
 """``python -m repro analysis`` — the simlint command line.
 
-Exit codes: 0 clean (every finding suppressed or baselined), 1 gate
-findings present, 2 usage error.
+Exit codes: 0 clean (every finding suppressed inline), 1 gate findings
+present, 2 usage error: an unknown rule id, a path that does not exist,
+paths that hold no ``.py`` file, or a ``--report`` that cannot be
+written.
 """
 
 from __future__ import annotations
@@ -11,11 +13,6 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from repro.analysis.baseline import (
-    DEFAULT_BASELINE_NAME,
-    Baseline,
-    finding_fingerprint,
-)
 from repro.analysis.engine import analyze_paths
 from repro.analysis.report import render_json, render_text
 from repro.analysis.rules import all_rules
@@ -42,18 +39,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="also write the JSON report to PATH (CI artifact)",
     )
     parser.add_argument(
-        "--baseline", metavar="PATH", default=None,
-        help=f"baseline file (default: ./{DEFAULT_BASELINE_NAME} if present)",
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore any baseline file",
-    )
-    parser.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the baseline with the current gate findings and exit 0",
-    )
-    parser.add_argument(
         "--rule", action="append", metavar="ID", dest="rule_ids",
         help="restrict the scan to the given rule id (repeatable)",
     )
@@ -63,7 +48,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "-v", "--verbose", action="store_true",
-        help="also list suppressed and baselined findings",
+        help="also list suppressed findings",
     )
     args = parser.parse_args(argv)
 
@@ -87,27 +72,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: no such path: {', '.join(missing)}", file=sys.stderr)
         return 2
 
-    baseline_path = args.baseline or DEFAULT_BASELINE_NAME
-    baseline = None
-    if not args.no_baseline:
-        try:
-            baseline = Baseline.load(baseline_path)
-        except (ValueError, OSError) as exc:
-            print(f"error: cannot load baseline {baseline_path}: {exc}",
-                  file=sys.stderr)
-            return 2
-
-    result = analyze_paths(args.paths, rules=rules, baseline=baseline)
-
-    if args.update_baseline:
-        pairs = [(f, result.line_text(f)) for f in result.gate_findings]
-        updated = Baseline.from_findings(pairs, path=baseline_path)
-        updated.save()
-        print(
-            f"baseline updated: {len(updated.entries)} finding(s) recorded "
-            f"in {baseline_path}"
-        )
-        return 0
+    result = analyze_paths(args.paths, rules=rules)
+    if not result.files:
+        print(f"error: no Python files under: {', '.join(args.paths)}",
+              file=sys.stderr)
+        return 2
 
     output = render_json(result) if args.json else render_text(
         result, verbose=args.verbose
@@ -115,14 +84,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     print(output, end="" if args.json else "\n")
 
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as handle:
-            handle.write(render_json(result))
+        try:
+            with open(args.report, "w", encoding="utf-8") as handle:
+                handle.write(render_json(result))
+        except OSError as exc:
+            print(f"error: cannot write report {args.report}: "
+                  f"{exc.strerror or exc}", file=sys.stderr)
+            return 2
 
     return 1 if result.gate_findings else 0
-
-
-# re-exported for tests that want to fingerprint findings the CLI's way
-__all__ = ["main", "finding_fingerprint"]
 
 
 if __name__ == "__main__":

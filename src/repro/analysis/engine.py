@@ -2,8 +2,8 @@
 
 ``analyze_paths`` is the single entry point used by the CLI, the test
 suite, and the benchmark.  It returns an :class:`AnalysisResult` whose
-``gate_findings`` (neither suppressed nor baselined) decide the exit
-code — an empty list is a green gate.
+``gate_findings`` (every finding not suppressed inline) decide the
+exit code — an empty list is a green gate.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import os
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from repro.analysis.baseline import Baseline, finding_fingerprint
 from repro.analysis.model import ModuleInfo, RepoModel, parse_module
 from repro.analysis.rules import Finding, Rule, all_rules
 from repro.analysis.suppress import parse_suppressions
@@ -42,7 +41,6 @@ def collect_files(paths: Sequence[str]) -> list[str]:
 class AnalysisResult:
     """Everything one scan produced."""
 
-    root: str
     files: list[str]
     findings: list[Finding] = field(default_factory=list)
     model: Optional[RepoModel] = None
@@ -50,18 +48,12 @@ class AnalysisResult:
 
     @property
     def gate_findings(self) -> list[Finding]:
-        """Findings that fail the gate (not suppressed, not baselined)."""
-        return [
-            f for f in self.findings if not f.suppressed and not f.baselined
-        ]
+        """Findings that fail the gate: those not suppressed inline."""
+        return [f for f in self.findings if not f.suppressed]
 
     @property
     def suppressed_findings(self) -> list[Finding]:
         return [f for f in self.findings if f.suppressed]
-
-    @property
-    def baselined_findings(self) -> list[Finding]:
-        return [f for f in self.findings if f.baselined]
 
     def counts_by_rule(self) -> dict[str, int]:
         counts: dict[str, int] = {}
@@ -69,32 +61,16 @@ class AnalysisResult:
             counts[finding.rule] = counts.get(finding.rule, 0) + 1
         return dict(sorted(counts.items()))
 
-    def line_text(self, finding: Finding) -> str:
-        module = self._module_for(finding.path)
-        if module and 1 <= finding.line <= len(module.lines):
-            return module.lines[finding.line - 1]
-        return ""
-
-    def _module_for(self, path: str) -> Optional[ModuleInfo]:
-        if self.model is None:
-            return None
-        for module in self.model.modules.values():
-            if module.path == path or _relpath(module.path, self.root) == path:
-                return module
-        return None
-
 
 def analyze_paths(
     paths: Sequence[str],
     root: Optional[str] = None,
     rules: Optional[Iterable[Rule]] = None,
-    baseline: Optional[Baseline] = None,
 ) -> AnalysisResult:
     """Run the full two-pass analysis over ``paths``.
 
     ``root`` anchors module-name derivation (defaults to the common
-    parent of ``paths``); ``rules`` defaults to the full registry;
-    ``baseline`` marks grandfathered findings instead of gating on them.
+    parent of ``paths``); ``rules`` defaults to the full registry.
     """
     if root is None:
         root = os.path.commonpath([os.path.abspath(p) for p in paths])
@@ -105,7 +81,7 @@ def analyze_paths(
             root = os.path.dirname(root)
 
     files = collect_files(paths)
-    result = AnalysisResult(root=root, files=files)
+    result = AnalysisResult(files=files)
 
     # Pass 1: parse every file.
     modules: list[ModuleInfo] = []
@@ -159,21 +135,6 @@ def analyze_paths(
                         )
                     )
 
-    # Baseline matching.
-    if baseline is not None and baseline.entries:
-        by_path = {m.path: m for m in modules}
-        for finding in findings:
-            if finding.suppressed:
-                continue
-            module = by_path.get(finding.path)
-            line_text = ""
-            if module and 1 <= finding.line <= len(module.lines):
-                line_text = module.lines[finding.line - 1]
-            rel = _relpath(finding.path, root)
-            fp = finding_fingerprint(_with_path(finding, rel), line_text)
-            if baseline.contains(fp):
-                finding.baselined = True
-
     # Report paths relative to the root: stable across machines.
     for finding in findings:
         finding.path = _relpath(finding.path, root)
@@ -189,10 +150,3 @@ def _relpath(path: str, root: str) -> str:
     except ValueError:
         return path
     return rel.replace(os.sep, "/") if not rel.startswith("..") else path
-
-
-def _with_path(finding: Finding, path: str) -> Finding:
-    if finding.path == path:
-        return finding
-    clone = Finding(**{**finding.__dict__, "path": path})
-    return clone

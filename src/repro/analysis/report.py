@@ -11,7 +11,7 @@ import json
 
 from repro.analysis.engine import AnalysisResult
 
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 
 def render_text(result: AnalysisResult, verbose: bool = False) -> str:
@@ -28,26 +28,16 @@ def render_text(result: AnalysisResult, verbose: bool = False) -> str:
                 f"{finding.path}:{finding.line}: {finding.rule} suppressed "
                 f"({finding.suppress_reason or 'no reason'})"
             )
-        for finding in result.baselined_findings:
-            lines.append(
-                f"{finding.path}:{finding.line}: {finding.rule} baselined"
-            )
     counts = result.counts_by_rule()
     if counts:
         per_rule = ", ".join(f"{rule}×{n}" for rule, n in counts.items())
-        lines.append(
-            f"simlint: {len(result.gate_findings)} finding(s) [{per_rule}] "
-            f"({len(result.suppressed_findings)} suppressed, "
-            f"{len(result.baselined_findings)} baselined) "
-            f"in {len(result.files)} files"
-        )
+        head = f"simlint: {len(result.gate_findings)} finding(s) [{per_rule}]"
     else:
-        lines.append(
-            f"simlint: clean — 0 findings "
-            f"({len(result.suppressed_findings)} suppressed, "
-            f"{len(result.baselined_findings)} baselined) "
-            f"in {len(result.files)} files"
-        )
+        head = "simlint: clean — 0 findings"
+    lines.append(
+        f"{head} ({len(result.suppressed_findings)} suppressed) "
+        f"in {len(result.files)} files"
+    )
     return "\n".join(lines)
 
 
@@ -61,7 +51,6 @@ def render_json(result: AnalysisResult) -> str:
         "counts_by_rule": result.counts_by_rule(),
         "gate_findings": len(result.gate_findings),
         "suppressed": len(result.suppressed_findings),
-        "baselined": len(result.baselined_findings),
         "findings": [f.to_dict() for f in result.findings],
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"

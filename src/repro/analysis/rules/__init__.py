@@ -8,7 +8,7 @@ sim-context code; ``"all"`` rules fire everywhere), and a
 Adding a rule: subclass :class:`Rule` in one of the family modules (or a
 new one), decorate it with :func:`register_rule`, and import the module
 here.  That is the entire plumbing — the engine, reports, suppressions,
-baseline, tests and CLI all iterate the registry.
+tests and CLI all iterate the registry.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ class Finding:
     symbol: str = ""             # enclosing function, when known
     suppressed: bool = False     # matched an inline ``ok[...]`` comment
     suppress_reason: str = ""
-    baselined: bool = False      # matched a committed baseline entry
 
     def sort_key(self) -> tuple:
         return (self.path, self.line, self.col, self.rule)
@@ -50,8 +49,6 @@ class Finding:
         if self.suppressed:
             out["suppressed"] = True
             out["suppress_reason"] = self.suppress_reason
-        if self.baselined:
-            out["baselined"] = True
         return out
 
 

@@ -7,8 +7,7 @@ Three layers of coverage:
    assert zero findings, and golden text/JSON reports pin the output
    formats.
 2. **Mechanisms** — inline suppressions (reason required, stale ones
-   flagged), the committed baseline (content-fingerprinted, line-drift
-   tolerant), and the sim-context/offline classifier.
+   flagged) and the sim-context/offline classifier.
 3. **Self-scan** — the repository's own ``src/`` tree must have zero
    unsuppressed findings, and every suppression must carry a reason.
    This is the test that keeps the CI gate green-by-construction.
@@ -16,14 +15,12 @@ Three layers of coverage:
 
 import json
 import os
-import shutil
 import subprocess
 import sys
 
 import pytest
 
-from repro.analysis import analyze_paths, all_rules
-from repro.analysis.baseline import Baseline, finding_fingerprint
+from repro.analysis import analyze_paths, all_rules, cli
 from repro.analysis.engine import collect_files
 from repro.analysis.report import render_json, render_text
 from repro.analysis.suppress import parse_suppressions
@@ -110,16 +107,17 @@ class TestFixtureCorpus:
             "simlint: 18 finding(s) [DET001×2, DET002×1, DET003×2, "
             "DET004×1, DET005×1, LINT001×1, LINT002×1, OBS001×1, "
             "PROTO001×1, PROTO002×1, PROTO003×1, PROTO004×1, SIM001×1, "
-            "SIM002×1, SIM003×1, SIM004×1] (2 suppressed, 0 baselined) "
+            "SIM002×1, SIM003×1, SIM004×1] (2 suppressed) "
             "in 9 files"
         )
 
     def test_golden_json_report(self, corpus_result):
         payload = json.loads(render_json(corpus_result))
-        assert payload["version"] == 1
+        assert payload["version"] == 2
         assert payload["tool"] == "simlint"
         assert payload["gate_findings"] == len(EXPECTED_BAD)
         assert payload["suppressed"] == 2
+        assert "baselined" not in payload
         assert payload["counts_by_rule"]["DET001"] == 2
         assert payload["counts_by_rule"]["SIM004"] == 1
         first = payload["findings"][0]
@@ -199,70 +197,6 @@ class TestHandBuiltCommands:
         assert self._findings(tmp_path, "src/repro/controller/client.py") == []
 
 
-class TestBaseline:
-    def _copy_corpus(self, tmp_path):
-        dst = tmp_path / "corpus"
-        shutil.copytree(CORPUS, dst)
-        return str(dst)
-
-    def test_baselined_findings_pass_the_gate(self, tmp_path):
-        root = self._copy_corpus(tmp_path)
-        result = analyze_paths([root], root=root)
-        assert result.gate_findings
-        pairs = [(f, result.line_text(f)) for f in result.gate_findings]
-        baseline = Baseline.from_findings(pairs)
-        again = analyze_paths([root], root=root, baseline=baseline)
-        assert again.gate_findings == []
-        assert len(again.baselined_findings) == len(EXPECTED_BAD)
-
-    def test_baseline_survives_line_drift(self, tmp_path):
-        root = self._copy_corpus(tmp_path)
-        result = analyze_paths([root], root=root)
-        baseline = Baseline.from_findings(
-            [(f, result.line_text(f)) for f in result.gate_findings]
-        )
-        # prepend a comment: every finding moves down one line
-        target = os.path.join(root, "bad_det.py")
-        with open(target) as fh:
-            source = fh.read()
-        with open(target, "w") as fh:
-            fh.write("# an unrelated new comment line\n" + source)
-        drifted = analyze_paths([root], root=root, baseline=baseline)
-        assert drifted.gate_findings == []
-
-    def test_new_finding_fails_despite_baseline(self, tmp_path):
-        root = self._copy_corpus(tmp_path)
-        result = analyze_paths([root], root=root)
-        baseline = Baseline.from_findings(
-            [(f, result.line_text(f)) for f in result.gate_findings]
-        )
-        target = os.path.join(root, "clean_sim.py")
-        with open(target, "a") as fh:
-            fh.write("\n\ndef fresh(sim):\n    import time\n"
-                     "    t = time.time()\n    yield t\n")
-        regressed = analyze_paths([root], root=root, baseline=baseline)
-        assert [f.rule for f in regressed.gate_findings] == ["DET001"]
-
-    def test_save_and_load_round_trip(self, tmp_path):
-        root = self._copy_corpus(tmp_path)
-        result = analyze_paths([root], root=root)
-        baseline = Baseline.from_findings(
-            [(f, result.line_text(f)) for f in result.gate_findings],
-            path=str(tmp_path / "b.json"),
-        )
-        baseline.save()
-        loaded = Baseline.load(str(tmp_path / "b.json"))
-        assert set(loaded.entries) == set(baseline.entries)
-
-    def test_fingerprint_ignores_line_numbers(self):
-        from repro.analysis.rules import Finding
-
-        a = Finding("DET001", "m.py", 10, 0, "msg")
-        b = Finding("DET001", "m.py", 99, 4, "msg")
-        assert finding_fingerprint(a, "x = time.time()") == \
-            finding_fingerprint(b, "  x  =  time.time()  ")
-
-
 class TestClassifier:
     @pytest.fixture(scope="class")
     def model(self):
@@ -307,8 +241,7 @@ class TestSelfScan:
 
     @pytest.fixture(scope="class")
     def self_result(self):
-        baseline = Baseline.load(os.path.join(REPO, "simlint.baseline.json"))
-        return analyze_paths([SRC], root=REPO, baseline=baseline)
+        return analyze_paths([SRC], root=REPO)
 
     def test_zero_unsuppressed_findings(self, self_result):
         assert self_result.gate_findings == [], render_text(self_result)
@@ -342,7 +275,7 @@ class TestSelfScan:
     def test_cli_fails_on_corpus(self):
         proc = subprocess.run(
             [sys.executable, "-m", "repro", "analysis",
-             "tests/simlint_corpus", "--no-baseline"],
+             "tests/simlint_corpus"],
             cwd=REPO,
             env={**os.environ,
                  "PYTHONPATH": SRC + os.pathsep
@@ -356,3 +289,33 @@ class TestSelfScan:
         first = collect_files([SRC])
         second = collect_files([SRC])
         assert first == second == sorted(first)
+
+
+class TestCliUsageErrors:
+    """Exit 2 is a usage error, never mistaken for a clean or failed gate."""
+
+    def test_paths_without_python_files_exit_2(self, tmp_path, capsys):
+        (tmp_path / "README.md").write_text("# not python\n")
+        (tmp_path / "empty").mkdir()
+        paths = [str(tmp_path / "README.md"), str(tmp_path / "empty")]
+        assert cli.main(paths) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: no Python files under: ")
+        assert len(err.splitlines()) == 1
+
+    def test_unwritable_report_exits_2(self, tmp_path, capsys):
+        (tmp_path / "clean.py").write_text("x = 1\n")
+        report = tmp_path / "missing-dir" / "report.json"
+        assert cli.main([str(tmp_path), "--report", str(report)]) == 2
+        out, err = capsys.readouterr()
+        assert "simlint: clean" in out
+        assert err.startswith(f"error: cannot write report {report}: ")
+        assert len(err.splitlines()) == 1
+
+    def test_baseline_flags_are_gone(self, tmp_path):
+        (tmp_path / "clean.py").write_text("x = 1\n")
+        for flag in ("--baseline=x.json", "--no-baseline", "--update-baseline"):
+            with pytest.raises(SystemExit) as exc:
+                cli.main([str(tmp_path), flag])
+            assert exc.value.code == 2, flag
