@@ -3,15 +3,17 @@
 A :class:`Query` plans against manifests only — per segment it reads
 the (small) header, tests every predicate against the column zone maps,
 and *prunes* segments that provably contain no matching row before any
-column data is touched. Surviving segments are decoded column-by-column
-(only the columns the query references) and evaluated with
-dictionary-aware fast paths: a predicate over a string column is
-resolved once per segment into a per-code bitmap, so the row loop
-compares small integers.
-
-Aggregations reuse the fleet's mergeable machinery — percentiles come
-from :class:`~repro.fleet.aggregate.QuantileSketch`, so a group-by p99
-over ten million sample rows costs one sketch per group, not a sort.
+column data is touched. Surviving segments decode only the columns the
+query references, and each predicate narrows the segment's *selection
+vector* (its matching rows) in one pass over its column: a string
+predicate becomes a per-vocabulary-code table the codes map through,
+free when every code passes. Matched rows are partitioned by group key
+once, in row order, and each aggregate consumes a group's whole value
+list: sums add sequentially (builtin ``sum`` compensates on 3.12), and
+percentiles come from :class:`~repro.fleet.aggregate.QuantileSketch` —
+one sketch per group, not a sort. Missing float group cells group under
+``None``, as does a column the segment never saw; groups come back
+sorted by key value, ``None`` first.
 
 Missing cells (NaN for floats, ``""`` for strings — and any column a
 segment never saw) match **no** comparison predicate; this is what
@@ -32,15 +34,19 @@ Example::
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import compress, repeat
+from operator import add, and_, eq, ge, gt, le, lt, ne
 from typing import Any, Iterable, Optional, Union
 
 from repro.fleet.aggregate import QuantileSketch
-from repro.warehouse.schema import STR, TABLES, SchemaError
+from repro.warehouse.schema import TABLES, SchemaError
 from repro.warehouse.segments import (
     Warehouse,
     WarehouseError,
+    _has_nan,
+    partition,
     read_header,
     read_segment,
     zone_overlaps,
@@ -51,6 +57,7 @@ OPS = ("==", "!=", "<", "<=", ">", ">=", "in")
 _PERCENTILE_FNS = {"p50": 0.50, "p90": 0.90, "p95": 0.95, "p99": 0.99,
                    "p999": 0.999}
 _SIMPLE_FNS = ("count", "sum", "mean", "min", "max")
+_COMPARE = {"==": eq, "!=": ne, "<": lt, "<=": le, ">": gt, ">=": ge}
 
 
 @dataclass(frozen=True)
@@ -59,25 +66,12 @@ class Predicate:
     op: str
     value: Any
 
-    def matcher(self, kind: str):
-        """Value-level match function (missing cells handled upstream)."""
-        op, want = self.op, self.value
-        if op == "==":
-            return lambda v: v == want
-        if op == "!=":
-            return lambda v: v != want
-        if op == "<":
-            return lambda v: v < want
-        if op == "<=":
-            return lambda v: v <= want
-        if op == ">":
-            return lambda v: v > want
-        if op == ">=":
-            return lambda v: v >= want
-        if op == "in":
-            members = set(want)
-            return lambda v: v in members
-        raise SchemaError(f"unknown operator {op!r}")
+    def test(self, cells: Iterable) -> Iterable[bool]:
+        """``cell <op> value`` for each cell, in one pass (missing cells
+        are handled by the caller)."""
+        if self.op == "in":
+            return map(set(self.value).__contains__, cells)
+        return map(_COMPARE[self.op], cells, repeat(self.value))
 
 
 @dataclass
@@ -125,12 +119,6 @@ class _GroupAcc:
         self.mins: dict[str, float] = {}
         self.maxs: dict[str, float] = {}
         self.sketches: dict[str, QuantileSketch] = {}
-
-    def sketch(self, column: str) -> QuantileSketch:
-        sketch = self.sketches.get(column)
-        if sketch is None:
-            sketch = self.sketches[column] = QuantileSketch()
-        return sketch
 
 
 class Query:
@@ -219,10 +207,7 @@ class Query:
         needed = self._needed_columns()
         aggregating = bool(self._aggs) or bool(self._group)
         for campaign in campaigns:
-            try:
-                manifest = self.warehouse.manifest(campaign)
-            except WarehouseError:
-                continue
+            manifest = self.warehouse.manifest(campaign)
             stats.campaigns += 1
             for seg in manifest.tables.get(self.table, ()):
                 stats.segments_total += 1
@@ -258,108 +243,96 @@ class Query:
                       needed: list[str], aggregating: bool) -> None:
         data = read_segment(path, columns=needed)
         rows = data.header.rows
-        # Per-predicate fast matchers: string columns become per-code
-        # bitmaps (one vocabulary pass), numeric columns close over the
-        # decoded array.
-        checks = []
+        selected = range(rows)  # the selection vector: matching rows
         for pred in self._predicates:
-            meta = data.header.column(pred.column)
-            kind = meta["type"]
-            if kind == STR:
+            if pred.column in data.codes:
                 vocab = data.dicts[pred.column]
+                ok = [value != "" and hit
+                      for value, hit in zip(vocab, pred.test(vocab))]
+                if all(ok):
+                    continue
                 codes = data.codes[pred.column]
-                match = pred.matcher(kind)
-                ok = [value != "" and match(value) for value in vocab]
-                checks.append(
-                    lambda i, codes=codes, ok=ok: ok[codes[i]]
-                )
+                hits = map(ok.__getitem__, codes if len(selected) == rows
+                           else map(codes.__getitem__, selected))
             else:
                 column = data.columns[pred.column]
-                match = pred.matcher(kind)
-                checks.append(
-                    lambda i, column=column, match=match:
-                    column[i] == column[i] and match(column[i])
-                )
-        matched = [index for index in range(rows)
-                   if all(check(index) for check in checks)]
-        stats.rows_matched += len(matched)
-        if not matched:
+                cells = (column if len(selected) == rows
+                         else list(map(column.__getitem__, selected)))
+                hits = pred.test(cells)
+                if pred.op == "!=":  # NaN fails the others by itself
+                    hits = map(and_, hits, map(eq, cells, cells))
+            selected = list(compress(selected, hits))
+        stats.rows_matched += len(selected)
+        if not selected:
             return
         if not aggregating:
-            columns = (self._select if self._select is not None
-                       else [meta["name"] for meta in data.header.columns
-                             if meta["name"] in set(needed)])
-            for index in matched:
-                raw_rows.append({
-                    name: self._cell(data, name, index) for name in columns
-                })
-                if (self._limit is not None
-                        and len(raw_rows) >= self._limit):
-                    return
+            if self._limit is not None:
+                selected = selected[:self._limit - len(raw_rows)]
+            names = (self._select if self._select is not None
+                     else [meta["name"] for meta in data.header.columns
+                           if meta["name"] in set(needed)])
+            columns = [_gather(data, name, selected) for name in names]
+            raw_rows.extend(
+                dict(zip(names, cells)) for cells in
+                (zip(*columns) if columns else repeat((), len(selected)))
+            )
             return
-        group_getters = [self._getter(data, name) for name in self._group]
         # Accumulate once per (kind, column), not per agg spec — two
         # aggs over the same column (say mean + sum) share the state.
-        kinds: dict[str, set[str]] = {
-            "sums": set(), "mins": set(), "maxs": set(), "sketch": set(),
-        }
+        kinds: dict[str, set[str]] = {}
         for _, fn, column in self._aggs:
-            if column is None:
-                continue
-            if fn in ("sum", "mean"):
-                kinds["sums"].add(column)
-            elif fn == "min":
-                kinds["mins"].add(column)
-            elif fn == "max":
-                kinds["maxs"].add(column)
-            else:  # percentile
-                kinds["sketch"].add(column)
-        agg_columns = sorted(set().union(*kinds.values()))
-        agg_getters = {column: self._getter(data, column)
-                       for column in agg_columns}
-        for index in matched:
-            key = tuple(getter(index) for getter in group_getters)
+            if column in data.columns or column in data.codes:
+                kinds.setdefault(column, set()).add(
+                    "sum" if fn == "mean" else
+                    fn if fn in _SIMPLE_FNS else "sketch")
+        for key, members in self._partition(data, selected).items():
             acc = groups.get(key)
             if acc is None:
                 acc = groups[key] = _GroupAcc()
-            acc.count += 1
-            for column in agg_columns:
-                value = agg_getters[column](index)
-                if isinstance(value, float) and math.isnan(value):
+            acc.count += len(members)
+            for column, needs in kinds.items():
+                values = _gather(data, column, members)
+                if column in data.columns and _has_nan(values):
+                    values = [value for value in values if value == value]
+                if not values:
                     continue
-                if column in kinds["sums"]:
-                    acc.sums[column] = acc.sums.get(column, 0.0) + value
-                    acc.counts[column] = acc.counts.get(column, 0) + 1
-                if column in kinds["mins"]:
-                    if column not in acc.mins or value < acc.mins[column]:
-                        acc.mins[column] = value
-                if column in kinds["maxs"]:
-                    if column not in acc.maxs or value > acc.maxs[column]:
-                        acc.maxs[column] = value
-                if column in kinds["sketch"]:
-                    acc.sketch(column).observe(value)
+                if "sum" in needs:
+                    acc.sums[column] = reduce(add, values,
+                                              acc.sums.get(column, 0.0))
+                    acc.counts[column] = (acc.counts.get(column, 0)
+                                          + len(values))
+                if "min" in needs:
+                    low = min(values)
+                    if column not in acc.mins or low < acc.mins[column]:
+                        acc.mins[column] = low
+                if "max" in needs:
+                    high = max(values)
+                    if column not in acc.maxs or high > acc.maxs[column]:
+                        acc.maxs[column] = high
+                if "sketch" in needs:
+                    acc.sketches.setdefault(column,
+                                            QuantileSketch()).extend(values)
 
-    @staticmethod
-    def _getter(data, name: str):
-        if name in data.codes:
-            vocab = data.dicts[name]
-            codes = data.codes[name]
-            return lambda i: vocab[codes[i]]
-        column = data.columns.get(name)
-        if column is None:
-            return lambda i: None
-        return lambda i: column[i]
-
-    @staticmethod
-    def _cell(data, name: str, index: int):
-        if name in data.codes:
-            return data.dicts[name][data.codes[name][index]]
-        column = data.columns.get(name)
-        return column[index] if column is not None else None
+    def _partition(self, data, selected: list) -> dict[tuple, list]:
+        """{group key: its selected rows}, keys in the order first seen."""
+        if not self._group:
+            return {(): selected}
+        keys = []
+        for name in self._group:
+            cells = _gather(data, name, selected)
+            if name in data.columns and _has_nan(cells):
+                # NaN != NaN: each missing float would be its own group.
+                cells = [cell if cell == cell else None for cell in cells]
+            keys.append(cells)
+        if len(keys) > 1:
+            return partition(zip(*keys), selected)
+        return {(key,): rows
+                for key, rows in partition(keys[0], selected).items()}
 
     def _render_groups(self, groups: dict) -> list[dict]:
         out = []
-        for key in sorted(groups, key=lambda k: tuple(str(p) for p in k)):
+        for key in sorted(groups, key=lambda k: tuple(
+                (part is not None, part) for part in k)):
             acc = groups[key]
             row: dict[str, Any] = dict(zip(self._group, key))
             for name, fn, column in self._aggs:
@@ -383,6 +356,18 @@ class Query:
         if self._limit is not None:
             out = out[:self._limit]
         return out
+
+
+def _gather(data, name: str, selected: list) -> list:
+    """The cells of ``name`` at the selected rows (None where the
+    segment has no such column)."""
+    if name in data.codes:
+        return list(map(data.dicts[name].__getitem__,
+                        map(data.codes[name].__getitem__, selected)))
+    column = data.columns.get(name)
+    if column is None:
+        return [None] * len(selected)
+    return list(map(column.__getitem__, selected))
 
 
 def rollup_percentiles(warehouse: Warehouse, campaign: str, stream: str,

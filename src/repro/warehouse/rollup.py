@@ -32,7 +32,8 @@ from repro.warehouse.segments import (
     Warehouse,
     WarehouseError,
     _fsync_write,
-    read_segment,
+    decode_columns,
+    partition,
 )
 
 ROLLUPS_FILE = "rollups.json"
@@ -85,24 +86,27 @@ def load_rollups(warehouse: Warehouse, campaign: str) -> dict:
 
 
 def _fold_segment(aggregator: ResultAggregator, path: str, table: str) -> None:
-    """Fold one segment's rows with the calls the live path makes."""
-    data = read_segment(path)
+    """Fold one segment's rows into the state the live path leaves."""
     if table == "results":
-        counter_cols = [meta["name"] for meta in data.header.columns
-                        if meta["name"].startswith(COUNTER_PREFIX)]
-        for index in range(data.rows):
-            counters = {}
-            for column in counter_cols:
-                value = data.cell(column, index)
-                if value == value:  # skip NaN (counter absent on row)
-                    counters[column[len(COUNTER_PREFIX):]] = value
-            aggregator.fold_result(data.cell("endpoint", index),
-                                   data.cell("ok", index), counters)
+        columns = decode_columns(path)
+        counters = [(name[len(COUNTER_PREFIX):], cells)
+                    for name, cells in columns.items()
+                    if name.startswith(COUNTER_PREFIX)]
+        for index, (endpoint, ok) in enumerate(
+                zip(columns["endpoint"], columns["ok"])):
+            aggregator.fold_result(endpoint, ok, {
+                name: cells[index] for name, cells in counters
+                if cells[index] == cells[index]  # NaN: counter absent
+            })
     elif table == "samples":
-        for index in range(data.rows):
-            aggregator.fold_sample(data.cell("endpoint", index),
-                                   data.cell("stream", index),
-                                   data.cell("value", index))
+        # Each sketch takes its values in row order, as fold_sample does.
+        columns = decode_columns(path, ("endpoint", "stream", "value"))
+        streams, values = columns["stream"], columns["value"]
+        for stream, part in partition(streams, values).items():
+            aggregator.total.sketch(stream).extend(part)
+        for (endpoint, stream), part in partition(
+                zip(columns["endpoint"], streams), values).items():
+            aggregator.endpoint(endpoint).sketch(stream).extend(part)
     else:
         raise WarehouseError(f"no rollup defined over table {table!r}")
 

@@ -33,8 +33,7 @@ are NaN), and ``str`` (dictionary-encoded; missing values are ``""``).
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Optional
 
 # Bump when the record layout below changes shape incompatibly.
@@ -266,16 +265,7 @@ def event_row(campaign: str, seq: int, event: Any) -> dict:
 # -- column planning ----------------------------------------------------------
 
 
-@dataclass
-class ColumnPlan:
-    """The ordered, typed column set for one segment's row batch."""
-
-    names: list[str]
-    types: list[str]
-    extra: list[str] = field(default_factory=list)  # dynamic subset
-
-
-def plan_columns(schema: TableSchema, rows: Iterable[dict]) -> ColumnPlan:
+def plan_columns(schema: TableSchema, rows: Iterable[dict]) -> list[str]:
     """Fixed columns in schema order, then dynamic ones sorted by name.
 
     Sorting the dynamic tail keeps the physical layout a pure function
@@ -283,7 +273,6 @@ def plan_columns(schema: TableSchema, rows: Iterable[dict]) -> ColumnPlan:
     the byte-identical-segments guarantee rests on.
     """
     names = schema.fixed_names()
-    types = [kind for _, kind in schema.columns]
     fixed = set(names)
     extra: set[str] = set()
     for row in rows:
@@ -295,13 +284,5 @@ def plan_columns(schema: TableSchema, rows: Iterable[dict]) -> ColumnPlan:
                     f"table {schema.name!r} has no column {key!r}"
                 )
             extra.add(key)
-    tail = sorted(extra)
-    return ColumnPlan(names + tail, types + [F64] * len(tail), tail)
+    return names + sorted(extra)
 
-
-def is_missing(value: Any, kind: str) -> bool:
-    if kind == F64:
-        return isinstance(value, float) and math.isnan(value)
-    if kind == STR:
-        return value == ""
-    return False

@@ -40,21 +40,23 @@ import hashlib
 import os
 import sys
 from array import array
+from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import eq
 from typing import Any, Iterable, Optional
 
 from repro.warehouse.schema import (
     F64,
     I64,
+    NAN,
     SCHEMA_VERSION,
     STR,
-    ColumnPlan,
     SchemaError,
     TABLES,
     TableSchema,
     canonical_json,
     coerce,
-    is_missing,
     plan_columns,
 )
 
@@ -63,6 +65,9 @@ FORMAT_VERSION = 1
 DEFAULT_SEGMENT_ROWS = 65536
 
 _BIG_ENDIAN = sys.byteorder == "big"
+
+# The cell types a column stores without coercion.
+_NATIVE = {I64: {int}, F64: {float}, STR: {str}}
 
 
 class WarehouseError(RuntimeError):
@@ -84,17 +89,21 @@ def _unpack(blob: bytes, typecode: str) -> array:
     return arr
 
 
-def _zone(values: Iterable, kind: str) -> tuple[Optional[Any], Optional[Any]]:
-    """Min/max over present (non-missing) values; (None, None) if empty."""
-    zmin = zmax = None
-    for value in values:
-        if is_missing(value, kind):
-            continue
-        if zmin is None or value < zmin:
-            zmin = value
-        if zmax is None or value > zmax:
-            zmax = value
-    return zmin, zmax
+def _zone(cells: list, kind: str) -> tuple[Optional[Any], Optional[Any]]:
+    """Min/max over present (non-missing) values; (None, None) if empty.
+    A string column passes its sorted vocabulary, where "" sorts first."""
+    if kind == STR:
+        cells = cells[1:] if cells[:1] == [""] else cells
+    elif kind == F64 and _has_nan(cells):
+        cells = [value for value in cells if value == value]
+    return (min(cells), max(cells)) if cells else (None, None)
+
+
+def _has_nan(cells) -> bool:
+    """Whether numeric cells may hold NaN (a NaN makes the total NaN;
+    so can inf - inf, which costs only an exact pass)."""
+    total = sum(cells)
+    return total != total
 
 
 @dataclass
@@ -120,25 +129,37 @@ def encode_segment(schema: TableSchema, rows: list[dict]) -> bytes:
     """Serialize one batch of rows into immutable segment bytes."""
     if not rows:
         raise WarehouseError("refusing to encode an empty segment")
-    plan: ColumnPlan = plan_columns(schema, rows)
+    columns = {}
+    for name in plan_columns(schema, rows):
+        kind = schema.column_type(name)
+        cells = list(map(dict.get, rows, repeat(name)))
+        # One type check per column; coerce cell by cell only if needed.
+        if not set(map(type, cells)) <= _NATIVE[kind]:
+            cells = [coerce(cell, kind, name) for cell in cells]
+        columns[name] = cells
+    return _encode_columns(schema, columns)
+
+
+def _encode_columns(schema: TableSchema, columns: dict[str, list]) -> bytes:
+    """Serialize typed, equal-length columns: the fixed ones in schema
+    order, then the dynamic ones sorted by name."""
+    names = schema.fixed_names()
+    names += sorted(columns.keys() - set(names))
     blobs: list[bytes] = []
     columns_meta: list[dict] = []
     offset = 0
-    for name, kind in zip(plan.names, plan.types):
-        cells = [coerce(row.get(name), kind, name) for row in rows]
+    for name in names:
+        kind, cells = schema.column_type(name), columns[name]
         meta: dict[str, Any] = {"name": name, "type": kind}
         if kind == STR:
             vocab = sorted(set(cells))
             codes = {value: index for index, value in enumerate(vocab)}
-            blob = _pack([codes[cell] for cell in cells], "q")
+            blob = _pack(list(map(codes.__getitem__, cells)), "q")
             meta["dict"] = vocab
-        elif kind == I64:
-            blob = _pack(cells, "q")
+            meta["zmin"], meta["zmax"] = _zone(vocab, kind)
         else:
-            blob = _pack(cells, "d")
-        zmin, zmax = _zone(cells, kind)
-        meta["zmin"] = zmin
-        meta["zmax"] = zmax
+            blob = _pack(cells, "q" if kind == I64 else "d")
+            meta["zmin"], meta["zmax"] = _zone(cells, kind)
         meta["offset"] = offset
         meta["nbytes"] = len(blob)
         offset += len(blob)
@@ -148,7 +169,7 @@ def encode_segment(schema: TableSchema, rows: list[dict]) -> bytes:
         "table": schema.name,
         "schema_version": SCHEMA_VERSION,
         "format": FORMAT_VERSION,
-        "rows": len(rows),
+        "rows": len(columns[names[0]]),
         "columns": columns_meta,
     }).encode("utf-8")
     out = bytearray()
@@ -255,20 +276,26 @@ def read_segment(path: str, columns: Optional[Iterable[str]] = None) -> SegmentD
     return SegmentData(header, out_cols, dicts, codes)
 
 
-def iter_segment_rows(path: str) -> Iterable[dict]:
-    """Row dicts of one segment (missing cells omitted) — compaction
-    and rollup rebuilds use this; queries use the columnar path."""
-    data = read_segment(path)
-    header = data.header
-    names = [meta["name"] for meta in header.columns]
-    kinds = {meta["name"]: meta["type"] for meta in header.columns}
-    for index in range(header.rows):
-        row = {}
-        for name in names:
-            value = data.cell(name, index)
-            if not is_missing(value, kinds[name]):
-                row[name] = value
-        yield row
+def decode_columns(path: str, columns: Optional[Iterable[str]] = None
+                   ) -> dict[str, list]:
+    """{name: cells} of one segment as lists: strings looked up in their
+    vocabulary, every missing float the canonical NaN."""
+    data = read_segment(path, columns)
+    out = {name: list(map(data.dicts[name].__getitem__, codes))
+           for name, codes in data.codes.items()}
+    for name, column in data.columns.items():
+        out[name] = column.tolist()
+        if _has_nan(out[name]):
+            out[name] = [cell if cell == cell else NAN for cell in out[name]]
+    return out
+
+
+def partition(keys: Iterable, items: Iterable) -> dict[Any, list]:
+    """{key: [its items, in order]}, keys in the order first seen."""
+    parts: dict[Any, list] = defaultdict(list)
+    for key, item in zip(keys, items):
+        parts[key].append(item)
+    return parts
 
 
 def _fsync_write(path: str, payload: bytes) -> None:
@@ -327,7 +354,13 @@ class SegmentWriter:
     def flush_segment(self) -> Optional[SegmentMeta]:
         if not self._buffer:
             return None
-        payload = encode_segment(self.schema, self._buffer)
+        meta = self.write(encode_segment(self.schema, self._buffer),
+                          len(self._buffer))
+        self._buffer = []
+        return meta
+
+    def write(self, payload: bytes, rows: int) -> SegmentMeta:
+        """Write encoded segment bytes as the next pending segment."""
         os.makedirs(self.directory, exist_ok=True)
         filename = f"seg-{self._next_index:06d}.seg"
         self._next_index += 1
@@ -335,13 +368,12 @@ class SegmentWriter:
         _fsync_write(path, payload)
         meta = SegmentMeta(
             file=os.path.join(self.schema.name, filename),
-            rows=len(self._buffer),
+            rows=rows,
             nbytes=len(payload),
             sha256=hashlib.sha256(payload).hexdigest(),
         )
         self.pending.append(meta)
-        self.rows_written += len(self._buffer)
-        self._buffer = []
+        self.rows_written += rows
         return meta
 
     def finish(self) -> list[SegmentMeta]:
@@ -412,6 +444,8 @@ class Warehouse:
 
     def campaign_dir(self, campaign: str) -> str:
         safe = campaign.replace(os.sep, "_")
+        if safe in ("", ".", ".."):
+            raise WarehouseError(f"invalid campaign name {campaign!r}")
         return os.path.join(self.root, safe)
 
     def manifest_path(self, campaign: str) -> str:
@@ -529,12 +563,10 @@ class Warehouse:
                 os.path.join(directory, table), schema,
                 segment_rows=segment_rows, start_index=start,
             )
-            for seg in segs:
-                writer.append_rows(
-                    iter_segment_rows(self.segment_path(campaign, seg))
-                )
-                superseded.append(self.segment_path(campaign, seg))
-            new_tables[table] = writer.finish()
+            paths = [self.segment_path(campaign, seg) for seg in segs]
+            _rebatch(writer, paths)
+            superseded.extend(paths)
+            new_tables[table] = writer.pending
             stats["tables"][table] = {
                 "before": len(segs), "after": len(new_tables[table]),
                 "rows": writer.rows_written,
@@ -549,6 +581,32 @@ class Warehouse:
             except OSError:
                 pass
         return stats
+
+
+def _rebatch(writer: SegmentWriter, paths: list[str]) -> None:
+    """Concatenate segments column by column and write them back in
+    ``writer.segment_rows``-row segments, as encoding their rows would:
+    a batch keeps a dynamic column only if some row has a value there."""
+    fixed = writer.schema.fixed_names()
+    pending: dict[str, list] = {name: [] for name in fixed}
+    for index, path in enumerate(paths):
+        columns = decode_columns(path)
+        rows, buffered = len(columns[fixed[0]]), len(pending[fixed[0]])
+        for name in columns.keys() - pending.keys():
+            pending[name] = [NAN] * buffered  # a dynamic (f64) column
+        for name, cells in pending.items():
+            cells.extend(columns.get(name) or [NAN] * rows)
+        last = index == len(paths) - 1
+        while (len(pending[fixed[0]]) >= writer.segment_rows
+               or (last and pending[fixed[0]])):
+            batch = {}
+            for name, cells in pending.items():
+                batch[name] = cells[:writer.segment_rows]
+                del cells[:writer.segment_rows]
+            writer.write(_encode_columns(writer.schema, {
+                name: cells for name, cells in batch.items()
+                if name in fixed or any(map(eq, cells, cells))
+            }), len(batch[fixed[0]]))
 
 
 def _next_segment_index(directory: str) -> int:

@@ -370,6 +370,89 @@ class TestQuery:
             assert rows == [{"job": "a"}], (op, want)
 
 
+    def _results(self, tmp_path, count=12):
+        warehouse = Warehouse(str(tmp_path / "wh"))
+        writer = warehouse.begin_campaign("c1")
+        writer.add_rows("results", [
+            {"campaign": "c1", "job": f"j{seq}", "endpoint": "e",
+             "seq": seq, "ok": 1, "sim_time": float(seq),
+             **({"c_runs": 2.0} if seq == 5 else {})}
+            for seq in range(count)
+        ])
+        writer.commit()
+        return warehouse
+
+    def test_missing_float_group_cells_share_one_none_key(self, tmp_path):
+        warehouse = self._results(tmp_path)
+        rows = (Query(warehouse, "results").group_by("c_runs")
+                .agg(n="count").run().rows)
+        assert rows == [{"c_runs": None, "n": 11}, {"c_runs": 2.0, "n": 1}]
+
+    def test_numeric_group_keys_sort_by_value(self, tmp_path):
+        warehouse = self._results(tmp_path)
+        rows = Query(warehouse, "results").group_by("seq").run().rows
+        assert [row["seq"] for row in rows] == list(range(12))
+
+    def test_aggregates_skip_a_column_a_segment_never_saw(self, tmp_path):
+        warehouse = Warehouse(str(tmp_path / "wh"))
+        writer = warehouse.begin_campaign("c1", segment_rows=2)
+        writer.add_rows("results", [
+            {"campaign": "c1", "job": f"j{seq}", "endpoint": "e",
+             "seq": seq, "ok": 1, "sim_time": 0.0,
+             **({"c_runs": 2.0 * seq + 1} if seq < 2 else {})}
+            for seq in range(4)
+        ])
+        writer.commit()
+        assert [read_header(warehouse.segment_path("c1", seg))
+                .column("c_runs") is None
+                for seg in warehouse.segments("c1", "results")] == [
+                    False, True]
+        (row,) = (Query(warehouse, "results")
+                  .agg(n="count", total=("sum", "c_runs"),
+                       mean=("mean", "c_runs"), lo=("min", "c_runs"),
+                       hi=("max", "c_runs"), p50=("p50", "c_runs"))
+                  .run().rows)
+        assert row["n"] == 4
+        assert (row["total"], row["mean"], row["lo"], row["hi"]) == (
+            4.0, 2.0, 1.0, 3.0)
+        assert row["p50"] == pytest.approx(1.0, rel=0.06)
+
+    def test_unknown_campaign_raises(self, populated):
+        with pytest.raises(WarehouseError, match="'nope'"):
+            Query(populated, "samples", campaigns=["nope"]).run()
+
+    def test_corrupt_manifest_raises_in_all_campaigns_query(self, populated):
+        with open(populated.manifest_path("camp1"), "w") as fh:
+            fh.write("{not json")
+        assert "camp1" in populated.campaigns()
+        with pytest.raises(WarehouseError, match="'camp1'"):
+            Query(populated, "samples").run()
+
+
+# -- campaign names -----------------------------------------------------------
+
+
+class TestCampaignNames:
+    @pytest.mark.parametrize("name", ["", ".", ".."])
+    def test_names_that_leave_the_root_rejected(self, tmp_path, name):
+        outside = tmp_path / "keep.txt"
+        outside.write_text("keep")
+        warehouse = Warehouse(str(tmp_path / "wh"))
+        before = sorted(os.listdir(tmp_path))
+        with pytest.raises(WarehouseError, match="invalid campaign name"):
+            warehouse.begin_campaign(name)
+        with pytest.raises(WarehouseError, match="invalid campaign name"):
+            warehouse.drop(name)
+        assert sorted(os.listdir(tmp_path)) == before
+        assert outside.read_text() == "keep"
+        assert os.listdir(tmp_path / "wh") == []
+
+    def test_separators_still_map_inside_the_root(self, tmp_path):
+        warehouse = Warehouse(str(tmp_path / "wh"))
+        warehouse.begin_campaign(os.sep.join(["..", ".."])).commit()
+        assert warehouse.campaigns() == ["_".join(["..", ".."])]
+
+
 # -- rollups ------------------------------------------------------------------
 
 
@@ -701,6 +784,14 @@ class TestWarehouseCli:
         rows = Query(Warehouse(root), "events",
                      campaigns=["ev"]).run().rows
         assert rows[0]["layer"] == "kernel"
+
+    def test_query_unknown_campaign_exits_1(self, root, capsys):
+        assert warehouse_cli(["--root", root, "query",
+                              "--campaign", "nope"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error:") and "'nope'" in line
 
     def test_ingest_requires_arguments(self, root, capsys):
         assert warehouse_cli(["--root", root, "ingest"]) == 2

@@ -1,0 +1,243 @@
+"""The warehouse's column-at-a-time paths against their row loops.
+
+Queries, segment encoding, compaction and rollup rebuilds work on whole
+columns; ``warehouse_oracle`` keeps the row-at-a-time code they
+replaced. Over generated tables with NaN and ``""`` cells and dynamic
+``c_*`` columns present in only some segments, both must give the same
+rows, sums, percentiles, statistics, segment bytes and rollup state,
+bit for bit. ``QuantileSketch.extend`` must leave the state repeated
+``observe`` calls leave.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import math
+import struct
+import tempfile
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from warehouse_oracle import RowQuery, encode_rows, fold_segments, iter_segment_rows
+
+from repro.fleet.aggregate import QuantileSketch
+from repro.warehouse import Query, Warehouse, build_rollups, encode_segment
+from repro.warehouse.query import OPS
+from repro.warehouse.schema import RESULTS, TABLES, SchemaError
+
+_STRINGS = ["", "a", "ab", "b"]
+_SMALL_FLOATS = st.floats(-50.0, 50.0)
+# -math.nan is a NaN with the sign bit set: stored as given, it must
+# still come back from compaction as the canonical NaN.
+_MISSING_FLOAT = st.one_of(st.none(), st.sampled_from([math.nan, -math.nan]),
+                           _SMALL_FLOATS)
+
+_RESULT_ROWS = st.lists(st.fixed_dictionaries(
+    {
+        "campaign": st.sampled_from(["c0", "c1"]),
+        "endpoint": st.sampled_from(_STRINGS),
+        "seq": st.integers(-20, 20),
+        "ok": st.integers(0, 1),
+    },
+    optional={
+        "job": st.sampled_from(_STRINGS),
+        "error": st.sampled_from(_STRINGS),
+        "sim_time": _MISSING_FLOAT,
+        "c_a": _MISSING_FLOAT,
+        "c_b": _SMALL_FLOATS,
+    },
+), min_size=8, max_size=40)
+
+_SAMPLE_ROWS = st.lists(st.fixed_dictionaries({
+    "campaign": st.just("c0"),
+    "endpoint": st.sampled_from(_STRINGS),
+    "stream": st.sampled_from(["rtt_s", "bw_bps"]),
+    "seq": st.integers(0, 100),
+    "value": st.one_of(_SMALL_FLOATS, st.sampled_from([0.0, -0.0, 1e-9])),
+}), max_size=40)
+
+
+def _bits(value):
+    """Exact comparison form: floats by their bytes, containers in order."""
+    if isinstance(value, float):
+        return ("f", struct.pack("<d", value))
+    if isinstance(value, dict):
+        return [(key, _bits(item)) for key, item in value.items()]
+    if isinstance(value, (list, tuple)):
+        return [_bits(item) for item in value]
+    return value
+
+
+def _store(root: str, rows: list[dict], segment_rows: int) -> Warehouse:
+    """Rows into one campaign per ``campaign`` value, small segments."""
+    warehouse = Warehouse(root)
+    for campaign in ("c0", "c1"):
+        mine = [row for row in rows if row["campaign"] == campaign]
+        if mine:
+            writer = warehouse.begin_campaign(campaign,
+                                              segment_rows=segment_rows)
+            writer.add_rows("results", mine)
+            writer.commit(close=True)
+    return warehouse
+
+
+_PREDICATES = st.one_of(
+    st.tuples(st.sampled_from(["endpoint", "error"]),
+              st.sampled_from([op for op in OPS if op != "in"]),
+              st.sampled_from(_STRINGS)),
+    st.tuples(st.sampled_from(["endpoint", "error"]), st.just("in"),
+              st.lists(st.sampled_from(_STRINGS), max_size=3)),
+    st.tuples(st.sampled_from(["seq", "ok"]),
+              st.sampled_from([op for op in OPS if op != "in"]),
+              st.integers(-20, 20)),
+    st.tuples(st.just("seq"), st.just("in"),
+              st.lists(st.integers(-20, 20), max_size=3)),
+    st.tuples(st.sampled_from(["sim_time", "c_a", "c_b"]),
+              st.sampled_from([op for op in OPS if op != "in"]),
+              _SMALL_FLOATS),
+)
+# Aggregates read columns every segment has; min/max also read strings.
+_AGGS = st.one_of(
+    st.tuples(st.sampled_from(["sum", "mean", "min", "max", "p50", "p90",
+                               "p95", "p99", "p999"]),
+              st.sampled_from(["seq", "ok", "sim_time"])),
+    st.tuples(st.sampled_from(["min", "max"]),
+              st.sampled_from(["endpoint", "error"])),
+)
+
+
+_QUERIES = st.lists(st.fixed_dictionaries({
+    "predicates": st.lists(_PREDICATES, max_size=3),
+    "group": st.lists(st.sampled_from(["endpoint", "seq", "sim_time", "c_a",
+                                       "error"]), max_size=2, unique=True),
+    "aggs": st.lists(_AGGS, max_size=4),
+    "select": st.none() | st.lists(
+        st.sampled_from(["job", "seq", "sim_time", "c_a", "c_b"]),
+        max_size=3, unique=True),
+    "limit": st.none() | st.integers(0, 12),
+}), min_size=1, max_size=6)
+
+
+def _run(kind, warehouse, predicates, group, aggs, select, limit):
+    query = kind(warehouse, "results")
+    for predicate in predicates:
+        query.where(*predicate)
+    query.group_by(*group)
+    if aggs:
+        query.agg(n="count", **{f"a{index}": spec
+                                for index, spec in enumerate(aggs)})
+    if select is not None:
+        query.select(*select)
+    if limit is not None:
+        query.limit(limit)
+    return query.run()
+
+
+class TestQueryMatchesRowLoop:
+    @settings(max_examples=200, deadline=None)
+    @given(rows=_RESULT_ROWS, segment_rows=st.integers(2, 10),
+           queries=_QUERIES)
+    def test_rows_and_stats_equal(self, rows, segment_rows, queries):
+        with tempfile.TemporaryDirectory() as root:
+            warehouse = _store(root, rows, segment_rows)
+            for spec in queries:
+                fast = _run(Query, warehouse, **spec)
+                slow = _run(RowQuery, warehouse, **spec)
+                assert _bits(fast.rows) == _bits(slow.rows), spec
+                assert fast.stats == slow.stats, spec
+
+
+_VALUES = st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                             st.sampled_from([0.0, -0.0, -2.5, 1.0])),
+                   max_size=60)
+
+
+class TestSketchExtend:
+    @settings(max_examples=200, deadline=None)
+    @given(_VALUES, _VALUES)
+    def test_extend_equals_repeated_observe(self, before, values):
+        batch, single = QuantileSketch(), QuantileSketch()
+        for value in before:
+            batch.observe(value)
+            single.observe(value)
+        batch.extend(values)
+        for value in values:
+            single.observe(value)
+        assert _bits(batch.state_dict()) == _bits(single.state_dict())
+        # The sum is sequential addition, bit for bit.
+        total = 0.0
+        for value in before + values:
+            total += value
+        assert struct.pack("<d", batch.sum) == struct.pack("<d", total)
+
+
+class TestSegmentEncoding:
+    @settings(max_examples=150, deadline=None)
+    @given(_RESULT_ROWS, st.sampled_from([None, 3, 2.0, "x", True]),
+           st.sampled_from(["seq", "sim_time", "endpoint", "c_a"]))
+    def test_encode_equals_cell_by_cell(self, rows, odd, column):
+        assert encode_segment(RESULTS, rows) == encode_rows(RESULTS, rows)
+        # A cell that needs coercion, or cannot be coerced, takes the
+        # cell-by-cell path: same bytes, or the same SchemaError text.
+        rows = rows + [dict(rows[0], **{column: odd})]
+        try:
+            expected = encode_rows(RESULTS, rows)
+        except SchemaError as exc:
+            try:
+                encode_segment(RESULTS, rows)
+            except SchemaError as got:
+                assert str(got) == str(exc)
+            else:
+                raise AssertionError("encode_segment accepted a bad cell")
+        else:
+            assert encode_segment(RESULTS, rows) == expected
+
+
+class TestCompactionAndRollups:
+    @settings(max_examples=60, deadline=None)
+    @given(results=_RESULT_ROWS, samples=_SAMPLE_ROWS,
+           segment_rows=st.integers(1, 6), target=st.integers(1, 25))
+    def test_compacted_bytes_equal_encoding_oracle_rows(
+            self, results, samples, segment_rows, target):
+        with tempfile.TemporaryDirectory() as root:
+            warehouse = Warehouse(root)
+            writer = warehouse.begin_campaign("c0",
+                                              segment_rows=segment_rows)
+            writer.add_rows("results", results)
+            writer.add_rows("samples", samples)
+            manifest = writer.commit(close=True)
+            expected = {}
+            for table, segs in manifest.tables.items():
+                rows = [row for seg in segs for row in iter_segment_rows(
+                    warehouse.segment_path("c0", seg))]
+                expected[table] = [
+                    hashlib.sha256(encode_segment(
+                        TABLES[table], rows[start:start + target])).hexdigest()
+                    for start in range(0, len(rows), target)
+                ]
+            warehouse.compact("c0", segment_rows=target)
+            got = {table: [seg.sha256 for seg in segs] for table, segs
+                   in warehouse.manifest("c0").tables.items()}
+        assert got == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(results=_RESULT_ROWS, samples=_SAMPLE_ROWS,
+           segment_rows=st.integers(1, 6))
+    def test_rollup_rebuild_equals_row_fold(self, results, samples,
+                                            segment_rows):
+        with tempfile.TemporaryDirectory() as root:
+            warehouse = Warehouse(root)
+            writer = warehouse.begin_campaign("c0",
+                                              segment_rows=segment_rows)
+            writer.add_rows("results", results)
+            writer.add_rows("samples", samples)
+            writer.commit(close=True)
+            rebuilt = build_rollups(warehouse, "c0", write=False)
+            folded = fold_segments(warehouse, "c0")
+        assert rebuilt["jobs_observed"] == folded.jobs_observed
+        assert (_bits(rebuilt["total"].state_dict())
+                == _bits(folded.total.state_dict()))
+        assert list(rebuilt["endpoints"]) == list(folded.per_endpoint)
+        for name, rollup in folded.per_endpoint.items():
+            assert (_bits(rebuilt["endpoints"][name].state_dict())
+                    == _bits(rollup.state_dict()))
