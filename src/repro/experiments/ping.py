@@ -105,7 +105,10 @@ def ping(
                 if parsed is None:
                     continue
                 seq, src = parsed
-                if src == destination and seq in send_times and seq not in rtts:
+                # A reply captured before this probe left answers an
+                # earlier job's probe on a reused session.
+                if (src == destination and seq in send_times and seq not in rtts
+                        and record.timestamp >= send_times[seq]):
                     rtts[seq] = (
                         record.timestamp - send_times[seq]
                     ) / NANOSECONDS

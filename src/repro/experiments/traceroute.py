@@ -132,6 +132,8 @@ def _await_hop(
 
 def _match_response(records, ttl, ident, destination, t_snd):
     for record in records:
+        if record.timestamp < t_snd:
+            continue  # captured before the probe left: not its answer
         try:
             packet = IPv4Packet.decode(record.data, verify_checksum=False)
             message = IcmpMessage.decode(packet.payload, verify_checksum=False)

@@ -16,9 +16,13 @@ from repro.experiments.servers import (
     start_udp_echo,
 )
 from repro.experiments.telescope import passive_capture
-from repro.experiments.traceroute import traceroute
+from repro.experiments.traceroute import _match_response, traceroute
+from repro.netsim.clock import NANOSECONDS
 from repro.netsim.topology import Network
+from repro.packet.icmp import IcmpMessage
+from repro.packet.ipv4 import PROTO_ICMP, IPv4Packet
 from repro.packet.dns import RCODE_NXDOMAIN
+from repro.proto.messages import CaptureRecord
 from repro.util.inet import format_ip, parse_ip
 
 
@@ -142,6 +146,22 @@ class TestTraceroute:
         )
         assert result.reached
         assert all(hop.responder is not None for hop in result.hops)
+
+    def test_reply_captured_before_the_probe_left_is_not_its_answer(self):
+        """A reused session's buffer can still hold an earlier job's
+        reply to the same ttl: it must not yield a negative RTT."""
+        ident, ttl, target = 0x7472, 3, parse_ip("10.0.0.10")
+        reply = IPv4Packet(
+            src=target, dst=parse_ip("10.0.0.2"), proto=PROTO_ICMP,
+            payload=IcmpMessage.echo_reply(ident, ttl).encode(),
+        ).encode()
+        t_snd = 5 * NANOSECONDS
+        stale = CaptureRecord(sktid=0, timestamp=t_snd - 1, data=reply)
+        assert _match_response([stale], ttl, ident, target, t_snd) is None
+        fresh = CaptureRecord(sktid=0, timestamp=t_snd + NANOSECONDS // 50,
+                              data=reply)
+        hop = _match_response([stale, fresh], ttl, ident, target, t_snd)
+        assert hop.rtt == pytest.approx(0.02) and hop.reached_destination
 
     def test_figure2_monitor_blocks_udp_experiment(self):
         """The same monitor denies an experiment it was not written for."""
