@@ -377,7 +377,6 @@ class EndpointHandle(Table1Commands):
         self._pending: dict[int, PendingRequest] = {}
         self._age_timer = None
         self._obs = node.sim.obs
-        self._outbox: Queue = node.sim.queue(name="ctl-outbox")
         self.closed = False
         self.interrupted = False
         self.end_reason: Optional[str] = None
@@ -390,7 +389,6 @@ class EndpointHandle(Table1Commands):
         # dropped with the Result nobody awaits.
         self.deferred_errors: list[DeferredError] = []
         node.spawn(self._reader_loop(), name="ctl-reader")
-        node.spawn(self._writer_loop(), name="ctl-writer")
 
     # -- plumbing -------------------------------------------------------------
 
@@ -540,7 +538,7 @@ class EndpointHandle(Table1Commands):
                            endpoint=self.endpoint_name, kind=kind,
                            detail=detail)
         # Sever the transport so the peer sees the session die too; the
-        # reader/writer loops unwind on the reset.
+        # reader loop unwinds on the reset.
         self.stream.conn.abort()
         self._close_pending()
 
@@ -577,16 +575,14 @@ class EndpointHandle(Table1Commands):
             return
         self._arm_age_timer()
 
-    def _writer_loop(self) -> Generator:
-        while True:
-            message = yield self._outbox.get()
-            if message is None:
-                return
-            try:
-                yield from self.stream.send(message)
-            except TcpError:
-                self._close_pending()
-                return
+    def _send(self, message: Message) -> None:
+        """Send one frame unless closed; a dead connection closes us."""
+        if self.closed:
+            return
+        try:
+            self.stream.send(message)
+        except TcpError:
+            self._close_pending()
 
     def _close_pending(self) -> None:
         was_closed = self.closed
@@ -634,8 +630,9 @@ class EndpointHandle(Table1Commands):
 
         The only place a command frame is built: the reqid is allocated,
         noted in the state machine and registered in ``_pending`` before
-        the frame is queued.  On a closed session the reqid is still
-        consumed but nothing is registered or sent; :meth:`wait` raises.
+        the frame is sent.  On a closed session the reqid is still
+        consumed but nothing is registered or sent; :meth:`wait` raises,
+        as it does when the send finds the connection dead.
         """
         reqid = self._reqid()
         pending = PendingRequest(
@@ -645,7 +642,7 @@ class EndpointHandle(Table1Commands):
         if not self.closed:
             self._pending[reqid] = pending
             self.machine.note_request(reqid)
-            self._outbox.put(message_cls(reqid=reqid, **fields))
+            self._send(message_cls(reqid=reqid, **fields))
         return pending
 
     def wait(self, pending: PendingRequest) -> Generator:
@@ -715,10 +712,10 @@ class EndpointHandle(Table1Commands):
         return None
 
     def yield_control(self) -> None:
-        self._outbox.put(Yield())
+        self._send(Yield())
 
     def bye(self) -> None:
-        self._outbox.put(Bye())
+        self._send(Bye())
 
 
 class ControllerServer:
@@ -777,7 +774,7 @@ class ControllerServer:
             )
             conn.close()
             return
-        yield from stream.send(
+        stream.send(
             Auth(
                 descriptor=self.identity.descriptor_bytes,
                 chains=self.identity.chain_bytes_list,

@@ -189,7 +189,7 @@ class Experimenter:
         except TcpError as exc:
             return False, f"cannot reach rendezvous: {exc}"
         stream = MessageStream(conn)
-        yield from stream.send(
+        stream.send(
             RdzPublish(
                 descriptor=descriptor.encode(),
                 chain=publish_chain.encode(),

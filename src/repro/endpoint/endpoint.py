@@ -221,7 +221,6 @@ class Session:
         self.machine = SessionStateMachine(ROLE_ENDPOINT, start_established=True)
         self.decode_errors = 0
         self._resume_event = sim.event(name=f"{self.name}-resume")
-        self.outbox = sim.queue(name=f"{self.name}-outbox")
         self.ended = False
         self.commands_processed = 0
         # Fired once with the end reason ("bye" | "transport" | "eof");
@@ -237,13 +236,13 @@ class Session:
             self._resume_event = self.endpoint.node.sim.event(
                 name=f"{self.name}-resume"
             )
-            self.outbox.put(Interrupted(by_priority=by_priority))
+            self.send_message(Interrupted(by_priority=by_priority))
 
     def on_resume(self) -> None:
         if self.suspended:
             self.suspended = False
             self._resume_event.fire(None)
-            self.outbox.put(Resumed())
+            self.send_message(Resumed())
 
     # -- monitor checks ----------------------------------------------------------
 
@@ -287,7 +286,6 @@ class Session:
 
     def start(self) -> None:
         sim = self.endpoint.node.sim
-        sim.spawn(self._write_loop(), name=f"{self.name}-writer")
         sim.spawn(self._command_loop(), name=f"{self.name}-commands")
         if self.endpoint.config.stream_captures:
             sim.spawn(self._streaming_loop(), name=f"{self.name}-streamer")
@@ -307,29 +305,16 @@ class Session:
             if poll.records:
                 self.send_message(poll)
 
-    def _write_loop(self) -> Generator:
-        """Single writer serializing all frames onto the control stream.
-
-        Shutdown is ordered by the outbox's None sentinel, which
-        ``_cleanup`` enqueues *after* any farewell message — checking
-        ``self.ended`` here instead would drop the SessionEnd a Bye just
-        queued, leaving the controller unable to tell a clean goodbye
-        from a dead session.
-        """
-        while True:
-            message = yield self.outbox.get()
-            if message is None:
-                return
-            try:
-                yield from self.stream.send(message)
-            except TcpError:
-                return
-
     def send_message(self, message: Message) -> None:
+        if self.ended:  # a farewell is sent before _cleanup sets this
+            return
         adversary = self.endpoint.adversary
         if adversary is not None:
             message = adversary.outgoing(self, message)
-        self.outbox.put(message)
+        try:
+            self.stream.send(message)
+        except TcpError:
+            pass  # the command loop sees the dead connection and ends
 
     def _over_session_budget(self) -> bool:
         return (
@@ -571,8 +556,8 @@ class Session:
         self.endpoint.contention.release(self)
         self.endpoint.sessions.pop(self.session_id, None)
         self.endpoint.forget(self.stream.conn)
-        self.outbox.put(None)  # stop the writer
-        self.endpoint.node.sim.schedule(0.05, self.stream.close)
+        # FIN follows whatever the buffer still holds, the farewell too.
+        self.stream.close()
         self.end_event.fire(reason)
 
 
@@ -782,7 +767,7 @@ class Endpoint:
             return None
         stream = MessageStream(conn)
         try:
-            yield from stream.send(
+            stream.send(
                 Hello(
                     version=PROTOCOL_VERSION,
                     caps=self.config.caps(),
@@ -828,7 +813,7 @@ class Endpoint:
             if fields:
                 fields["report"] = _report_text(exc.report)
             try:
-                yield from stream.send(AuthFail(reason=str(exc), **fields))
+                stream.send(AuthFail(reason=str(exc), **fields))
             except TcpError:
                 pass
             conn.close()
@@ -844,7 +829,7 @@ class Endpoint:
             sim.obs.emit("endpoint", "session-start", session=session.name,
                          priority=session.priority)
         try:
-            yield from stream.send(
+            stream.send(
                 AuthOk(session_id=session.session_id,
                        buffer_limit=session.buffer.capacity)
             )
@@ -918,7 +903,7 @@ class Endpoint:
         try:
             stream = MessageStream(conn)
             try:
-                yield from stream.send(
+                stream.send(
                     RdzSubscribe(channels=tuple(self.config.trusted_key_ids))
                 )
             except TcpError:
@@ -967,7 +952,7 @@ class Endpoint:
                 return None
             self._heartbeat_seq += 1
             try:
-                yield from stream.send(
+                stream.send(
                     RdzHeartbeat(
                         endpoint_name=self.config.name,
                         seq=self._heartbeat_seq,

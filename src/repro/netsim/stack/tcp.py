@@ -28,6 +28,8 @@ changing correctness.
 
 Application API is generator-based: inside a simulated process, use
 ``yield from conn.send(data)``, ``data = yield from conn.recv()``, etc.
+``send`` blocks while the send buffer is full (back pressure); ``write``
+appends at once, past the buffer's capacity if need be, and never waits.
 """
 
 from __future__ import annotations
@@ -205,20 +207,23 @@ class TcpConnection:
         is full (this is where TCP back pressure reaches the application)."""
         view = memoryview(bytes(data))
         while view:
-            self._raise_if_error()
-            if self.state not in (ESTABLISHED, CLOSE_WAIT):
-                raise TcpError(f"send in state {self.state}")
             space = self.snd_buffer_capacity - len(self.snd_buffer)
-            if space <= 0:
-                waiter = self.sim.event(name=f"tcp-send-wait:{self._label()}")
-                self._send_waiters.append(waiter)
-                yield waiter
+            if space > 0:
+                self.write(view[:space])
+                view = view[space:]
                 continue
-            chunk = view[:space]
-            self.snd_buffer.extend(chunk)
-            view = view[len(chunk):]
-            self._try_transmit()
+            self._check_writable()
+            waiter = self.sim.event(name=f"tcp-send-wait:{self._label()}")
+            self._send_waiters.append(waiter)
+            yield waiter
         return None
+
+    def write(self, data: bytes) -> None:
+        """Append ``data`` without waiting for buffer space; the peer's
+        window and ``cwnd`` still bound what is in flight."""
+        self._check_writable()
+        self.snd_buffer.extend(data)
+        self._try_transmit()
 
     def recv(self, max_bytes: int = 65536) -> Generator:
         """Read up to ``max_bytes``; returns ``b''`` at EOF."""
@@ -288,6 +293,11 @@ class TcpConnection:
     def _raise_if_error(self) -> None:
         if self.error is not None:
             raise self.error
+
+    def _check_writable(self) -> None:
+        self._raise_if_error()
+        if self.state not in (ESTABLISHED, CLOSE_WAIT):
+            raise TcpError(f"send in state {self.state}")
 
     # ------------------------------------------------------------------
     # Connection startup

@@ -1,9 +1,13 @@
 """Length-prefixed message framing over a simulated TCP connection.
 
 A :class:`MessageStream` wraps a :class:`~repro.netsim.stack.tcp.TcpConnection`
-and provides ``yield from stream.send(msg)`` / ``msg = yield from
-stream.recv()`` for simulated processes. Frames are ``u32 length`` +
-message bytes.
+and provides ``stream.send(msg)`` / ``msg = yield from stream.recv()``
+for simulated processes. Frames are ``u32 length`` + message bytes.
+
+``send`` is a plain call: it hands the frame to ``TcpConnection.write``,
+which never waits, so the frame enters TCP in the step that sends it and
+TCP keeps every sender's frames in order. A dead connection raises
+:class:`TcpError`. Data sockets keep the blocking ``TcpConnection.send``.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ class MessageStream:
         self.bytes_sent = 0
         self.bytes_received = 0
 
-    def send(self, message: Message) -> Generator:
+    def send(self, message: Message) -> None:
         payload = message.encode()
         if len(payload) > MAX_FRAME:
             # Enforced symmetrically with recv(): a frame the peer is
@@ -53,7 +57,7 @@ class MessageStream:
         frame = len(payload).to_bytes(4, "big") + payload
         self.messages_sent += 1
         self.bytes_sent += len(frame)
-        yield from self.conn.send(frame)
+        self.conn.write(frame)
 
     def recv(self) -> Generator:
         """Receive one message; returns None on clean EOF."""

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Generator, Optional
 
 from repro.crypto.chain import CertificateChain, ChainError
-from repro.netsim.kernel import Queue
 from repro.netsim.node import Node
 from repro.netsim.stack.tcp import TcpError
 from repro.proto.framing import FramingError, MessageStream
@@ -43,7 +42,6 @@ class StoredExperiment:
 class Subscriber:
     stream: MessageStream
     channels: frozenset[bytes]
-    outbox: Queue
     ident: int = 0  # subscriber address, stable across reconnects
     alive: bool = True
 
@@ -113,7 +111,6 @@ class RendezvousServer:
             self._listener = None
         for subscriber in list(self.subscribers):
             subscriber.alive = False
-            subscriber.outbox.put(None)
             subscriber.stream.conn.abort()
         self.subscribers.clear()
         if self._obs.enabled:
@@ -144,7 +141,7 @@ class RendezvousServer:
             conn.close()
             return
         if isinstance(message, RdzPublish):
-            yield from self._handle_publish(stream, message)
+            self._handle_publish(stream, message)
             conn.close()
         elif isinstance(message, RdzSubscribe):
             yield from self._handle_subscribe(stream, message)
@@ -154,9 +151,9 @@ class RendezvousServer:
     # -- publication ----------------------------------------------------------
 
     def _handle_publish(self, stream: MessageStream,
-                        message: RdzPublish) -> Generator:
+                        message: RdzPublish) -> None:
         ok, reason = self._validate_publish(message)
-        yield from stream.send(RdzPublishResult(ok=ok, reason=reason))
+        stream.send(RdzPublishResult(ok=ok, reason=reason))
         obs = self._obs
         if not ok:
             self.publications_rejected += 1
@@ -235,14 +232,12 @@ class RendezvousServer:
         subscriber = Subscriber(
             stream=stream,
             channels=frozenset(message.channels),
-            outbox=self.node.sim.queue(name="rdz-sub-outbox"),
             ident=stream.conn.remote_ip,
         )
         self.subscribers.append(subscriber)
         if self._obs.enabled:
             self._obs.counter("rendezvous.subscriptions").inc()
             self._obs.gauge("rendezvous.subscribers").set(len(self.subscribers))
-        self.node.spawn(self._subscriber_writer(subscriber), name="rdz-sub-writer")
         # Replay stored experiments matching the subscription.
         for stored in self.experiments:
             self._offer(subscriber, stored)
@@ -259,7 +254,6 @@ class RendezvousServer:
         except (TcpError, FramingError):
             pass
         subscriber.alive = False
-        subscriber.outbox.put(None)
         try:
             self.subscribers.remove(subscriber)
         except ValueError:
@@ -282,17 +276,6 @@ class RendezvousServer:
         if self._obs.enabled:
             self._obs.counter("fleet.heartbeats").inc()
 
-    def _subscriber_writer(self, subscriber: Subscriber) -> Generator:
-        while True:
-            item = yield subscriber.outbox.get()
-            if item is None or not subscriber.alive:
-                return
-            try:
-                yield from subscriber.stream.send(item)
-            except TcpError:
-                subscriber.alive = False
-                return
-
     def _offer(self, subscriber: Subscriber, stored: StoredExperiment) -> None:
         if not subscriber.alive:
             return
@@ -312,6 +295,9 @@ class RendezvousServer:
         self.experiments_delivered += 1
         if self._obs.enabled:
             self._obs.counter("rendezvous.delivered").inc()
-        subscriber.outbox.put(
-            RdzExperiment(descriptor=stored.descriptor_bytes, chain=chain)
-        )
+        try:
+            subscriber.stream.send(
+                RdzExperiment(descriptor=stored.descriptor_bytes, chain=chain)
+            )
+        except TcpError:
+            subscriber.alive = False

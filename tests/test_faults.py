@@ -176,7 +176,7 @@ class TestFramingSymmetry:
     def test_send_rejects_oversized_frame(self):
         stream = MessageStream(conn=None)  # send() raises before touching conn
         with pytest.raises(FramingError, match="exceeds limit"):
-            next(stream.send(_HugeMessage()))
+            stream.send(_HugeMessage())
         assert stream.messages_sent == 0
         assert stream.bytes_sent == 0
 
@@ -194,7 +194,7 @@ class TestFramingSymmetry:
         def client():
             conn = yield from a.tcp.open_connection(b.primary_address(), 7)
             streams["tx"] = stream = MessageStream(conn)
-            yield from stream.send(Bye())
+            stream.send(Bye())
             conn.close()
 
         proc = net.sim.spawn(server(), name="server")

@@ -6,6 +6,7 @@ from repro.netsim.stack.tcp import (
     ConnectionRefused,
     ConnectionReset,
     ESTABLISHED,
+    TcpError,
 )
 from repro.netsim.topology import Network, linear_topology
 from repro.packet.icmp import ICMP_DEST_UNREACH, UNREACH_PORT, IcmpMessage
@@ -240,6 +241,37 @@ class TestTcpFlowControl:
         assert server_proc.result == b"F" * 40000
         # The sender could not finish before the receiver started reading.
         assert sent_progress[0] > 5.0
+
+    def test_write_never_waits_and_may_pass_the_buffer_capacity(self):
+        """``write`` is the control channel's path: it appends at once,
+        and the receiver's window still paces what goes out."""
+        net, a, b = simple_pair(bandwidth_bps=100e6, delay=0.001)
+        listener = b.tcp.listen(80, rcv_buffer=4096)
+
+        def server():
+            conn = yield listener.accept()
+            yield 5.0
+            return (yield from conn.recv_exactly(40000))
+
+        buffered = []
+
+        def client():
+            conn = yield from a.tcp.open_connection(b.primary_address(), 80,
+                                                    snd_buffer=8192)
+            conn.write(b"W" * 40000)
+            buffered.append((net.sim.now, len(conn.snd_buffer)))
+            yield 1.0
+            assert conn.bytes_in_flight <= 4096  # the peer's window
+            conn.close()
+            with pytest.raises(TcpError):
+                conn.write(b"late")
+
+        server_proc = net.sim.spawn(server())
+        net.sim.spawn(client())
+        net.run()
+        assert server_proc.result == b"W" * 40000
+        now, held = buffered[0]
+        assert held == 40000 and now < 1.0
 
     def test_zero_window_then_reopen(self):
         net, a, b = simple_pair()

@@ -169,7 +169,7 @@ class TestFraming:
             conn = yield from a.tcp.open_connection(b.primary_address(), 7000)
             stream = MessageStream(conn)
             for message in ALL_MESSAGES:
-                yield from stream.send(message)
+                stream.send(message)
             conn.close()
 
         net.sim.spawn(server(), name="server")
@@ -191,7 +191,7 @@ class TestFraming:
         def client():
             conn = yield from a.tcp.open_connection(b.primary_address(), 7000)
             stream = MessageStream(conn)
-            yield from stream.send(Bye())
+            stream.send(Bye())
             conn.close()
 
         server_proc = net.sim.spawn(server(), name="server")

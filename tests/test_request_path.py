@@ -4,7 +4,8 @@
    wire, recorded on the commit before the commands were folded onto
    ``issue``/``wait``, through a raw and through a resilient handle.
 2. The path's own contract: an already-answered record, a detached one,
-   a closed session, an expired ``rpc_timeout``.
+   a closed session, an expired ``rpc_timeout``, the frame in TCP's send
+   buffer when ``issue`` returns, and a send on a dead connection.
 3. ``ResilientHandle.call``: replay bookkeeping keyed on message type,
    and session evidence summed across adopted sessions.
 4. The endpoint's half: every reply frame each Table 1 command can
@@ -186,6 +187,44 @@ def test_issue_on_a_closed_session_consumes_a_reqid_and_wait_raises(verdict):
         assert error.kind == "test-budget"
     else:
         assert not isinstance(error, MisbehaviorError)
+
+
+def test_issue_puts_the_frame_in_the_send_buffer_before_yielding():
+    """No writer process sits between ``issue`` and TCP: the framed
+    command is in the connection's send buffer when ``issue`` returns."""
+    testbed = Testbed()
+
+    def experiment(handle):
+        yield from handle.read_clock()
+        buffer = handle.stream.conn.snd_buffer
+        held = len(buffer)
+        pending = handle.issue(MRead, memaddr=OFF_CLOCK, bytecnt=8)
+        body = MRead(reqid=pending.reqid, memaddr=OFF_CLOCK,
+                     bytecnt=8).encode()
+        assert bytes(buffer[held:]) == len(body).to_bytes(4, "big") + body
+        return (yield from handle.wait(pending))
+
+    assert testbed.run_experiment(experiment).status == ST_OK
+
+
+def test_issue_on_an_aborted_connection_closes_the_session():
+    """The send finds the connection dead: the request's wait raises
+    SessionClosed, and a later bye sends nothing."""
+    testbed = Testbed()
+
+    def experiment(handle):
+        yield from handle.read_clock()
+        handle.stream.conn.abort()
+        pending = handle.issue(MRead, memaddr=OFF_CLOCK, bytecnt=8)
+        assert handle.closed and handle._pending == {}
+        with pytest.raises(SessionClosed):
+            next(handle.wait(pending))
+        sent = handle.stream.messages_sent
+        handle.bye()
+        assert handle.stream.messages_sent == sent
+        return True
+
+    assert testbed.run_experiment(experiment)
 
 
 def test_expired_timeout_leaves_nothing_behind_and_late_result_is_dropped():
@@ -498,7 +537,7 @@ def _provoke_every_reply(testbed, handle, labels):
                     data=b"\x01\x02")
     yield from call("mwrite fault", MWrite, memaddr=MEMORY_SIZE, data=b"x")
     labels.append("reused reqid")
-    handle._outbox.put(MRead(reqid=1, memaddr=OFF_ADDR_IP, bytecnt=4))
+    handle.stream.send(MRead(reqid=1, memaddr=OFF_ADDR_IP, bytecnt=4))
     yield 0.5
     for sktid in (1, 2, 3):
         yield from call("nclose ok", NClose, sktid=sktid)

@@ -105,8 +105,8 @@ class TestEndToEndVersioning:
                 descriptor.controller_addr, descriptor.controller_port
             )
             stream = MessageStream(conn)
-            yield from stream.send(Hello(version=PROTOCOL_VERSION + 1,
-                                         caps=0, endpoint_name="future-ep"))
+            stream.send(Hello(version=PROTOCOL_VERSION + 1,
+                              caps=0, endpoint_name="future-ep"))
             yield 2.0
             return None
 
