@@ -26,7 +26,6 @@ are deterministic under fault injection.
 from __future__ import annotations
 
 from dataclasses import replace
-from random import Random
 from typing import Generator
 
 from repro.controller.client import (
@@ -41,6 +40,7 @@ from repro.controller.client import (
 from repro.proto.constants import ST_BAD_SOCKET, ST_OK
 from repro.proto.messages import NCap, NClose, NOpen
 from repro.util.retry import RetryPolicy
+from repro.util.rng import LazyRandom
 
 # How often a reacquire wait looks for the endpoint's fresh session: well
 # under any RTT-scale backoff, so the poll never dominates recovery time.
@@ -76,7 +76,7 @@ class ResilientHandle(Table1Commands):
         # session when many share one controller.
         self._endpoints_queue = endpoints_queue
         self.policy = policy or RetryPolicy()
-        self.rng = Random(seed)
+        self.rng = LazyRandom(seed)
         self.reacquire_timeout = reacquire_timeout
         self.sim = handle.sim
         self._obs = handle.sim.obs

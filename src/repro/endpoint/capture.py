@@ -11,6 +11,8 @@ packets and bytes dropped due to buffer exhaustion.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from repro.netsim.kernel import Event, Simulator
 from repro.proto.messages import CaptureRecord
 
@@ -30,8 +32,9 @@ class CaptureBuffer:
         self._records: list[CaptureRecord] = []
         self.dropped_packets = 0
         self.dropped_bytes = 0
-        self._data_waiters: list[Event] = []
-        self._space_waiters: list[Event] = []
+        # Made on the first wait, like the kernel's Event waiter lists.
+        self._data_waiters: Optional[list[Event]] = None
+        self._space_waiters: Optional[list[Event]] = None
 
     def __len__(self) -> int:
         return len(self._records)
@@ -61,8 +64,8 @@ class CaptureBuffer:
             obs.gauge("endpoint.capture_occupancy").set(
                 self.used / self.capacity if self.capacity else 1.0
             )
-        waiters, self._data_waiters = self._data_waiters, []
-        for event in waiters:
+        waiters, self._data_waiters = self._data_waiters, None
+        for event in waiters or ():
             # An npoll's deadline may already have fired its event.
             event.fire_unless_fired()
         return True
@@ -88,8 +91,8 @@ class CaptureBuffer:
             self._obs.gauge("endpoint.capture_occupancy").set(0.0)
         dropped_packets, self.dropped_packets = self.dropped_packets, 0
         dropped_bytes, self.dropped_bytes = self.dropped_bytes, 0
-        waiters, self._space_waiters = self._space_waiters, []
-        for event in waiters:
+        waiters, self._space_waiters = self._space_waiters, None
+        for event in waiters or ():
             event.fire(None)
         return records, dropped_packets, dropped_bytes
 
@@ -100,6 +103,8 @@ class CaptureBuffer:
         event = Event(self._sim, name="capture-data")
         if self._records:
             event.fire(None)
+        elif self._data_waiters is None:
+            self._data_waiters = [event]
         else:
             self._data_waiters.append(event)
         return event
@@ -110,6 +115,8 @@ class CaptureBuffer:
         event = Event(self._sim, name="capture-space")
         if self.space_for(size):
             event.fire(None)
+        elif self._space_waiters is None:
+            self._space_waiters = [event]
         else:
             self._space_waiters.append(event)
         return event

@@ -15,7 +15,6 @@ either a certificate/monitor check or a mechanical command execution.
 
 from __future__ import annotations
 
-from random import Random as _Random
 import time as _time
 from types import GeneratorType
 from typing import Generator, Optional, Union
@@ -87,6 +86,7 @@ from repro.proto.messages import (
 from repro.rendezvous.descriptor import ExperimentDescriptor
 from repro.util.byteio import DecodeError
 from repro.util.retry import RetryPolicy
+from repro.util.rng import LazyRandom
 
 # Verifier reports travel in AuthFail.report (str_u16) and Result.payload;
 # keep them bounded so a pathological program can't bloat the handshake.
@@ -582,7 +582,7 @@ class Endpoint:
         # Crash-and-restart fault model (driven by netsim.faults).
         self.crashed = False
         self._restart_event = None
-        self._rng = _Random(RECONNECT_SEED)
+        self._rng = LazyRandom(RECONNECT_SEED)
         # The connections the agent opened itself, keyed by the (remote
         # ip, remote port, local port) a packet from the peer carries:
         # controller dials from connect until their session ends, and

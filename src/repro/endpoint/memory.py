@@ -65,6 +65,8 @@ OFF_BUF_DROPPED_BYTES = 44
 OFF_SOCKET_TABLE = 64
 SOCKET_SLOT_SIZE = 16
 SOCKET_SLOTS = 32
+_BUF_STATS_END = OFF_BUF_DROPPED_BYTES + 8
+_SOCKET_TABLE_END = OFF_SOCKET_TABLE + SOCKET_SLOTS * SOCKET_SLOT_SIZE
 
 INFO_VERSION = 1
 
@@ -77,8 +79,10 @@ class EndpointMemory:
     """The endpoint's controller-visible memory region.
 
     Dynamic fields (clock, buffer statistics, socket table) are refreshed
-    on every read, so an ``mread`` of the clock offset always returns the
-    current local time — the basis of the paper's timekeeping design.
+    by every read that covers them, so an ``mread`` of the clock offset
+    always returns the current local time — the basis of the paper's
+    timekeeping design. Buffer statistics keep their last values while
+    no session holds the endpoint.
     """
 
     def __init__(self, endpoint: "Endpoint") -> None:
@@ -97,25 +101,34 @@ class EndpointMemory:
 
     # -- dynamic refresh ------------------------------------------------------
 
-    def _refresh(self) -> None:
+    def _refresh(self, start: int, end: int) -> None:
+        """Rewrite the dynamic fields that overlap ``[start, end)``; a read
+        sees only those, so the rest waits for a read that covers it."""
         endpoint = self._endpoint
-        struct.pack_into(">Q", self._data, OFF_CLOCK, endpoint.clock_ticks())
-        buffer = endpoint.active_capture_buffer()
-        if buffer is not None:
-            struct.pack_into(
-                ">IIIQ",
-                self._data,
-                OFF_BUF_CAPACITY,
-                buffer.capacity & 0xFFFFFFFF,
-                buffer.used & 0xFFFFFFFF,
-                buffer.dropped_packets & 0xFFFFFFFF,
-                buffer.dropped_bytes & 0xFFFFFFFFFFFFFFFF,
-            )
-        self._refresh_sockets()
+        data = self._data
+        if start < OFF_CLOCK + 8 and end > OFF_CLOCK:
+            struct.pack_into(">Q", data, OFF_CLOCK, endpoint.clock_ticks())
+        if start < _BUF_STATS_END and end > OFF_BUF_CAPACITY:
+            buffer = endpoint.active_capture_buffer()
+            if buffer is not None:
+                struct.pack_into(
+                    ">IIIQ",
+                    data,
+                    OFF_BUF_CAPACITY,
+                    buffer.capacity & 0xFFFFFFFF,
+                    buffer.used & 0xFFFFFFFF,
+                    buffer.dropped_packets & 0xFFFFFFFF,
+                    buffer.dropped_bytes & 0xFFFFFFFFFFFFFFFF,
+                )
+        if start < _SOCKET_TABLE_END and end > OFF_SOCKET_TABLE:
+            first = max(0, start - OFF_SOCKET_TABLE) // SOCKET_SLOT_SIZE
+            last = min(SOCKET_SLOTS, -(-(end - OFF_SOCKET_TABLE) // SOCKET_SLOT_SIZE))
+            self._refresh_sockets(first, last)
 
-    def _refresh_sockets(self) -> None:
+    def _refresh_sockets(self, first: int, last: int) -> None:
+        """Rewrite socket slots ``first`` up to ``last`` (exclusive)."""
         sockets = self._endpoint.active_sockets()
-        for slot in range(SOCKET_SLOTS):
+        for slot in range(first, last):
             base = OFF_SOCKET_TABLE + slot * SOCKET_SLOT_SIZE
             socket = sockets.get(slot)
             if socket is None:
@@ -140,7 +153,7 @@ class EndpointMemory:
                 f"mread [{offset}:{offset + count}] outside memory of "
                 f"{MEMORY_SIZE} bytes"
             )
-        self._refresh()
+        self._refresh(offset, offset + count)
         return bytes(self._data[offset : offset + count])
 
     def write(self, offset: int, data: bytes) -> None:
@@ -158,7 +171,7 @@ class EndpointMemory:
         """Read for monitor programs; faults map to filter-VM faults."""
         if offset < 0 or offset + size > MEMORY_SIZE:
             raise VmFault(f"info read [{offset}:{offset + size}] out of bounds")
-        self._refresh()
+        self._refresh(offset, offset + size)
         return bytes(self._data[offset : offset + size])
 
 

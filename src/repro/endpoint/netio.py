@@ -165,7 +165,10 @@ class RawEndpointSocket(EndpointSocket):
     def close(self) -> None:
         if not self.closed:
             super().close()
+            # The tap's callback is this socket's bound method: drop the
+            # way back, so a closed socket and its filter go at once.
             self.node.ip.remove_tap(self._tap)
+            self._tap = None
 
 
 class UdpEndpointSocket(EndpointSocket):

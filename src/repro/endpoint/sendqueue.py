@@ -26,7 +26,8 @@ class ScheduledSend:
     ``actual_ticks`` is the endpoint-local time the data actually left
     (the paper's "recording the time it was actually sent"); it stays
     ``None`` for sends that failed, were cancelled, or have not fired —
-    tick 0 is a legitimate clock reading, not a sentinel.
+    tick 0 is a legitimate clock reading, not a sentinel. ``timer`` is
+    the kernel timer while the send is pending, ``None`` after.
     """
 
     __slots__ = ("socket", "data", "due_ticks", "timer", "done", "actual_ticks")
@@ -69,37 +70,41 @@ class SendQueue:
         due_sim = self._clock.to_true_time(due_local)
         delay = max(0.0, due_sim - self._sim.now)
         self._pending.append(entry)
-
-        def fire() -> None:
-            if entry.done:
-                return
-            entry.done = True
-            fired_ticks = self._clock.ticks()
-            try:
-                self._pending.remove(entry)
-            except ValueError:
-                pass
-            obs = self._obs
-            if obs.enabled:
-                # How late the send fired relative to its requested time
-                # (past-due requests fire immediately, so their whole
-                # overdue interval shows up here).
-                lag = max(0.0, self._sim.now - due_sim)
-                obs.histogram("endpoint.sendqueue_lag_s").observe(lag)
-            if on_fire(entry):
-                # Only a successful transmission records a send time.
-                entry.actual_ticks = fired_ticks
-                self.sends_completed += 1
-                entry.socket.note_send(fired_ticks)
-                if obs.enabled:
-                    obs.counter("endpoint.sends_completed").inc()
-            else:
-                self.sends_failed += 1
-                if obs.enabled:
-                    obs.counter("endpoint.sends_failed").inc()
-
-        entry.timer = self._sim.schedule(delay, fire)
+        entry.timer = self._sim.schedule(delay, self._fire, entry, due_sim,
+                                         on_fire)
         return entry
+
+    def _fire(self, entry: ScheduledSend, due_sim: float,
+              on_fire: Callable[[ScheduledSend], bool]) -> None:
+        if entry.done:
+            return
+        entry.done = True
+        # The timer's arguments hold the entry; dropping the way back
+        # frees both (and the payload) as soon as the send is done.
+        entry.timer = None
+        fired_ticks = self._clock.ticks()
+        try:
+            self._pending.remove(entry)
+        except ValueError:
+            pass
+        obs = self._obs
+        if obs.enabled:
+            # How late the send fired relative to its requested time
+            # (past-due requests fire immediately, so their whole
+            # overdue interval shows up here).
+            lag = max(0.0, self._sim.now - due_sim)
+            obs.histogram("endpoint.sendqueue_lag_s").observe(lag)
+        if on_fire(entry):
+            # Only a successful transmission records a send time.
+            entry.actual_ticks = fired_ticks
+            self.sends_completed += 1
+            entry.socket.note_send(fired_ticks)
+            if obs.enabled:
+                obs.counter("endpoint.sends_completed").inc()
+        else:
+            self.sends_failed += 1
+            if obs.enabled:
+                obs.counter("endpoint.sends_failed").inc()
 
     def cancel(self, socket: Optional["EndpointSocket"] = None) -> int:
         """Cancel the pending sends of ``socket`` as it closes, or of every
@@ -109,5 +114,6 @@ class SendQueue:
         for entry in cancelled:
             entry.done = True
             entry.timer.cancel()
+            entry.timer = None
         self._pending = [entry for entry in self._pending if not entry.done]
         return len(cancelled)

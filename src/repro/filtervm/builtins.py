@@ -12,6 +12,7 @@ from __future__ import annotations
 from repro.filtervm.assembler import assemble
 from repro.filtervm.program import FilterProgram
 from repro.filtervm.vm import VERDICT_CONSUME, VERDICT_MIRROR
+from repro.util.memo import BoundedMemo
 
 IP_PROTO_OFFSET = 9
 IP_SRC_OFFSET = 12
@@ -20,10 +21,23 @@ L4_SPORT_OFFSET = 20
 L4_DPORT_OFFSET = 22
 ICMP_TYPE_OFFSET = 20
 
+# Assembled programs (as snapshots) by source: an experiment asks for the
+# same filter on every job, and the port and address variants are many.
+_ASSEMBLED: BoundedMemo = BoundedMemo(64)
+
+
+def _assembled(source: str) -> FilterProgram:
+    """``assemble(source)``, run once per distinct source; each call
+    still returns a program of its own."""
+    snapshot = _ASSEMBLED.get(source)
+    if snapshot is None:
+        snapshot = _ASSEMBLED.put(source, assemble(source).snapshot())
+    return FilterProgram.from_snapshot(snapshot)
+
 
 def capture_all(verdict: int = VERDICT_CONSUME) -> FilterProgram:
     """Capture every packet with the given verdict."""
-    return assemble(
+    return _assembled(
         f"""
         func recv args=2
             push {verdict}
@@ -40,7 +54,7 @@ def mirror_all() -> FilterProgram:
 
 def allow_all_monitor() -> FilterProgram:
     """A monitor that allows every send and recv (for open endpoints)."""
-    return assemble(
+    return _assembled(
         """
         func send args=2
             ldl 1
@@ -54,7 +68,7 @@ def allow_all_monitor() -> FilterProgram:
 
 def deny_all_monitor() -> FilterProgram:
     """A monitor that denies everything (lockdown)."""
-    return assemble(
+    return _assembled(
         """
         func send args=2
             push 0
@@ -68,7 +82,7 @@ def deny_all_monitor() -> FilterProgram:
 
 def capture_protocol(proto: int, verdict: int = VERDICT_CONSUME) -> FilterProgram:
     """Capture only packets of one IP protocol."""
-    return assemble(
+    return _assembled(
         f"""
         func recv args=2
             push {IP_PROTO_OFFSET}
@@ -87,7 +101,7 @@ def capture_protocol(proto: int, verdict: int = VERDICT_CONSUME) -> FilterProgra
 
 def capture_udp_port(port: int, verdict: int = VERDICT_CONSUME) -> FilterProgram:
     """Capture UDP packets to or from a given port."""
-    return assemble(
+    return _assembled(
         f"""
         func recv args=2
             push {IP_PROTO_OFFSET}
@@ -118,7 +132,7 @@ def capture_udp_port(port: int, verdict: int = VERDICT_CONSUME) -> FilterProgram
 
 def capture_from_host(addr: int, verdict: int = VERDICT_CONSUME) -> FilterProgram:
     """Capture packets whose source address matches."""
-    return assemble(
+    return _assembled(
         f"""
         func recv args=2
             push {IP_SRC_OFFSET}
@@ -147,7 +161,7 @@ def icmp_echo_monitor() -> FilterProgram:
     The endpoint's own address is read from the info block (offset 8, per
     :mod:`repro.endpoint.memory`).
     """
-    return assemble(
+    return _assembled(
         """
         globals 4
 

@@ -87,6 +87,14 @@ class FilterProgram:
         """The program's content as one hashable value (a memo key)."""
         return (tuple(self.code), tuple(self.functions), self.globals_size)
 
+    @classmethod
+    def from_snapshot(cls, snapshot: tuple) -> "FilterProgram":
+        """A program of its own with a snapshot's content (instructions
+        and functions are frozen; the lists holding them are fresh)."""
+        code, functions, globals_size = snapshot
+        return cls(code=list(code), functions=list(functions),
+                   globals_size=globals_size)
+
     # -- verification -------------------------------------------------------
 
     def verify(self) -> "FilterProgram":
@@ -149,17 +157,15 @@ class FilterProgram:
     def decode(cls, data: bytes) -> "FilterProgram":
         """Parse and structurally verify wire bytes.
 
-        Every call returns a program of its own (instructions and functions
-        are frozen; the lists holding them are fresh), so no caller can
-        alter the program another caller decoded from the same bytes.
+        Every call returns a program of its own (:meth:`from_snapshot`),
+        so no caller can alter the program another caller decoded from the
+        same bytes.
         """
         data = bytes(data)
         snapshot = _DECODE_CACHE.get(data)
         if snapshot is None:
             snapshot = _DECODE_CACHE.put(data, cls._parse(data).snapshot())
-        code, functions, globals_size = snapshot
-        return cls(code=list(code), functions=list(functions),
-                   globals_size=globals_size)
+        return cls.from_snapshot(snapshot)
 
     @classmethod
     def _parse(cls, data: bytes) -> "FilterProgram":

@@ -847,6 +847,9 @@ class _Verifier:
                     f"MAX_CALL_DEPTH={MAX_CALL_DEPTH}",
                     function=entry,
                 )
+        # A recursive closure holds itself through its cell; emptying the
+        # cell frees it without a collector pass.
+        del chain_depth
 
     def check_shared_stack(self) -> None:
         """Frames share one operand stack, so nesting must fit it too.
@@ -898,6 +901,7 @@ class _Verifier:
                     f"exceeding MAX_STACK={MAX_STACK}",
                     function=entry,
                 )
+        del peak  # recursive closure: see check_call_graph
 
     def live_functions(self) -> set[str]:
         """Entry points and every function they may call."""
@@ -1023,6 +1027,7 @@ class _Verifier:
                     f"{self.fuel_limit}; some paths would be aborted",
                     function=entry,
                 )
+        del function_bound  # recursive closure: see check_call_graph
 
 
 # ---------------------------------------------------------------------------

@@ -92,7 +92,8 @@ class Event:
         self._sim = sim
         self._fired = False
         self._value: Any = None
-        self._waiters: list[Process] = []
+        # Made on the first waiter: many events fire, or die, with none.
+        self._waiters: Optional[list[Process]] = None
         self.name = name
 
     @property
@@ -108,7 +109,7 @@ class Event:
             raise SimError(f"event {self.name or id(self)} fired twice")
         self._fired = True
         self._value = value
-        waiters, self._waiters = self._waiters, []
+        waiters, self._waiters = self._waiters, None
         if waiters:
             sim = self._sim
             if len(waiters) == 1:
@@ -129,14 +130,14 @@ class Event:
     def _add_waiter(self, proc: "Process") -> None:
         if self._fired:
             self._sim._resume_soon(proc, self._value)
+        elif self._waiters is None:
+            self._waiters = [proc]
         else:
             self._waiters.append(proc)
 
     def _remove_waiter(self, proc: "Process") -> None:
-        try:
+        if self._waiters is not None and proc in self._waiters:
             self._waiters.remove(proc)
-        except ValueError:
-            pass
 
 
 class Queue:

@@ -20,7 +20,6 @@ traffic sharing an access link.
 
 from __future__ import annotations
 
-from random import Random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
@@ -28,6 +27,7 @@ from collections import deque
 
 from repro.netsim.kernel import Simulator, Timer
 from repro.packet.ipv4 import IPv4Packet
+from repro.util.rng import LazyRandom
 
 if TYPE_CHECKING:
     from repro.netsim.faults import DirectionFaults
@@ -70,7 +70,7 @@ class LinkDirection:
         delay: float,
         queue_bytes: int,
         loss_rate: float,
-        rng: Random,
+        rng: LazyRandom,
         jitter: float = 0.0,
     ) -> None:
         if bandwidth_bps <= 0:
@@ -285,7 +285,7 @@ class Link:
         (asymmetric access links), else the same values.
         """
         name = f"{iface_a.full_name}<->{iface_b.full_name}"
-        rng = Random(seed)
+        rng = LazyRandom(seed)
         self.forward = LinkDirection(
             sim, f"{name}:fwd", bandwidth_bps, delay, queue_bytes, loss_rate,
             rng, jitter=jitter,

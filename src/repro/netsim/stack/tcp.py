@@ -115,6 +115,26 @@ class ConnectionTimeout(TcpError):
 class TcpConnection:
     """One endpoint of a TCP connection."""
 
+    # Past CPython's shared-key limit an instance dict is ~1.6 KB, and a
+    # fleet holds four connections per endpoint.
+    __slots__ = (
+        "layer", "node", "sim", "local_ip", "local_port", "remote_ip",
+        "remote_port", "state", "error", "mss",
+        # Send state.
+        "iss", "snd_una", "snd_nxt", "snd_max", "snd_wnd", "snd_wl2",
+        "snd_buffer", "snd_buffer_capacity", "fin_pending", "fin_seq",
+        # Receive state.
+        "rcv_nxt", "rcv_buffer", "rcv_buffer_capacity", "rcv_eof",
+        "_advertised_zero", "_ack_owed",
+        # Congestion control and RTT estimation.
+        "cwnd", "ssthresh", "dup_acks", "srtt", "rttvar", "rto",
+        "_rtt_sample_seq", "_rtt_sample_time",
+        # Timers, waiters, stats.
+        "_rtx_timer", "_probe_timer", "_time_wait_timer", "_retries",
+        "_established_event", "_closed_event", "_send_waiters",
+        "_recv_waiters", "retransmissions",
+    )
+
     def __init__(
         self,
         layer: "TcpLayer",
@@ -179,10 +199,13 @@ class TcpConnection:
         self._retries = 0
 
         # Waiters.
-        self._established_event = self.sim.event(name=f"tcp-est:{self._label()}")
+        # Dropped once fired (_fire_established).
+        self._established_event: Optional[Event] = self.sim.event(
+            name=f"tcp-est:{self._label()}")
         self._closed_event = self.sim.event(name=f"tcp-closed:{self._label()}")
-        self._send_waiters: list[Event] = []
-        self._recv_waiters: list[Event] = []
+        # Made on the first wait: most connections never block a sender.
+        self._send_waiters: Optional[list[Event]] = None
+        self._recv_waiters: Optional[list[Event]] = None
 
         # Stats.
         self.retransmissions = 0
@@ -196,9 +219,9 @@ class TcpConnection:
 
     def wait_established(self) -> Generator:
         """Block until the handshake completes (or raise on failure)."""
-        if self.state not in (ESTABLISHED,) and self.error is None:
-            if not self._established_event.fired:
-                yield self._established_event
+        event = self._established_event
+        if event is not None and self.state != ESTABLISHED and self.error is None:
+            yield event
         self._raise_if_error()
         return self
 
@@ -214,6 +237,8 @@ class TcpConnection:
                 continue
             self._check_writable()
             waiter = self.sim.event(name=f"tcp-send-wait:{self._label()}")
+            if self._send_waiters is None:
+                self._send_waiters = []
             self._send_waiters.append(waiter)
             yield waiter
         return None
@@ -240,6 +265,8 @@ class TcpConnection:
             if self.state in (CLOSED, TIME_WAIT):
                 return b""
             waiter = self.sim.event(name=f"tcp-recv-wait:{self._label()}")
+            if self._recv_waiters is None:
+                self._recv_waiters = []
             self._recv_waiters.append(waiter)
             yield waiter
 
@@ -551,8 +578,7 @@ class TcpConnection:
         self._cancel_rtx_timer()
         self.state = ESTABLISHED
         self._emit(FLAG_ACK, seq=self.snd_nxt)
-        if not self._established_event.fired:
-            self._established_event.fire(self)
+        self._fire_established()
 
     def _handle_ack(self, segment: TcpSegment) -> None:
         ack = segment.ack
@@ -580,8 +606,7 @@ class TcpConnection:
             self._retries = 0
             self._cancel_rtx_timer()
             self.layer._connection_established(self)
-            if not self._established_event.fired:
-                self._established_event.fire(self)
+            self._fire_established()
         if seq_lt(self.snd_una, ack) and seq_le(ack, self.snd_max):
             # An ACK above snd_nxt is possible after a go-back-N rewind
             # (it acknowledges data sent before the rewind): jump forward.
@@ -612,7 +637,7 @@ class TcpConnection:
                 self._cancel_rtx_timer()
             else:
                 self._arm_rtx_timer()
-            self._wake(self._send_waiters)
+            self._wake_senders()
             self._try_transmit()
         elif ack == self.snd_una and self.bytes_in_flight > 0:
             self.dup_acks += 1
@@ -666,7 +691,7 @@ class TcpConnection:
         if accepted:
             self.rcv_buffer.extend(accepted)
             self.rcv_nxt = seq_add(self.rcv_nxt, len(accepted))
-            self._wake(self._recv_waiters)
+            self._wake_receivers()
         fin_in_order = (
             segment.has(FLAG_FIN)
             and len(accepted) == len(payload)
@@ -675,7 +700,7 @@ class TcpConnection:
         if fin_in_order:
             self.rcv_nxt = seq_add(self.rcv_nxt, 1)
             self.rcv_eof = True
-            self._wake(self._recv_waiters)
+            self._wake_receivers()
             self._on_fin_received()
         elif accepted:
             # Held to the end of the instant, so that a reply the
@@ -735,16 +760,26 @@ class TcpConnection:
         self._probe_timer = None
         self._time_wait_timer = None
         self.layer._forget(self)
-        if not self._established_event.fired:
-            self._established_event.fire(self)
-        self._wake(self._send_waiters)
-        self._wake(self._recv_waiters)
+        self._fire_established()
+        self._wake_senders()
+        self._wake_receivers()
         if not self._closed_event.fired:
             self._closed_event.fire(None)
 
-    def _wake(self, waiters: list[Event]) -> None:
-        pending, waiters[:] = list(waiters), []
-        for event in pending:
+    def _fire_established(self) -> None:
+        """Fire the handshake's event once; nothing waits on it after."""
+        event, self._established_event = self._established_event, None
+        if event is not None:
+            event.fire(self)
+
+    def _wake_senders(self) -> None:
+        waiters, self._send_waiters = self._send_waiters, None
+        for event in waiters or ():
+            event.fire(None)
+
+    def _wake_receivers(self) -> None:
+        waiters, self._recv_waiters = self._recv_waiters, None
+        for event in waiters or ():
             event.fire(None)
 
     def _maybe_send_window_update(self) -> None:

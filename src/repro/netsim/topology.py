@@ -418,6 +418,9 @@ def _install_tree_routes(
         return addrs
 
     install(root)
+    # A recursive closure holds itself through its cell; emptying the
+    # cell frees it without a collector pass.
+    del install
     for child, child_iface in uplinks:
         child.set_default_route(child_iface)
 

@@ -39,6 +39,9 @@ class UndecodableFrame(FramingError):
 class MessageStream:
     """Framed message I/O over one TCP connection."""
 
+    __slots__ = ("conn", "messages_sent", "messages_received", "bytes_sent",
+                 "bytes_received")
+
     def __init__(self, conn: TcpConnection) -> None:
         self.conn = conn
         self.messages_sent = 0
@@ -55,9 +58,9 @@ class MessageStream:
                 f"frame of {len(payload)} bytes exceeds limit"
             )
         frame = len(payload).to_bytes(4, "big") + payload
+        self.conn.write(frame)  # raises TcpError on a dead connection
         self.messages_sent += 1
         self.bytes_sent += len(frame)
-        self.conn.write(frame)
 
     def recv(self) -> Generator:
         """Receive one message; returns None on clean EOF."""
@@ -80,13 +83,18 @@ class MessageStream:
 
     def _recv_exactly(self, count: int) -> Generator:
         """Read exactly ``count`` bytes, or None if EOF arrives first byte."""
-        parts: list[bytes] = []
-        remaining = count
+        if count == 0:
+            return b""
+        chunk = yield from self.conn.recv(count)
+        if len(chunk) == count:
+            return chunk  # the common case: one read holds it all
+        if not chunk:
+            return None
+        parts = [chunk]
+        remaining = count - len(chunk)
         while remaining > 0:
             chunk = yield from self.conn.recv(remaining)
             if not chunk:
-                if not parts:
-                    return None
                 raise FramingError("connection closed mid-frame")
             parts.append(chunk)
             remaining -= len(chunk)

@@ -23,6 +23,7 @@ overflow, stalled RPCs) are folded into the same per-session record via
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 from repro.proto.messages import (
@@ -98,7 +99,57 @@ class ProtocolViolation(Exception):
         self.violation = violation
 
 
-@dataclass
+class ReqidSet:
+    """An exact set of reqids, stored as one run ``[lo, hi)`` plus the
+    stragglers the run has not reached.
+
+    A reqid next to the run extends it, and a straggler the run reaches
+    is folded into it, so an honest session costs O(1) memory however
+    many RPCs it carries. A reqid far from the run costs what it would
+    in a plain set.
+    """
+
+    __slots__ = ("_lo", "_hi", "_stragglers")
+
+    def __init__(self) -> None:
+        self._lo = self._hi = 0  # empty until the first add
+        self._stragglers: Optional[set] = None
+
+    def __contains__(self, reqid: int) -> bool:
+        return self._lo <= reqid < self._hi or (
+            self._stragglers is not None and reqid in self._stragglers
+        )
+
+    def add(self, reqid: int) -> None:
+        lo, hi = self._lo, self._hi
+        if lo <= reqid < hi:
+            return
+        if lo == hi:  # the first reqid starts the run
+            lo = hi = reqid
+        if reqid == hi:
+            hi += 1
+        elif reqid == lo - 1:
+            lo -= 1
+        else:
+            if self._stragglers is None:
+                self._stragglers = set()
+            self._stragglers.add(reqid)
+            return
+        stragglers = self._stragglers
+        while stragglers and hi in stragglers:
+            stragglers.remove(hi)
+            hi += 1
+        while stragglers and lo - 1 in stragglers:
+            stragglers.remove(lo - 1)
+            lo -= 1
+        self._lo, self._hi = lo, hi
+
+
+# The machine's own state: not a constructor argument, not in repr or ==.
+_state = partial(field, init=False, repr=False, compare=False)
+
+
+@dataclass(slots=True)
 class SessionStateMachine:
     """Validates one session's inbound message sequence for one role.
 
@@ -114,19 +165,22 @@ class SessionStateMachine:
     start_established: bool = False
     phase: str = field(init=False, default=PHASE_HANDSHAKE)
     violations: list = field(init=False, default_factory=list)
+    # Controller side: reqids whose response is still legal (issued, not
+    # yet answered). A reqid ever issued but no longer in it has been
+    # answered, so no set of answered reqids is kept.
+    _issued: set = _state(default_factory=set)
+    # Controller side: every reqid issued. Endpoint side: every reqid
+    # seen on an inbound command.
+    _reqids: ReqidSet = _state(default_factory=ReqidSet)
+    _interrupted: bool = _state(default=False)
+    _saw_hello: bool = _state(default=False)
+    _saw_auth: bool = _state(default=False)
 
     def __post_init__(self) -> None:
         if self.role not in (ROLE_CONTROLLER, ROLE_ENDPOINT):
             raise ValueError(f"unknown role: {self.role!r}")
         if self.start_established:
             self.phase = PHASE_ESTABLISHED
-        # Controller side: reqids issued (commands sent, response still
-        # legal) and answered (exactly-once responses already consumed).
-        self._issued: set = set()
-        self._answered: set = set()
-        # Endpoint side: reqids already seen on inbound commands.
-        self._seen_reqids: set = set()
-        self._interrupted = False
         self._saw_hello = self.start_established
         self._saw_auth = self.start_established
 
@@ -136,6 +190,7 @@ class SessionStateMachine:
         """Controller role: register a reqid we issued, so the matching
         Result/PollData is legal (even if it arrives after our timeout)."""
         self._issued.add(reqid)
+        self._reqids.add(reqid)
 
     # -- validation ----------------------------------------------------------
 
@@ -186,9 +241,8 @@ class SessionStateMachine:
             reqid = message.reqid
             if reqid in self._issued:
                 self._issued.discard(reqid)
-                self._answered.add(reqid)
                 return None
-            if reqid in self._answered:
+            if reqid in self._reqids:
                 return Violation(
                     V_DUPLICATE_RESPONSE, name, f"reqid {reqid} already answered"
                 )
@@ -252,9 +306,9 @@ class SessionStateMachine:
             return Violation(V_DUPLICATE_AUTH, name, "second Auth")
         if isinstance(message, _COMMANDS):
             reqid = message.reqid
-            if reqid in self._seen_reqids:
+            if reqid in self._reqids:
                 return Violation(V_REQID_REUSE, name, f"reqid {reqid} reused")
-            self._seen_reqids.add(reqid)
+            self._reqids.add(reqid)
             return None
         if isinstance(message, Yield):
             return None

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.netsim.stack.tcp import TcpError
 from repro.netsim.topology import Network
 from repro.proto import messages
 from repro.proto.framing import FramingError, MessageStream
@@ -246,3 +247,28 @@ class TestFraming:
         net.sim.spawn(client(), name="client")
         net.run()
         assert "exceeds limit" in server_proc.result
+
+    def test_send_on_a_dead_connection_counts_nothing(self):
+        """A frame TCP refused was never sent: the counters stay put."""
+        net, a, b = self._pair()
+
+        def server():
+            listener = b.tcp.listen(7000)
+            yield listener.accept()
+
+        def client():
+            conn = yield from a.tcp.open_connection(b.primary_address(), 7000)
+            stream = MessageStream(conn)
+            stream.send(Bye())
+            counts = (stream.messages_sent, stream.bytes_sent)
+            conn.abort()
+            with pytest.raises(TcpError):
+                stream.send(Bye())
+            return counts, (stream.messages_sent, stream.bytes_sent)
+
+        net.sim.spawn(server(), name="server")
+        client_proc = net.sim.spawn(client(), name="client")
+        net.run()
+        before, after = client_proc.result
+        assert before == (1, 4 + len(Bye().encode()))
+        assert after == before

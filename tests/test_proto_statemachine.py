@@ -40,6 +40,7 @@ from repro.proto.statemachine import (
     ROLE_CONTROLLER,
     ROLE_ENDPOINT,
     ProtocolViolation,
+    ReqidSet,
     SessionStateMachine,
     V_AFTER_END,
     V_BAD_INTERRUPT,
@@ -354,3 +355,119 @@ def test_after_end_everything_is_a_violation(sequence):
     for message in sequence:
         v = sm.observe(message)
         assert v is not None and v.kind == V_AFTER_END
+
+
+# ---------------------------------------------------------------------------
+# Reqids are stored as one run plus stragglers; the verdicts must be the
+# ones plain sets give, for any reqid sequence.
+# ---------------------------------------------------------------------------
+
+
+class _PlainSetJudge:
+    """The reqid rules kept in plain sets, as the machine once kept them."""
+
+    def __init__(self) -> None:
+        self.issued, self.answered, self.seen = set(), set(), set()
+
+    def response(self, reqid):
+        if reqid in self.issued:
+            self.issued.discard(reqid)
+            self.answered.add(reqid)
+            return None
+        if reqid in self.answered:
+            return V_DUPLICATE_RESPONSE
+        return V_UNSOLICITED_RESPONSE
+
+    def command(self, reqid):
+        if reqid in self.seen:
+            return V_REQID_REUSE
+        self.seen.add(reqid)
+        return None
+
+
+@st.composite
+def _reqid_ops(draw, kinds):
+    """(kind, reqid) steps an honest peer makes: reqids issued in order,
+    answered in any order or never (a timeout); mixed with strays that
+    reuse, repeat or invent a reqid."""
+    next_reqid = draw(st.integers(0, 3))
+    outstanding, ops = [], []
+    for _ in range(draw(st.integers(0, 40))):
+        step = draw(st.sampled_from(["issue", "issue", "answer", "answer",
+                                     "stray"]))
+        if step == "issue":
+            ops.append(("issue", next_reqid))
+            outstanding.append(next_reqid)
+            next_reqid += 1
+        elif step == "answer" and outstanding:
+            index = draw(st.integers(0, len(outstanding) - 1))
+            ops.append((draw(st.sampled_from(kinds)), outstanding.pop(index)))
+        else:
+            ops.append((draw(st.sampled_from(("issue",) + kinds)),
+                        draw(st.integers(0, next_reqid + 2))))
+    return ops
+
+
+def _kind(violation):
+    return None if violation is None else violation.kind
+
+
+@settings(max_examples=300, deadline=None)
+@given(ops=_reqid_ops(("result", "polldata")))
+def test_controller_reqid_verdicts_match_plain_sets(ops):
+    sm, judge = controller_machine(), _PlainSetJudge()
+    for kind, reqid in ops:
+        if kind == "issue":
+            sm.note_request(reqid)
+            judge.issued.add(reqid)
+            continue
+        message = (Result(reqid=reqid) if kind == "result"
+                   else PollData(reqid=reqid))
+        expected = (None if kind == "polldata" and reqid == 0
+                    else judge.response(reqid))
+        assert _kind(sm.observe(message)) == expected, (kind, reqid)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ops=_reqid_ops(("mread", "nsend")))
+def test_endpoint_reqid_verdicts_match_plain_sets(ops):
+    # The endpoint sees commands only: every step is one, whatever the
+    # controller meant by it.
+    sm, judge = endpoint_machine(), _PlainSetJudge()
+    for kind, reqid in ops:
+        message = (NSend(reqid=reqid) if kind == "nsend"
+                   else MRead(reqid=reqid))
+        assert _kind(sm.observe(message)) == judge.command(reqid), reqid
+
+
+def test_in_order_reqids_keep_no_stragglers():
+    """An honest session's reqids cost the same memory after 2 000 RPCs
+    as after one, whether they arrive in order or a few out of order."""
+    controller, endpoint = controller_machine(), endpoint_machine()
+    for low in range(1, 2001, 4):  # each four issued in order ...
+        for reqid in range(low, low + 4):
+            controller.note_request(reqid)
+        for reqid in range(low + 3, low - 1, -1):  # ... met last first
+            assert endpoint.observe(MRead(reqid=reqid)) is None
+            assert controller.observe(Result(reqid=reqid)) is None
+    assert controller.violations == endpoint.violations == []
+    assert not controller._issued
+    for machine in (controller, endpoint):
+        assert not machine._reqids._stragglers
+    assert controller.observe(Result(reqid=7)).kind == V_DUPLICATE_RESPONSE
+    assert endpoint.observe(MRead(reqid=7)).kind == V_REQID_REUSE
+
+
+@pytest.mark.parametrize("order", [
+    list(range(1, 101)),
+    list(range(100, 0, -1)),
+    [10, 13, 12, 11],
+    [10, 7, 8, 9],
+], ids=["in-order", "last-first", "gap-from-below", "gap-from-above"])
+def test_a_contiguous_set_of_reqids_leaves_no_stragglers(order):
+    reqids = ReqidSet()
+    for reqid in order:
+        reqids.add(reqid)
+    assert not reqids._stragglers
+    span = range(min(order) - 2, max(order) + 3)
+    assert [reqid for reqid in span if reqid in reqids] == sorted(order)

@@ -13,6 +13,8 @@
    place, and the npoll deadline that leaves a fired waiter behind.
 """
 
+from contextlib import contextmanager
+
 import pytest
 
 from repro.controller.client import (
@@ -45,6 +47,7 @@ from repro.proto.constants import (
     ST_MEM_FAULT,
     ST_OK,
 )
+from repro.proto.framing import MessageStream
 from repro.proto.messages import (
     MRead,
     MWrite,
@@ -56,6 +59,27 @@ from repro.proto.messages import (
     Result,
 )
 from repro.util.retry import RetryPolicy
+
+
+@contextmanager
+def _tapped_sends(streams, tap):
+    """Call ``tap(message)`` before each send on one of ``streams``.
+
+    ``MessageStream`` has ``__slots__``, so the tap is patched on the
+    class and every other stream sends untouched."""
+    send = MessageStream.send
+
+    def tapped(stream, message):
+        if any(stream is watched for watched in streams):
+            tap(message)
+        return send(stream, message)
+
+    MessageStream.send = tapped
+    try:
+        yield
+    finally:
+        MessageStream.send = send
+
 
 # -- 1. wire frames, pinned on the parent commit -------------------------------
 
@@ -100,20 +124,16 @@ def _every_command(handle, target):
 @pytest.mark.parametrize("resilient", [False, True], ids=["raw", "resilient"])
 def test_command_frames_unchanged(resilient):
     testbed = Testbed()
-    frames = []
+    frames, streams = [], []
 
     def experiment(handle):
-        stream = (handle.handle if resilient else handle).stream
-        send = stream.send
-
-        def tap(message):
-            frames.append(message.encode().hex())
-            return send(message)
-
-        stream.send = tap
+        streams.append((handle.handle if resilient else handle).stream)
         yield from _every_command(handle, testbed.target_address)
 
-    testbed.run_experiment(experiment, resilient=resilient, rpc_timeout=5.0)
+    with _tapped_sends(streams,
+                       lambda message: frames.append(message.encode().hex())):
+        testbed.run_experiment(experiment, resilient=resilient,
+                               rpc_timeout=5.0)
     assert frames == PINNED_FRAMES
 
 
@@ -546,20 +566,16 @@ def _provoke_every_reply(testbed, handle, labels):
 
 def _record_replies():
     testbed = Testbed()
-    labels, replies = [], []
+    labels, replies, streams = [], [], []
 
     def experiment(handle):
         session, = testbed.endpoint.sessions.values()
-        send = session.stream.send
-
-        def tap(message):
-            replies.append((labels.pop(0), message.encode().hex()))
-            return send(message)
-
-        session.stream.send = tap
+        streams.append(session.stream)
         yield from _provoke_every_reply(testbed, handle, labels)
 
-    testbed.run_experiment(experiment, timeout=120.0)
+    with _tapped_sends(streams, lambda message: replies.append(
+            (labels.pop(0), message.encode().hex()))):
+        testbed.run_experiment(experiment, timeout=120.0)
     return replies
 
 

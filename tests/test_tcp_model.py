@@ -162,21 +162,27 @@ class ScriptedWire:
 
     def _watch(self, conn: TcpConnection) -> None:
         self.conns.append(conn)
-        update = conn._maybe_send_window_update
-
-        def counted_update():
-            sent = len(self.emitted)
-            update()
-            if len(self.emitted) > sent:
-                self.at_once[self.sim.now, conn] += 1
-
-        conn._maybe_send_window_update = counted_update
 
         def closed():
             yield conn._closed_event
             self.closed_at[conn] = self.sim.now
 
         self.sim.spawn(closed(), name="closed-at")
+
+    def counted_window_updates(self, update):
+        """``TcpConnection._maybe_send_window_update`` wrapped to count a
+        watched connection's window update as sent at once. It is patched
+        on the class: a slotted connection takes no instance attribute."""
+
+        def counted_update(conn):
+            if conn not in self.conns:
+                return update(conn)
+            sent = len(self.emitted)
+            update(conn)
+            if len(self.emitted) > sent:
+                self.at_once[self.sim.now, conn] += 1
+
+        return counted_update
 
     def _arrive(self, host: Host, packet) -> None:
         segment = TcpSegment.decode(packet.payload, packet.src, packet.dst)
@@ -262,7 +268,13 @@ class ModelRun:
         sim.spawn(_client(conn, messages, self.logs["client"]), name="client")
         sim.spawn(_server(listener, pause, self.logs["server"]), name="server")
         sim.schedule_at(DEADLINE, self._deadline)
-        sim.run(max_events=500_000)
+        update = TcpConnection._maybe_send_window_update
+        TcpConnection._maybe_send_window_update = wire.counted_window_updates(
+            update)
+        try:
+            sim.run(max_events=500_000)
+        finally:
+            TcpConnection._maybe_send_window_update = update
 
     def _deadline(self) -> None:
         # The application's own deadline. A side whose peer gave up in
