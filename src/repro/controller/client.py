@@ -147,7 +147,7 @@ class DeferredError:
     """A detached (``*_nowait``) command that later reported failure.
 
     Fire-and-forget commands have no caller waiting on their Result, so a
-    non-OK status used to vanish in the reader loop. The handle now keeps
+    non-OK status used to vanish in the frame handler. The handle now keeps
     these so campaign rollups can surface late send failures instead of
     silently under-counting.
     """
@@ -198,12 +198,12 @@ _TIMED_OUT = object()
 
 @dataclass(eq=False, slots=True)
 class PendingRequest:
-    """One issued command: what issue(), the reader loop and wait() share.
+    """One issued command: what issue(), _on_message and wait() share.
 
-    ``event`` fires once — with the matched response (reader loop), with
+    ``event`` fires once — with the matched response (_on_message), with
     ``None`` when the session closes first, or with the timeout sentinel.
-    A ``detached`` request has no waiter: its Result is consumed by the
-    reader loop, a non-OK one landing in ``deferred_errors``.
+    A ``detached`` request has no waiter: its Result is consumed by
+    _on_message, a non-OK one landing in ``deferred_errors``.
     """
 
     reqid: int
@@ -388,7 +388,7 @@ class EndpointHandle(Table1Commands):
         # Late failures of detached commands land here instead of being
         # dropped with the Result nobody awaits.
         self.deferred_errors: list[DeferredError] = []
-        node.spawn(self._reader_loop(), name="ctl-reader")
+        stream.listen(self._on_message, self._close_pending)
 
     # -- plumbing -------------------------------------------------------------
 
@@ -403,68 +403,51 @@ class EndpointHandle(Table1Commands):
             self.budget_exhaustions, int(self.abandoned), self.rpc_timeouts,
         )
 
-    def _reader_loop(self) -> Generator:
-        while True:
-            try:
-                message = yield from self.stream.recv()
-            except UndecodableFrame as exc:
-                # Frame boundary intact: count it, keep reading until the
-                # decode budget runs out.
-                self.decode_errors += 1
-                violation = self.machine.record(V_DECODE_ERROR, str(exc))
-                self._note_violation(violation)
-                if (self.budget is not None
-                        and self.decode_errors > MAX_DECODE_ERRORS):
-                    self._exhaust("decode-budget",
-                                  f"{self.decode_errors} undecodable frames")
-                if self.misbehavior is not None:
-                    break
-                continue
-            except (TcpError, FramingError):
-                break
-            if message is None:
-                break
-            violation = self.machine.observe(message)
-            if violation is not None:
-                # Drop the illegal message; record (and maybe enforce).
-                self._note_violation(violation)
-                if self.misbehavior is not None:
-                    break
-                continue
-            if isinstance(message, PollData) and message.reqid == 0:
-                if not self._accept_streamed(message):
-                    break
-                continue
-            if isinstance(message, (Result, PollData)):
-                pending = self._pending.pop(message.reqid, None)
-                if pending is None:
-                    continue  # answered after its rpc_timeout: discarded
-                if not pending.detached:
-                    pending.event.fire(message)
-                    continue
-                status = getattr(message, "status", ST_OK)
-                if status != ST_OK:
-                    op = pending.label
-                    self.deferred_errors.append(
-                        DeferredError(op, status, self.sim.now)
-                    )
-                    if self._obs.enabled:
-                        self._obs.counter("rpc.deferred_errors", op=op).inc()
-                        self._obs.emit("rpc", "deferred-error",
-                                       endpoint=self.endpoint_name, op=op,
-                                       status=status)
-                continue
-            self.notifications.append(message)
-            if isinstance(message, Interrupted):
-                self.interrupted = True
-            elif isinstance(message, Resumed):
-                self.interrupted = False
-                waiters, self._interruption_events = self._interruption_events, []
-                for event in waiters:
-                    event.fire(None)
-            elif isinstance(message, SessionEnd):
-                self.end_reason = message.reason
-        self._close_pending()
+    def _on_message(self, message) -> Optional[bool]:
+        """Handle one frame the stream pushed; False ends the session."""
+        if isinstance(message, UndecodableFrame):
+            # Frame boundary intact: count it, keep reading until the
+            # decode budget runs out.
+            self.decode_errors += 1
+            self._note_violation(self.machine.record(V_DECODE_ERROR, str(message)))
+            if (self.budget is not None
+                    and self.decode_errors > MAX_DECODE_ERRORS):
+                self._exhaust("decode-budget",
+                              f"{self.decode_errors} undecodable frames")
+            return self.misbehavior is None
+        violation = self.machine.observe(message)
+        if violation is not None:
+            # Drop the illegal message; record (and maybe enforce).
+            self._note_violation(violation)
+            return self.misbehavior is None
+        if isinstance(message, PollData) and message.reqid == 0:
+            return self._accept_streamed(message)
+        if isinstance(message, (Result, PollData)):
+            # None if answered after its rpc_timeout: discarded.
+            pending = self._pending.pop(message.reqid, None)
+            status = getattr(message, "status", ST_OK)
+            if pending is not None and not pending.detached:
+                pending.event.fire(message)
+            elif pending is not None and status != ST_OK:
+                op = pending.label
+                self.deferred_errors.append(DeferredError(op, status, self.sim.now))
+                if self._obs.enabled:
+                    self._obs.counter("rpc.deferred_errors", op=op).inc()
+                    self._obs.emit("rpc", "deferred-error",
+                                   endpoint=self.endpoint_name, op=op,
+                                   status=status)
+            return None
+        self.notifications.append(message)
+        if isinstance(message, Interrupted):
+            self.interrupted = True
+        elif isinstance(message, Resumed):
+            self.interrupted = False
+            waiters, self._interruption_events = self._interruption_events, []
+            for event in waiters:
+                event.fire(None)
+        elif isinstance(message, SessionEnd):
+            self.end_reason = message.reason
+        return None
 
     def _note_violation(self, violation: Violation) -> None:
         """Account one recorded violation against obs and the budget."""
@@ -490,7 +473,7 @@ class EndpointHandle(Table1Commands):
         account, mirroring how the endpoint's own capture buffer frees as
         it is polled.  Overflow records are dropped, recorded as a typed
         violation, and — when a budget is armed — sever the session.
-        Returns False when the reader loop should stop.
+        Returns False when the session should stop reading.
         """
         if not self.streamed_records:
             self._streamed_bytes = 0
@@ -538,7 +521,7 @@ class EndpointHandle(Table1Commands):
                            endpoint=self.endpoint_name, kind=kind,
                            detail=detail)
         # Sever the transport so the peer sees the session die too; the
-        # reader loop unwinds on the reset.
+        # stream stops on the reset.
         self.stream.conn.abort()
         self._close_pending()
 
@@ -653,7 +636,7 @@ class EndpointHandle(Table1Commands):
         :class:`MisbehaviorError`) when the session dies first and
         :class:`RpcTimeout` when ``rpc_timeout`` is set and elapses
         first, counted from issue (the reqid is abandoned; a late
-        response is discarded by the reader loop).
+        response is discarded by _on_message).
         """
         event = pending.event
         if event.fired:

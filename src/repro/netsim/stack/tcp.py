@@ -26,15 +26,15 @@ Out-of-order segments are not queued (the receiver dup-ACKs and the sender
 retransmits), which trades throughput under loss for simplicity without
 changing correctness.
 
-Application API is generator-based: inside a simulated process, use
-``yield from conn.send(data)``, ``data = yield from conn.recv()``, etc.
-``send`` blocks while the send buffer is full (back pressure); ``write``
-appends at once, past the buffer's capacity if need be, and never waits.
+Application API: ``write`` and ``read`` never wait; in a process,
+``yield from conn.send(data)`` blocks while the send buffer is full (back
+pressure) and ``yield from conn.recv()`` until data or EOF. A push consumer
+sets ``on_readable``, which new bytes, EOF or an error clear and call once.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator, Optional
+from typing import TYPE_CHECKING, Callable, Generator, Optional
 
 from repro.netsim.kernel import Event, Queue, Timer
 from repro.packet.ipv4 import PROTO_TCP, IPv4Packet
@@ -132,7 +132,7 @@ class TcpConnection:
         # Timers, waiters, stats.
         "_rtx_timer", "_probe_timer", "_time_wait_timer", "_retries",
         "_established_event", "_closed_event", "_send_waiters",
-        "_recv_waiters", "retransmissions",
+        "on_readable", "retransmissions",
     )
 
     def __init__(
@@ -200,18 +200,15 @@ class TcpConnection:
 
         # Waiters.
         # Dropped once fired (_fire_established).
-        self._established_event: Optional[Event] = self.sim.event(
-            name=f"tcp-est:{self._label()}")
-        self._closed_event = self.sim.event(name=f"tcp-closed:{self._label()}")
+        self._established_event: Optional[Event] = Event(self.sim)
+        self._closed_event = Event(self.sim)
         # Made on the first wait: most connections never block a sender.
         self._send_waiters: Optional[list[Event]] = None
-        self._recv_waiters: Optional[list[Event]] = None
+        # The one reader's wake-up (recv's event.fire or a push drain).
+        self.on_readable: Optional[Callable[[], None]] = None
 
         # Stats.
         self.retransmissions = 0
-
-    def _label(self) -> str:
-        return f"{self.node.name}:{self.local_port}->{self.remote_port}"
 
     # ------------------------------------------------------------------
     # Application API (generator helpers; use with ``yield from``)
@@ -236,7 +233,7 @@ class TcpConnection:
                 view = view[space:]
                 continue
             self._check_writable()
-            waiter = self.sim.event(name=f"tcp-send-wait:{self._label()}")
+            waiter = Event(self.sim)
             if self._send_waiters is None:
                 self._send_waiters = []
             self._send_waiters.append(waiter)
@@ -250,25 +247,31 @@ class TcpConnection:
         self.snd_buffer.extend(data)
         self._try_transmit()
 
+    def read(self, max_bytes: int = 65536) -> Optional[bytes]:
+        """Take up to ``max_bytes`` without waiting: ``b''`` at EOF, None
+        while nothing is buffered; the error once the buffer is empty."""
+        buffer = self.rcv_buffer
+        if buffer:
+            data = bytes(buffer[:max_bytes])
+            del buffer[:max_bytes]
+            self._maybe_send_window_update()
+            return data
+        self._raise_if_error()
+        if self.rcv_eof or self.state in (CLOSED, TIME_WAIT):
+            return b""
+        return None
+
+    def wait_readable(self) -> Event:
+        """An event that fires when ``read`` may have news; yield it."""
+        waiter = Event(self.sim)
+        self.on_readable = waiter.fire
+        return waiter
+
     def recv(self, max_bytes: int = 65536) -> Generator:
         """Read up to ``max_bytes``; returns ``b''`` at EOF."""
-        while True:
-            if self.rcv_buffer:
-                count = min(max_bytes, len(self.rcv_buffer))
-                data = bytes(self.rcv_buffer[:count])
-                del self.rcv_buffer[:count]
-                self._maybe_send_window_update()
-                return data
-            self._raise_if_error()
-            if self.rcv_eof:
-                return b""
-            if self.state in (CLOSED, TIME_WAIT):
-                return b""
-            waiter = self.sim.event(name=f"tcp-recv-wait:{self._label()}")
-            if self._recv_waiters is None:
-                self._recv_waiters = []
-            self._recv_waiters.append(waiter)
-            yield waiter
+        while (data := self.read(max_bytes)) is None:
+            yield self.wait_readable()
+        return data
 
     def recv_exactly(self, count: int) -> Generator:
         """Read exactly ``count`` bytes or raise on premature EOF."""
@@ -778,9 +781,9 @@ class TcpConnection:
             event.fire(None)
 
     def _wake_receivers(self) -> None:
-        waiters, self._recv_waiters = self._recv_waiters, None
-        for event in waiters or ():
-            event.fire(None)
+        callback, self.on_readable = self.on_readable, None
+        if callback is not None:
+            callback()
 
     def _maybe_send_window_update(self) -> None:
         """After the app drains the receive buffer, reopen the window."""
@@ -790,7 +793,8 @@ class TcpConnection:
             self._emit(FLAG_ACK, seq=self.snd_nxt)
 
     def __repr__(self) -> str:
-        return f"<TcpConnection {self._label()} {self.state}>"
+        return (f"<TcpConnection {self.node.name}:{self.local_port}"
+                f"->{self.remote_port} {self.state}>")
 
 
 class TcpListener:

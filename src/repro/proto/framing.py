@@ -1,24 +1,26 @@
 """Length-prefixed message framing over a simulated TCP connection.
 
-A :class:`MessageStream` wraps a :class:`~repro.netsim.stack.tcp.TcpConnection`
-and provides ``stream.send(msg)`` / ``msg = yield from stream.recv()``
-for simulated processes. Frames are ``u32 length`` + message bytes.
-
-``send`` is a plain call: it hands the frame to ``TcpConnection.write``,
-which never waits, so the frame enters TCP in the step that sends it and
-TCP keeps every sender's frames in order. A dead connection raises
-:class:`TcpError`. Data sockets keep the blocking ``TcpConnection.send``.
+A :class:`MessageStream` wraps a :class:`~repro.netsim.stack.tcp.TcpConnection`;
+frames are ``u32 length`` + message bytes. ``send`` hands the frame to
+``TcpConnection.write``, which never waits, and raises :class:`TcpError`
+on a dead connection. Receiving is one incremental parser over
+``TcpConnection.read``, each read asking for what the frame still lacks,
+with two drivers: ``msg = yield from stream.recv()`` pulls inside a
+process, and ``stream.listen(on_message, on_close)`` pushes each frame to
+a handler (DESIGN.md, "One receive path").
 """
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Callable, Generator, Optional
 
 from repro.netsim.stack.tcp import TcpConnection, TcpError
 from repro.proto.messages import Message, decode_message
 from repro.util.byteio import DecodeError
 
 MAX_FRAME = 16 * 1024 * 1024
+
+_NOT_YET = object()  # the parser ran out of bytes inside a frame
 
 
 class FramingError(Exception):
@@ -40,7 +42,8 @@ class MessageStream:
     """Framed message I/O over one TCP connection."""
 
     __slots__ = ("conn", "messages_sent", "messages_received", "bytes_sent",
-                 "bytes_received")
+                 "bytes_received", "_length", "_need", "_partial",
+                 "_on_message", "_on_close")
 
     def __init__(self, conn: TcpConnection) -> None:
         self.conn = conn
@@ -48,6 +51,10 @@ class MessageStream:
         self.messages_received = 0
         self.bytes_sent = 0
         self.bytes_received = 0
+        self._length: Optional[int] = None  # the body's, once the header is in
+        self._need = 4  # bytes the part being parsed still lacks
+        self._partial = b""  # and those of it already read
+        self._on_message = self._on_close = None
 
     def send(self, message: Message) -> None:
         payload = message.encode()
@@ -64,41 +71,70 @@ class MessageStream:
 
     def recv(self) -> Generator:
         """Receive one message; returns None on clean EOF."""
-        header = yield from self._recv_exactly(4)
-        if header is None:
-            return None
-        length = int.from_bytes(header, "big")
-        if length > MAX_FRAME:
-            raise FramingError(f"frame of {length} bytes exceeds limit")
-        body = yield from self._recv_exactly(length)
-        if body is None:
-            raise FramingError("connection closed mid-frame")
-        self.bytes_received += 4 + length
-        try:
-            message = decode_message(body)
-        except DecodeError as exc:
-            raise UndecodableFrame(f"undecodable message: {exc}") from exc
-        self.messages_received += 1
+        while (message := self._parse()) is _NOT_YET:
+            yield self.conn.wait_readable()
         return message
 
-    def _recv_exactly(self, count: int) -> Generator:
-        """Read exactly ``count`` bytes, or None if EOF arrives first byte."""
-        if count == 0:
-            return b""
-        chunk = yield from self.conn.recv(count)
-        if len(chunk) == count:
-            return chunk  # the common case: one read holds it all
-        if not chunk:
-            return None
-        parts = [chunk]
-        remaining = count - len(chunk)
-        while remaining > 0:
-            chunk = yield from self.conn.recv(remaining)
-            if not chunk:
-                raise FramingError("connection closed mid-frame")
-            parts.append(chunk)
-            remaining -= len(chunk)
-        return b"".join(parts)
+    def listen(self, on_message: Callable[[object], object],
+               on_close: Callable[[], None]) -> None:
+        """Push each message or :class:`UndecodableFrame`, from next tick
+        on; ``on_close`` runs once on EOF, an error, or a False return."""
+        self._on_message, self._on_close = on_message, on_close
+        self._wake()
+
+    def _wake(self) -> None:
+        self.conn.sim.schedule(0.0, self._drain)
+
+    def _drain(self) -> None:
+        """Parse every frame the connection holds, then re-arm."""
+        while True:
+            try:
+                message = self._parse()
+            except UndecodableFrame as exc:
+                message = exc
+            except (TcpError, FramingError):
+                message = None
+            if message is _NOT_YET:
+                self.conn.on_readable = self._wake
+                return
+            if message is None or self._on_message(message) is False:
+                on_close = self._on_close
+                self._on_message = self._on_close = None  # no cycle
+                on_close()
+                return
+
+    def _parse(self):
+        """The next message, ``None`` at a clean EOF, or ``_NOT_YET``."""
+        while True:
+            chunk, need = self._partial, self._need
+            if need:
+                more = self.conn.read(need)
+                if more is None:
+                    return _NOT_YET
+                if not more:
+                    if self._length is None and not chunk:
+                        return None
+                    raise FramingError("connection closed mid-frame")
+                chunk += more
+                if len(more) < need:
+                    self._partial, self._need = chunk, need - len(more)
+                    continue
+                self._partial = b""
+            length = self._length
+            if length is None:
+                length = int.from_bytes(chunk, "big")
+                if length > MAX_FRAME:
+                    raise FramingError(f"frame of {length} bytes exceeds limit")
+                self._length = self._need = length
+                continue
+            self._length, self._need = None, 4
+            self.bytes_received += 4 + length
+            try:
+                message = decode_message(chunk)
+            except DecodeError as exc:
+                raise UndecodableFrame(f"undecodable message: {exc}") from exc
+            self.messages_received += 1
+            return message
 
     def close(self) -> None:
         self.conn.close()

@@ -645,10 +645,11 @@ class TestPortAllocation:
 
 class TestProcessCensus:
     def test_no_writer_process_outlives_a_campaign(self):
-        """Control frames go straight into TCP, so no process exists
-        only to move them there. Per endpoint the campaign leaves the
-        controller's reader, the session's command loop, the rendezvous
-        subscription on both sides and the endpoint's supervisor."""
+        """Control frames go straight into TCP, and the controller and
+        the rendezvous server have frames pushed to them, so no process
+        exists only to move frames. Per endpoint the campaign leaves the
+        session's command loop, the endpoint's rendezvous subscription
+        loop and its supervisor."""
         count = 20
         fleet = FleetTestbed(endpoint_count=count, topology="star")
         report = fleet.run_campaign(
@@ -662,7 +663,9 @@ class TestProcessCensus:
             if isinstance(obj, Process) and obj.alive and obj._sim is fleet.sim
         )
         assert not [name for name in live if "writer" in name]
-        assert len(live) <= 5 * count
+        assert not [name for name in live
+                    if name in ("ctl-reader", "rdz-serve")]
+        assert len(live) <= 3 * count
 
 
 class TestFootprint:
@@ -678,13 +681,19 @@ class TestFootprint:
         "repro.filtervm.vm.FilterVM",
         "cell",
     )
+    # One of each per endpoint, which the pool's shutdown frees.
+    PER_ENDPOINT = (
+        "repro.fleet.pool.PooledEndpoint",
+        "repro.controller.recovery.ResilientHandle",
+    )
 
     def test_jobs_are_freed_without_the_collector(self):
-        """With the collector off during the run, nothing a job made
-        waits for a collector pass, and the world keeps at most 160
-        tracked objects per endpoint."""
+        """With the collector off during the run, nothing a job or the
+        endpoint pool made waits for a collector pass, and the world
+        keeps at most 160 tracked objects per endpoint."""
         census = star_ping_census(20)
-        left = {name: census.garbage[name] for name in self.PER_JOB
+        left = {name: census.garbage[name]
+                for name in self.PER_JOB + self.PER_ENDPOINT
                 if census.garbage[name]}
         assert left == {}
         assert census.tracked_per_endpoint <= 160

@@ -1,12 +1,17 @@
 """Tests for the wire protocol: message codecs and framing."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.netsim.stack.tcp import TcpError
 from repro.netsim.topology import Network
 from repro.proto import messages
-from repro.proto.framing import FramingError, MessageStream
+from repro.proto.framing import (
+    MAX_FRAME,
+    FramingError,
+    MessageStream,
+    UndecodableFrame,
+)
 from repro.proto.messages import (
     Auth,
     AuthFail,
@@ -69,6 +74,21 @@ ALL_MESSAGES = [
     RdzExperiment(descriptor=b"D", chain=b"C"),
     RdzHeartbeat(endpoint_name="ep-九", seq=2**32 - 1),
 ]
+
+
+def _frame(body: bytes) -> bytes:
+    return len(body).to_bytes(4, "big") + body
+
+
+# What a peer can put on a control connection: a valid message, a
+# well-framed body that does not decode (0xee is no message type), or a
+# length prefix past MAX_FRAME.
+FRAMES = st.one_of(
+    st.sampled_from(ALL_MESSAGES).map(lambda message: _frame(message.encode())),
+    st.binary(max_size=12).map(lambda tail: _frame(b"\xee" + tail)),
+    st.just(_frame(b"")),
+    st.just((MAX_FRAME + 1).to_bytes(4, "big")),
+)
 
 
 class TestMessageCodecs:
@@ -272,3 +292,90 @@ class TestFraming:
         before, after = client_proc.result
         assert before == (1, 4 + len(Bye().encode()))
         assert after == before
+
+    @staticmethod
+    def _receive(pieces, reset, push):
+        """Deliver ``pieces`` one a second to a receiver driven by
+        ``listen`` (push) or by ``recv`` in a process (pull); return what
+        it saw, the buffer and byte count after each delivery, and the
+        number of timers the run scheduled."""
+        net = Network()
+        a, b = net.add_host("a"), net.add_host("b")
+        net.link(a, b)
+        net.compute_routes()
+        sim = net.sim
+        seen, samples = [], []
+
+        def on_message(message):
+            if isinstance(message, UndecodableFrame):
+                message = "undecodable"
+            seen.append((sim.now, message))
+
+        def pull(stream, on_close):
+            while True:
+                try:
+                    message = yield from stream.recv()
+                except UndecodableFrame as exc:
+                    on_message(exc)
+                    continue
+                except (TcpError, FramingError):
+                    break
+                if message is None:
+                    break
+                on_message(message)
+            on_close()
+
+        def server():
+            # A small window, so reads reopen it with window updates.
+            listener = b.tcp.listen(7000, rcv_buffer=128)
+            conn = yield listener.accept()
+            stream = MessageStream(conn)
+
+            def on_close():
+                seen.append((sim.now, "closed", stream.bytes_received))
+
+            if push:
+                stream.listen(on_message, on_close)
+            else:
+                sim.spawn(pull(stream, on_close))
+            yield 0.5
+            for _ in range(len(pieces) + 3):
+                yield 1.0
+                samples.append((len(conn.rcv_buffer), stream.bytes_received))
+
+        def client():
+            conn = yield from a.tcp.open_connection(b.primary_address(), 7000)
+            for piece in pieces:
+                yield 1.0
+                conn.write(piece)
+            yield 1.0
+            if reset:
+                conn.abort()
+            else:
+                conn.close()
+
+        sim.spawn(server(), name="server")
+        sim.spawn(client(), name="client")
+        # Bounded: once a receiver stops on a broken frame, the sender
+        # probes its closed window for ever.
+        net.run(until=len(pieces) + 30.0)
+        return seen, samples, sim._seq
+
+    @settings(max_examples=80, deadline=None)
+    @given(frames=st.lists(FRAMES, max_size=8), data=st.data(),
+           reset=st.booleans())
+    def test_push_and_pull_parse_alike(self, frames, data, reset):
+        """``listen`` and ``recv`` read the same bytes at the same
+        instants: the same messages, undecodable frames and close, the
+        same receive buffer after every delivery, and the drains take
+        exactly the heap entries the reader process's steps took."""
+        raw = b"".join(frames)
+        # Most runs deliver every byte; some stop mid-frame.
+        end = data.draw(st.one_of(st.just(len(raw)), st.integers(0, len(raw))))
+        cuts = data.draw(st.lists(st.integers(0, end), max_size=8))
+        bounds = sorted({0, end, *cuts})
+        pieces = [raw[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        pulled = self._receive(pieces, reset, push=False)
+        pushed = self._receive(pieces, reset, push=True)
+        assert pushed == pulled
+        assert pulled[0][-1][1] == "closed"
