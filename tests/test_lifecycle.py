@@ -427,7 +427,7 @@ class TestChurnDeterminism:
 # re-dial. Recorded before the pool's moves became one transition table;
 # a change to a lifecycle metric, event, field or call order moves it.
 TELEMETRY_GOLDEN = (
-    "1fe88199bf87477f1a986f99cac3f96c552347948afd73efb6dc151288aef760"
+    "4765467e5b65377aca35bf0866b5ee2214e85a8aaa04418053e453206add35a1"
 )
 
 
