@@ -131,7 +131,7 @@ class TcpConnection:
         "_rtt_sample_seq", "_rtt_sample_time",
         # Timers, waiters, stats.
         "_rtx_timer", "_probe_timer", "_time_wait_timer", "_retries",
-        "_established_event", "_closed_event", "_send_waiters",
+        "established", "_closed_event", "_send_waiters",
         "on_readable", "retransmissions",
     )
 
@@ -199,8 +199,8 @@ class TcpConnection:
         self._retries = 0
 
         # Waiters.
-        # Dropped once fired (_fire_established).
-        self._established_event: Optional[Event] = Event(self.sim)
+        # Fired when the handshake ends, either way; then dropped.
+        self.established: Optional[Event] = Event(self.sim)
         self._closed_event = Event(self.sim)
         # Made on the first wait: most connections never block a sender.
         self._send_waiters: Optional[list[Event]] = None
@@ -216,7 +216,7 @@ class TcpConnection:
 
     def wait_established(self) -> Generator:
         """Block until the handshake completes (or raise on failure)."""
-        event = self._established_event
+        event = self.established
         if event is not None and self.state != ESTABLISHED and self.error is None:
             yield event
         self._raise_if_error()
@@ -771,7 +771,7 @@ class TcpConnection:
 
     def _fire_established(self) -> None:
         """Fire the handshake's event once; nothing waits on it after."""
-        event, self._established_event = self._established_event, None
+        event, self.established = self.established, None
         if event is not None:
             event.fire(self)
 

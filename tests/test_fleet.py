@@ -643,29 +643,61 @@ class TestPortAllocation:
 # -- what a finished campaign leaves running ----------------------------------
 
 
+def _finished_star_campaign(count: int = 20) -> FleetTestbed:
+    fleet = FleetTestbed(endpoint_count=count, topology="star")
+    report = fleet.run_campaign(
+        [ping_job(f"ping-{i}", count=2) for i in range(count)],
+        max_concurrency=count,
+    )
+    assert report.jobs_completed == count
+    return fleet
+
+
 class TestProcessCensus:
     def test_no_writer_process_outlives_a_campaign(self):
-        """Control frames go straight into TCP, and the controller and
-        the rendezvous server have frames pushed to them, so no process
-        exists only to move frames. Per endpoint the campaign leaves the
-        session's command loop, the endpoint's rendezvous subscription
-        loop and its supervisor."""
+        """Control frames go straight into TCP, and every control-plane
+        consumer (the controller's handshake and handle, the rendezvous
+        server, the endpoint's Auth wait and its session) has frames
+        pushed to it, so no process exists only to move frames. Per
+        endpoint the campaign leaves two: the supervisor
+        ``epN-supervise`` and the rendezvous subscription loop
+        ``epN-rendezvous``."""
         count = 20
-        fleet = FleetTestbed(endpoint_count=count, topology="star")
-        report = fleet.run_campaign(
-            [ping_job(f"ping-{i}", count=2) for i in range(count)],
-            max_concurrency=count,
-        )
-        assert report.jobs_completed == count
+        fleet = _finished_star_campaign(count)
         gc.collect()
         live = sorted(
             obj.name for obj in gc.get_objects()
             if isinstance(obj, Process) and obj.alive and obj._sim is fleet.sim
         )
         assert not [name for name in live if "writer" in name]
-        assert not [name for name in live
-                    if name in ("ctl-reader", "rdz-serve")]
-        assert len(live) <= 3 * count
+        assert not [name for name in live if name in (
+            "ctl-reader", "rdz-serve", "auth-recv", "ctl-handshake",
+        ) or name.endswith("-commands")]
+        assert len(live) <= 2 * count
+
+
+class TestDroppedWorld:
+    def test_collecting_a_dropped_world_schedules_nothing(self):
+        """A finished world dropped without closing runs no simulated code
+        when the collector frees it: no suspended generator's ``finally``
+        closes a connection or fires an event on the dead simulator."""
+        fleet = _finished_star_campaign()
+        scheduled = []
+        schedule_at = Simulator.schedule_at
+
+        def counted(sim, time, callback, *args):
+            scheduled.append(getattr(callback, "__qualname__", callback))
+            return schedule_at(sim, time, callback, *args)
+
+        Simulator.schedule_at = counted
+        try:
+            del fleet
+            for _ in range(10):  # until a pass finds nothing
+                if not gc.collect():
+                    break
+        finally:
+            Simulator.schedule_at = schedule_at
+        assert scheduled == []
 
 
 class TestFootprint:

@@ -583,6 +583,46 @@ def test_endpoint_replies_unchanged():
     assert _record_replies() == PINNED_REPLIES
 
 
+@pytest.mark.parametrize("command", ["npoll", "nopen_tcp"])
+def test_a_waiting_command_keeps_later_frames_in_tcp(command):
+    """While a command waits (an npoll for data that never comes, a TCP
+    nopen for a port one round trip away), the endpoint reads no further:
+    the MRead sent behind it stays in the connection's receive buffer,
+    and the waiting command's reply leaves before the MRead's."""
+    testbed = Testbed()
+    testbed.target_host.tcp.listen(80)
+    replies, streams = [], []
+
+    def experiment(handle):
+        session, = testbed.endpoint.sessions.values()
+        streams.append(session.stream)
+        if command == "npoll":
+            now = yield from handle.read_clock()
+            waiting = handle.issue(NPoll, time=now + NANOSECONDS // 5)
+        else:
+            waiting = handle.issue(NOpen, sktid=1, proto=SOCK_TCP,
+                                   remaddr=testbed.target_address, remport=80)
+        behind = handle.issue(MRead, memaddr=OFF_ADDR_IP, bytecnt=4)
+        frame = 4 + len(MRead(reqid=behind.reqid, memaddr=OFF_ADDR_IP,
+                              bytecnt=4).encode())
+        yield from handle.wait(waiting)
+        yield from handle.wait(behind)
+        return waiting, behind, frame
+
+    def tap(message):
+        conn = streams[0].conn
+        replies.append((getattr(message, "reqid", None), len(conn.rcv_buffer),
+                        testbed.sim.now))
+
+    with _tapped_sends(streams, tap):
+        waiting, behind, frame = testbed.run_experiment(experiment)
+    (first, held, answered), (second, left, _) = [
+        reply for reply in replies if reply[0] in (waiting.reqid, behind.reqid)]
+    assert (first, second) == (waiting.reqid, behind.reqid)
+    assert held == frame and left == 0
+    assert answered - waiting.started > 0.05
+
+
 def test_one_definition_of_every_command():
     """The named commands live on the base class; the handles add only
     the request path underneath."""
