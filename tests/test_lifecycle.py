@@ -427,7 +427,7 @@ class TestChurnDeterminism:
 # re-dial. Recorded before the pool's moves became one transition table;
 # a change to a lifecycle metric, event, field or call order moves it.
 TELEMETRY_GOLDEN = (
-    "4765467e5b65377aca35bf0866b5ee2214e85a8aaa04418053e453206add35a1"
+    "11f17b5a37b28c55b25fe370ca5f558c1ab13cf425a65240e82c3376bab40fa5"
 )
 
 
