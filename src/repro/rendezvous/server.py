@@ -303,6 +303,7 @@ class _Connection:
         return False
 
     def on_close(self) -> None:
+        self.stream.abort_if_broken()
         if self.subscriber is None:
             self.stream.conn.close()
         else:
