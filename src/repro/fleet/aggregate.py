@@ -45,7 +45,8 @@ class QuantileSketch:
     Values are assigned to bucket ``floor(log(v) / log(GROWTH))``; a
     quantile query returns the geometric midpoint of the bucket holding
     the target rank. Non-positive values land in a dedicated underflow
-    bucket reported as 0.0.
+    bucket reported as 0.0; ``+inf`` lands in no bucket, so a rank past
+    the last bucket reports ``max``.
     """
 
     __slots__ = ("buckets", "underflow", "count", "sum", "min", "max")
@@ -68,6 +69,8 @@ class QuantileSketch:
         if value <= 0.0:
             self.underflow += 1
             return
+        if value == math.inf:  # in count, sum and max; in no bucket
+            return
         index = math.floor(math.log(value) / _LOG_GROWTH)
         self.buckets[index] = self.buckets.get(index, 0) + 1
 
@@ -84,6 +87,8 @@ class QuantileSketch:
         self.max = high if self.max is None or high > self.max else self.max
         positive = values if low > 0.0 else [v for v in values if v > 0.0]
         self.underflow += len(values) - len(positive)
+        if high == math.inf:
+            positive = [v for v in positive if v != math.inf]
         for index, count in Counter(map(math.floor, map(
                 operator.truediv, map(math.log, positive),
                 repeat(_LOG_GROWTH)))).items():

@@ -44,7 +44,7 @@ def write_rollups(warehouse: Warehouse, campaign: str, state: dict) -> str:
     directory = warehouse.campaign_dir(campaign)
     os.makedirs(directory, exist_ok=True)
     payload = (canonical_json(state) + "\n").encode("utf-8")
-    _fsync_write(os.path.join(directory, ROLLUPS_FILE), payload)
+    _fsync_write(os.path.join(directory, ROLLUPS_FILE), [payload])
     return ROLLUPS_FILE
 
 

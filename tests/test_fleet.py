@@ -11,6 +11,7 @@ import gc
 import hashlib
 import inspect
 import json
+import math
 
 import pytest
 from footprint import star_ping_census
@@ -70,6 +71,18 @@ class TestQuantileSketch:
         assert sketch.count == 3
         assert sketch.quantile(0.5) == 0.0
         assert sketch.quantile(0.99) == pytest.approx(5.0, rel=0.11)
+
+    def test_infinite_value(self):
+        sketch = QuantileSketch()
+        for value in (1.0, 2.0, math.inf, 3.0):
+            sketch.observe(value)
+        # Counted in count, sum and max, but in no bucket: a rank past
+        # the last bucket reports max.
+        assert sketch.count == 4
+        assert sketch.sum == sketch.max == math.inf
+        assert sum(sketch.buckets.values()) == 3
+        assert sketch.quantile(0.5) == pytest.approx(2.0, rel=0.11)
+        assert sketch.quantile(1.0) == math.inf
 
     def test_counterset_merge(self):
         a = CounterSet()

@@ -16,7 +16,7 @@ import math
 import struct
 import tempfile
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from warehouse_oracle import RowQuery, encode_rows, fold_segments, iter_segment_rows
 
@@ -147,8 +147,9 @@ class TestQueryMatchesRowLoop:
                 assert fast.stats == slow.stats, spec
 
 
+# +inf is counted but lands in no bucket; it must not stop extend.
 _VALUES = st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
-                             st.sampled_from([0.0, -0.0, -2.5, 1.0])),
+                             st.sampled_from([0.0, -0.0, -2.5, 1.0, math.inf])),
                    max_size=60)
 
 
@@ -193,10 +194,29 @@ class TestSegmentEncoding:
             assert encode_segment(RESULTS, rows) == expected
 
 
+def _result_row(seq, **cells):
+    return dict({"campaign": "c0", "endpoint": "ab"[seq % 2], "seq": seq,
+                 "ok": 1}, **cells)
+
+
+# Inputs of 3 rows compacted into outputs of 4: every output but the
+# last cuts an input. c_a lives in the second input only, with its one
+# value in the row the second output takes (the first output's cut piece
+# of that input has none); c_b is in the first input only; sim_time
+# holds a sign-bit NaN.
+_CUT_RESULTS = [
+    _result_row(0, c_b=1.5, job="a"), _result_row(1, sim_time=-math.nan),
+    _result_row(2, error="b"), _result_row(3, job="ab"),
+    _result_row(4, sim_time=2.0), _result_row(5, c_a=-0.0, job="b"),
+    _result_row(6), _result_row(7, error="a"), _result_row(8, job="a"),
+]
+
+
 class TestCompactionAndRollups:
     @settings(max_examples=60, deadline=None)
     @given(results=_RESULT_ROWS, samples=_SAMPLE_ROWS,
            segment_rows=st.integers(1, 6), target=st.integers(1, 25))
+    @example(results=_CUT_RESULTS, samples=[], segment_rows=3, target=4)
     def test_compacted_bytes_equal_encoding_oracle_rows(
             self, results, samples, segment_rows, target):
         with tempfile.TemporaryDirectory() as root:

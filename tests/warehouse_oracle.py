@@ -187,10 +187,10 @@ def encode_rows(schema: TableSchema, rows: list[dict]) -> bytes:
         if kind == STR:
             vocab = sorted(set(cells))
             codes = {value: index for index, value in enumerate(vocab)}
-            blob = _pack([codes[cell] for cell in cells], "q")
+            blob = _pack([codes[cell] for cell in cells], "q").tobytes()
             meta["dict"] = vocab
         else:
-            blob = _pack(cells, "q" if kind == I64 else "d")
+            blob = _pack(cells, "q" if kind == I64 else "d").tobytes()
         meta["zmin"], meta["zmax"] = _zone(cells, kind)
         meta["offset"] = offset
         meta["nbytes"] = len(blob)
