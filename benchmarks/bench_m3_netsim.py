@@ -73,7 +73,7 @@ def test_m3_tcp_throughput_fidelity(benchmark):
 
         def client():
             conn = yield from a.tcp.open_connection(b.primary_address(), 80)
-            yield from conn.send(b"Z" * total)
+            conn.write(b"Z" * total)
             conn.close()
 
         net.sim.spawn(server(), name="server")
@@ -110,7 +110,7 @@ def test_m3_tcp_throughput_fidelity(benchmark):
 
         def client():
             conn = yield from a.tcp.open_connection(b.primary_address(), 80)
-            yield from conn.send(b"Z" * 100_000)
+            conn.write(b"Z" * 100_000)
             conn.close()
 
         proc = net.sim.spawn(server(), name="s")

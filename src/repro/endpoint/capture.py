@@ -4,9 +4,9 @@ Received data is buffered at the endpoint until the controller polls with
 ``npoll``; this keeps the access link free of control traffic during a
 measurement. When the buffer fills, the endpoint "simply stops reading
 (and buffering) experiment data": for UDP and raw sockets that means
-counted drops, for TCP it creates flow-control back pressure (the reader
-process stops draining the TCP receive buffer). ``npoll`` reports the
-packets and bytes dropped due to buffer exhaustion.
+counted drops, for TCP it creates flow-control back pressure (the socket
+stops draining the TCP receive buffer, so its window closes). ``npoll``
+reports the packets and bytes dropped due to buffer exhaustion.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ class CaptureBuffer:
 
     def wait_for_space(self, size: int) -> Event:
         """An event fired once the buffer can hold ``size`` more bytes
-        (used by the TCP reader to realize back pressure)."""
+        (a TCP socket waits for it before each read: back pressure)."""
         event = Event(self._sim, name="capture-space")
         if self.space_for(size):
             event.fire(None)

@@ -9,8 +9,11 @@ Three kinds, per Table 1:
 - **udp** — a native UDP socket serviced by the (simulated) host OS;
   received datagram payloads become capture records.
 - **tcp** — a native TCP connection; received stream chunks become capture
-  records, and a full capture buffer stops the reader, creating genuine
-  TCP back pressure.
+  records, and a full capture buffer stops reading, so the receive window
+  closes and the remote sender stalls: genuine TCP back pressure.
+
+No process runs on a socket: ``Event.then`` continuations read native
+sockets, and a TCP ``nsend`` writes into its connection at once.
 
 All transmission and capture passes through the session's certificate
 monitors; a monitor deny suppresses the operation.
@@ -19,7 +22,7 @@ monitors; a monitor deny suppresses the operation.
 from __future__ import annotations
 
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Generator, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.endpoint.capture import CaptureBuffer
 from repro.filtervm.vm import (
@@ -192,23 +195,25 @@ class UdpEndpointSocket(EndpointSocket):
         self.remport = remport
         self._udp = node.udp.bind(locport)
         self.local_port = self._udp.port
-        self._reader = node.spawn(self._read_loop(), name=f"udp-reader-{sktid}")
+        self._recvfrom()
 
-    def _read_loop(self) -> Generator:
-        while not self.closed:
-            item = yield self._udp.recvfrom()
-            if item is None:
-                return
-            payload, src_ip, src_port, dst_ip = item
-            if not self._check_recv(partial(
-                _frame, PROTO_UDP, src_ip, src_port, dst_ip, self.local_port,
-                payload,
-            )):
-                continue
-            if not self._buffer.space_for(len(payload)):
+    def _recvfrom(self) -> None:
+        self._waiting = self._udp.recvfrom()
+        self._waiting.then(self._on_datagram)
+
+    def _on_datagram(self, item: tuple) -> None:
+        if self.closed:
+            return
+        payload, src_ip, src_port, dst_ip = item
+        if self._check_recv(partial(
+            _frame, PROTO_UDP, src_ip, src_port, dst_ip, self.local_port,
+            payload,
+        )):
+            if self._buffer.space_for(len(payload)):
+                self._capture(payload)
+            else:
                 self._buffer.note_drop(len(payload))
-                continue
-            self._capture(payload)
+        self._recvfrom()
 
     def send_scheduled(self, data: bytes, check_send: MonitorCheck) -> bool:
         if self.closed:
@@ -224,7 +229,7 @@ class UdpEndpointSocket(EndpointSocket):
         if not self.closed:
             super().close()
             self._udp.close()
-            self._reader.kill()
+            self._waiting.drop_waiter(self._on_datagram)
 
 
 class TcpEndpointSocket(EndpointSocket):
@@ -246,50 +251,50 @@ class TcpEndpointSocket(EndpointSocket):
         self.local_port = conn.local_port
         self.remaddr = conn.remote_ip
         self.remport = conn.remote_port
-        self._reader = node.spawn(self._read_loop(), name=f"tcp-reader-{sktid}")
+        self._wait_for_space()
 
-    def _read_loop(self) -> Generator:
-        while not self.closed:
-            # Back pressure: do not read from the kernel socket unless the
-            # capture buffer can hold the chunk. The TCP receive window
-            # fills and the remote sender stalls — exactly the behaviour
-            # the paper describes for TCP under buffer exhaustion.
-            yield self._buffer.wait_for_space(TCP_READ_CHUNK)
-            if self.closed:
-                return
-            try:
-                chunk = yield from self.conn.recv(TCP_READ_CHUNK)
-            except TcpError:
-                return
-            if not chunk:
-                return
-            if not self._check_recv(partial(
-                _frame, PROTO_TCP, self.remaddr, self.remport,
-                self.node.primary_address(), self.local_port, chunk,
-            )):
-                continue
+    def _wait_for_space(self) -> None:
+        # Back pressure (§3.1): no read until the capture buffer can hold
+        # a chunk, so the receive window fills and the sender stalls.
+        self._waiting = self._buffer.wait_for_space(TCP_READ_CHUNK)
+        self._waiting.then(self._read)
+
+    def _read(self, _: object) -> None:
+        if self.closed:
+            return
+        try:
+            chunk = self.conn.read(TCP_READ_CHUNK)
+        except TcpError:
+            return
+        if chunk is None:
+            self._waiting = self.conn.wait_readable()
+            self._waiting.then(self._read)
+            return
+        if not chunk:
+            return
+        if self._check_recv(partial(
+            _frame, PROTO_TCP, self.remaddr, self.remport,
+            self.node.primary_address(), self.local_port, chunk,
+        )):
             self._capture(chunk)
+        self._wait_for_space()
 
     def send_scheduled(self, data: bytes, check_send: MonitorCheck) -> bool:
-        if self.closed or self.conn.error is not None:
+        if self.closed:
             return False
         if not check_send(partial(
             _frame, PROTO_TCP, self.node.primary_address(), self.local_port,
             self.remaddr, self.remport, data,
         )):
             return False
-
-        def sender() -> Generator:
-            try:
-                yield from self.conn.send(data)
-            except TcpError:
-                pass
-
-        self.node.spawn(sender(), name=f"tcp-send-{self.sktid}")
+        try:
+            self.conn.write(data)
+        except TcpError:
+            return False
         return True
 
     def close(self) -> None:
         if not self.closed:
             super().close()
-            self._reader.kill()
+            self._waiting.drop_waiter(self._read)
             self.conn.close()

@@ -109,14 +109,14 @@ def start_http_server(
         body = site.get(path)
         if body is None:
             head = b"HTTP/1.0 404 Not Found\r\nContent-Length: 0\r\n\r\n"
-            yield from conn.send(head)
+            conn.write(head)
         else:
             head = (
                 b"HTTP/1.0 200 OK\r\nContent-Length: "
                 + str(len(body)).encode()
                 + b"\r\n\r\n"
             )
-            yield from conn.send(head + body)
+            conn.write(head + body)
         conn.close()
 
     def server() -> Generator:

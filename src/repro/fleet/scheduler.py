@@ -112,17 +112,16 @@ class _ReplicaGroup:
 
 
 class TokenBucket:
-    """Deterministic token bucket over virtual time."""
+    """Deterministic token bucket over virtual time; it holds one token."""
 
-    __slots__ = ("rate", "burst", "tokens", "last")
+    __slots__ = ("rate", "tokens", "last")
 
-    def __init__(self, rate: Optional[float], burst: float, now: float) -> None:
+    def __init__(self, rate: Optional[float], now: float) -> None:
         # `not rate > 0` also refuses NaN, which would make every delay NaN.
         if rate is not None and not rate > 0:
             raise ValueError(f"rate must be None (unlimited) or > 0, got {rate!r}")
         self.rate = rate  # tokens per simulated second; None = unlimited
-        self.burst = max(1.0, burst)
-        self.tokens = self.burst
+        self.tokens = 1.0
         self.last = now
 
     def _refill(self, now: float) -> None:
@@ -130,7 +129,7 @@ class TokenBucket:
             return
         elapsed = now - self.last
         if elapsed > 0:
-            self.tokens = min(self.burst, self.tokens + elapsed * self.rate)
+            self.tokens = min(1.0, self.tokens + elapsed * self.rate)
             self.last = now
 
     def try_take(self, now: float) -> bool:
@@ -249,7 +248,6 @@ class CampaignScheduler:
         name: str = "campaign",
         max_concurrency: int = 16,
         rate: Optional[float] = None,
-        burst: float = 1.0,
         retry_policy: Optional[RetryPolicy] = None,
         seed: int = 0,
         context: Optional[CampaignContext] = None,
@@ -266,7 +264,7 @@ class CampaignScheduler:
         self.retry_policy = retry_policy or RetryPolicy()
         self.rng = Random(seed)
         self.seed = seed
-        self.bucket = TokenBucket(rate, burst, self.sim.now)
+        self.bucket = TokenBucket(rate, self.sim.now)
         self.context = context or CampaignContext(sim=self.sim)
         self.aggregator = aggregator or ResultAggregator(campaign=name)
         self._obs = self.sim.obs
@@ -412,8 +410,7 @@ class CampaignScheduler:
             job = self._pop_dispatchable()
             if job is None:
                 # Token not spent on anything: put it back.
-                self.bucket.tokens = min(self.bucket.burst,
-                                         self.bucket.tokens + 1.0)
+                self.bucket.tokens = min(1.0, self.bucket.tokens + 1.0)
                 break
             group = job.group
             pooled = self.pool.acquire(
@@ -426,8 +423,7 @@ class CampaignScheduler:
                     # Every free endpoint already served this replica
                     # group; requeue behind other work and wait for a
                     # distinct one to free up (a completion wakes us).
-                    self.bucket.tokens = min(self.bucket.burst,
-                                             self.bucket.tokens + 1.0)
+                    self.bucket.tokens = min(1.0, self.bucket.tokens + 1.0)
                     self._queue.append(job)
                     break
                 # Nothing running and nothing distinct free: liveness

@@ -188,7 +188,6 @@ class World:
         campaign_name: str = "campaign",
         max_concurrency: int = 16,
         rate: Optional[float] = None,
-        burst: float = 1.0,
         retry_policy: Optional[RetryPolicy] = None,
         pool_policy: Optional[RetryPolicy] = None,
         rpc_timeout: Optional[float] = 5.0,
@@ -298,7 +297,6 @@ class World:
                 name=campaign_name,
                 max_concurrency=max_concurrency,
                 rate=rate,
-                burst=burst,
                 retry_policy=retry_policy,
                 seed=self.seed,
                 context=context,

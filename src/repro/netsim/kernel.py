@@ -137,7 +137,8 @@ class Event:
         else:
             self._waiters.append(step)
 
-    def _remove_waiter(self, step: Callable[..., None]) -> None:
+    def drop_waiter(self, step: Callable[..., None]) -> None:
+        """Withdraw a ``step`` passed to :meth:`then`; a no-op once fired."""
         if self._waiters is not None and step in self._waiters:
             self._waiters.remove(step)
 
@@ -219,7 +220,7 @@ class Process:
             return
         self.alive = False
         if isinstance(self._waiting_on, Event):
-            self._waiting_on._remove_waiter(self._step)
+            self._waiting_on.drop_waiter(self._step)
         elif isinstance(self._waiting_on, Timer):
             self._waiting_on.cancel()
         self._waiting_on = None

@@ -26,9 +26,11 @@ Out-of-order segments are not queued (the receiver dup-ACKs and the sender
 retransmits), which trades throughput under loss for simplicity without
 changing correctness.
 
-Application API: ``write`` and ``read`` never wait; in a process,
-``yield from conn.send(data)`` blocks while the send buffer is full (back
-pressure) and ``yield from conn.recv()`` until data or EOF. A push consumer
+Application API: ``write`` and ``read`` never wait. ``write`` appends
+to the send buffer at once and the peer's window and ``cwnd`` pace what
+leaves, so back pressure stalls a sender on the wire, not in its code.
+Only receiving has generator helpers: ``yield from conn.recv()`` (or
+``recv_exactly``) waits in a process for bytes or EOF. A push consumer
 sets ``on_readable``, which new bytes, EOF or an error clear and call once.
 """
 
@@ -55,7 +57,6 @@ SEQ_MOD = 1 << 32
 
 DEFAULT_MSS = 1460
 DEFAULT_RCV_BUFFER = 65535
-DEFAULT_SND_BUFFER = 65536
 MIN_RTO = 0.2
 MAX_RTO = 60.0
 INITIAL_RTO = 1.0
@@ -122,7 +123,7 @@ class TcpConnection:
         "remote_port", "state", "error", "mss",
         # Send state.
         "iss", "snd_una", "snd_nxt", "snd_max", "snd_wnd", "snd_wl2",
-        "snd_buffer", "snd_buffer_capacity", "fin_pending", "fin_seq",
+        "snd_buffer", "fin_pending", "fin_seq",
         # Receive state.
         "rcv_nxt", "rcv_buffer", "rcv_buffer_capacity", "rcv_eof",
         "_advertised_zero", "_ack_owed",
@@ -131,8 +132,7 @@ class TcpConnection:
         "_rtt_sample_seq", "_rtt_sample_time",
         # Timers, waiters, stats.
         "_rtx_timer", "_probe_timer", "_time_wait_timer", "_retries",
-        "established", "_closed_event", "_send_waiters",
-        "on_readable", "retransmissions",
+        "established", "_closed_event", "on_readable", "retransmissions",
     )
 
     def __init__(
@@ -143,7 +143,6 @@ class TcpConnection:
         remote_ip: int,
         remote_port: int,
         rcv_buffer: int = DEFAULT_RCV_BUFFER,
-        snd_buffer: int = DEFAULT_SND_BUFFER,
     ) -> None:
         self.layer = layer
         self.node = layer.node
@@ -166,7 +165,6 @@ class TcpConnection:
         # RFC 793 SND.WL2: the ack on the segment that last set snd_wnd.
         self.snd_wl2 = self.iss
         self.snd_buffer = bytearray()  # unacked + unsent bytes, from snd_una
-        self.snd_buffer_capacity = snd_buffer
         self.fin_pending = False
         self.fin_seq: Optional[int] = None
 
@@ -202,8 +200,6 @@ class TcpConnection:
         # Fired when the handshake ends, either way; then dropped.
         self.established: Optional[Event] = Event(self.sim)
         self._closed_event = Event(self.sim)
-        # Made on the first wait: most connections never block a sender.
-        self._send_waiters: Optional[list[Event]] = None
         # The one reader's wake-up (recv's event.fire or a push drain).
         self.on_readable: Optional[Callable[[], None]] = None
 
@@ -211,7 +207,7 @@ class TcpConnection:
         self.retransmissions = 0
 
     # ------------------------------------------------------------------
-    # Application API (generator helpers; use with ``yield from``)
+    # Application API
     # ------------------------------------------------------------------
 
     def wait_established(self) -> Generator:
@@ -221,24 +217,6 @@ class TcpConnection:
             yield event
         self._raise_if_error()
         return self
-
-    def send(self, data: bytes) -> Generator:
-        """Queue ``data`` for transmission, blocking while the send buffer
-        is full (this is where TCP back pressure reaches the application)."""
-        view = memoryview(bytes(data))
-        while view:
-            space = self.snd_buffer_capacity - len(self.snd_buffer)
-            if space > 0:
-                self.write(view[:space])
-                view = view[space:]
-                continue
-            self._check_writable()
-            waiter = Event(self.sim)
-            if self._send_waiters is None:
-                self._send_waiters = []
-            self._send_waiters.append(waiter)
-            yield waiter
-        return None
 
     def write(self, data: bytes) -> None:
         """Append ``data`` without waiting for buffer space; the peer's
@@ -327,7 +305,7 @@ class TcpConnection:
     def _check_writable(self) -> None:
         self._raise_if_error()
         if self.state not in (ESTABLISHED, CLOSE_WAIT):
-            raise TcpError(f"send in state {self.state}")
+            raise TcpError(f"write in state {self.state}")
 
     # ------------------------------------------------------------------
     # Connection startup
@@ -640,7 +618,6 @@ class TcpConnection:
                 self._cancel_rtx_timer()
             else:
                 self._arm_rtx_timer()
-            self._wake_senders()
             self._try_transmit()
         elif ack == self.snd_una and self.bytes_in_flight > 0:
             self.dup_acks += 1
@@ -764,7 +741,6 @@ class TcpConnection:
         self._time_wait_timer = None
         self.layer._forget(self)
         self._fire_established()
-        self._wake_senders()
         self._wake_receivers()
         if not self._closed_event.fired:
             self._closed_event.fire(None)
@@ -774,11 +750,6 @@ class TcpConnection:
         event, self.established = self.established, None
         if event is not None:
             event.fire(self)
-
-    def _wake_senders(self) -> None:
-        waiters, self._send_waiters = self._send_waiters, None
-        for event in waiters or ():
-            event.fire(None)
 
     def _wake_receivers(self) -> None:
         callback, self.on_readable = self.on_readable, None
@@ -862,7 +833,6 @@ class TcpLayer:
         src_port: int = 0,
         src_ip: int = 0,
         rcv_buffer: int = DEFAULT_RCV_BUFFER,
-        snd_buffer: int = DEFAULT_SND_BUFFER,
     ) -> TcpConnection:
         """Initiate a connection (returns immediately; wait_established to
         block)."""
@@ -873,7 +843,7 @@ class TcpLayer:
             raise RuntimeError(f"connection {key} already exists")
         conn = TcpConnection(
             self, local_ip, local_port, dst_ip, dst_port,
-            rcv_buffer=rcv_buffer, snd_buffer=snd_buffer,
+            rcv_buffer=rcv_buffer,
         )
         self._connections[key] = conn
         conn.start_connect()

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import os
+from itertools import compress
 from typing import Optional
 
 from repro.fleet.aggregate import ResultAggregator, Rollup
@@ -32,6 +33,7 @@ from repro.warehouse.segments import (
     Warehouse,
     WarehouseError,
     _fsync_write,
+    _has_nan,
     decode_columns,
     partition,
 )
@@ -99,13 +101,20 @@ def _fold_segment(aggregator: ResultAggregator, path: str, table: str) -> None:
                 if cells[index] == cells[index]  # NaN: counter absent
             })
     elif table == "samples":
-        # Each sketch takes its values in row order, as fold_sample does.
+        # Each sketch takes its values in row order, as fold_sample does;
+        # a missing value (NaN) is skipped, as a query skips it.
         columns = decode_columns(path, ("endpoint", "stream", "value"))
-        streams, values = columns["stream"], columns["value"]
+        endpoints, streams, values = (
+            columns["endpoint"], columns["stream"], columns["value"])
+        if _has_nan(values):
+            kept = [value == value for value in values]
+            endpoints, streams, values = (
+                list(compress(cells, kept))
+                for cells in (endpoints, streams, values))
         for stream, part in partition(streams, values).items():
             aggregator.total.sketch(stream).extend(part)
         for (endpoint, stream), part in partition(
-                zip(columns["endpoint"], streams), values).items():
+                zip(endpoints, streams), values).items():
             aggregator.endpoint(endpoint).sketch(stream).extend(part)
     else:
         raise WarehouseError(f"no rollup defined over table {table!r}")

@@ -1,7 +1,6 @@
 """Tests for capture buffering, drop accounting, and TCP back pressure
 (§3.1 npoll semantics — claim C2 in DESIGN.md)."""
 
-import pytest
 
 from repro.core.testbed import Testbed
 from repro.endpoint.capture import CaptureBuffer, RECORD_OVERHEAD
@@ -128,30 +127,38 @@ class TestUdpDropAccounting:
 class TestTcpBackPressure:
     def test_slow_polling_stalls_tcp_sender_without_loss(self):
         """§3.1: "For TCP sockets, this will create flow control back
-        pressure" — a full capture buffer freezes the remote sender; no
-        data is lost, and polling releases the flow."""
+        pressure" — a full capture buffer shuts the endpoint's receive
+        window, which freezes the remote sender on the wire; no data is
+        lost, and polling releases the flow."""
         testbed = Testbed(capture_buffer_bytes=8192)
         target = testbed.target_host
-        # Far larger than the server's 64 KiB TCP send buffer plus the
-        # endpoint's receive window, so a stalled reader must block send().
+        # Far more than the capture buffer plus the endpoint's receive
+        # window, so a stalled reader leaves most of it at the sender.
         total = 250_000
         progress = {}
 
         def server():
             listener = target.tcp.listen(80)
             conn = yield listener.accept()
-            yield from conn.send(b"T" * total)
-            progress["sent_all_at"] = testbed.sim.now
+            progress["conn"] = conn
+            conn.write(b"T" * total)
             conn.close()
+            yield from conn.wait_closed()
+            progress["closed_at"] = testbed.sim.now
 
-        testbed.sim.spawn(server(), name="bulk-server")
+        server_proc = testbed.sim.spawn(server(), name="bulk-server")
 
         def experiment(handle):
             yield from handle.nopen_tcp(0, remaddr=testbed.target_address,
                                         remport=80)
             yield from handle.nsend(0, 0, b"")  # touch nothing; just wait
             yield 5.0  # no polling: buffer fills, sender must stall
-            assert "sent_all_at" not in progress
+            assert "closed_at" not in progress
+            # The stall is on the wire: the window is shut, and what the
+            # endpoint could not take still waits in the sender's buffer.
+            conn = progress["conn"]
+            assert conn.snd_wnd == 0
+            assert len(conn.snd_buffer) >= total - conn.mss - 65535 - 8192
             received = b""
             deadline_gap = 2 * NANOSECONDS
             while len(received) < total:
@@ -163,11 +170,13 @@ class TestTcpBackPressure:
                     now2 = yield from handle.read_clock()
                     if now2 > now + 30 * NANOSECONDS:
                         break
+            yield from handle.nclose(0)
+            yield server_proc  # the sender's close completes
             return received
 
         received = testbed.run_experiment(experiment, timeout=300.0)
         assert len(received) == total
         assert received == b"T" * total
-        assert "sent_all_at" in progress
+        assert "closed_at" in progress
         # The sender only finished well after polling started (~5 s).
-        assert progress["sent_all_at"] > 5.0
+        assert progress["closed_at"] > 5.0

@@ -114,7 +114,7 @@ class TestCompatTcp:
         def server():
             listener = testbed.target_host.tcp.listen(80)
             conn = yield listener.accept()
-            yield from conn.send(b"0123456789")
+            conn.write(b"0123456789")
             conn.close()
 
         testbed.sim.spawn(server(), name="server")

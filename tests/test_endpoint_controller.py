@@ -280,7 +280,7 @@ class TestTcpSockets:
             listener = target.tcp.listen(80)
             conn = yield listener.accept()
             request = yield from conn.recv_exactly(4)
-            yield from conn.send(b"RESP:" + request)
+            conn.write(b"RESP:" + request)
             conn.close()
 
         testbed.sim.spawn(server(), name="tcp-server")

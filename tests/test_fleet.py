@@ -96,11 +96,11 @@ class TestQuantileSketch:
 
 class TestTokenBucket:
     def test_unlimited(self):
-        bucket = TokenBucket(None, 1.0, now=0.0)
+        bucket = TokenBucket(None, now=0.0)
         assert all(bucket.try_take(0.0) for _ in range(100))
 
     def test_rate_limits_and_refills(self):
-        bucket = TokenBucket(2.0, 1.0, now=0.0)
+        bucket = TokenBucket(2.0, now=0.0)
         assert bucket.try_take(0.0)
         assert not bucket.try_take(0.0)
         delay = bucket.delay_until_token(0.0)
@@ -108,15 +108,16 @@ class TestTokenBucket:
         assert bucket.try_take(delay)
 
     def test_burst_capacity(self):
-        bucket = TokenBucket(1.0, 3.0, now=0.0)
-        assert sum(bucket.try_take(0.0) for _ in range(5)) == 3
+        """The bucket holds one token: a long idle spell buys no burst."""
+        bucket = TokenBucket(1.0, now=0.0)
+        assert sum(bucket.try_take(10.0) for _ in range(5)) == 1
 
     @pytest.mark.parametrize("rate", [0, -1, float("nan")])
     def test_rate_must_be_positive(self, rate):
         """0 divides by zero, a negative rate never refills, and NaN
         turns every delay into a NaN event time."""
         with pytest.raises(ValueError):
-            TokenBucket(rate, 1.0, 0.0)
+            TokenBucket(rate, 0.0)
 
 
 class TestSharding:
@@ -266,11 +267,11 @@ class TestFleetCampaign:
         assert report.unschedulable == ["lost"]
 
     def test_rate_limited_admission(self):
-        """rate=1/s with burst 1 spaces 4 session starts ~1 s apart."""
+        """rate=1/s spaces 4 session starts ~1 s apart."""
         testbed = Testbed()
         report = testbed.run_campaign(
             [_noop_job(f"job-{i}") for i in range(4)],
-            rate=1.0, burst=1.0, max_concurrency=4,
+            rate=1.0, max_concurrency=4,
         )
         assert report.jobs_completed == 4
         assert report.makespan >= 2.9  # 3 refill waits at 1 token/s
@@ -463,7 +464,9 @@ RETIRED_PARAMETERS = {
         "weights", "default_weight", "quarantine_score", "depart_score"},
     "CrossValidation.__init__": {"fingerprint", "audit_pinned"},
     "CampaignContext.__init__": {"extras"},
-    "World.run_campaign": {"priority", "quarantine_backoff"},
+    "World.run_campaign": {"priority", "quarantine_backoff", "burst"},
+    "CampaignScheduler.__init__": {"burst"},
+    "TokenBucket.__init__": {"burst"},
     "World.make_controller": {"controller_host"},
     "World.enable_telemetry": {"ring_capacity"},
     "Observability.ensure_ring_sink": {"capacity"},
@@ -531,8 +534,8 @@ class TestOneCampaignDriver:
 
     def test_testbeds_share_the_driver_and_retired_options_stay_gone(self):
         assert Testbed.run_campaign is FleetTestbed.run_campaign
-        # <= 18 campaign parameters, plus self.
-        assert len(inspect.signature(Testbed.run_campaign).parameters) <= 19
+        # <= 17 campaign parameters, plus self.
+        assert len(inspect.signature(Testbed.run_campaign).parameters) <= 18
         # Not exported by their packages, so named here.
         functions = {
             function.__qualname__: function

@@ -77,7 +77,7 @@ class TestHttpServerRobustness:
             conn = yield from testbed.endpoint_host.tcp.open_connection(
                 testbed.target_address, 80
             )
-            yield from conn.send(request)
+            conn.write(request)
             response = b""
             while True:
                 chunk = yield from conn.recv(4096)

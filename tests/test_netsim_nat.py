@@ -39,13 +39,13 @@ def test_tcp_through_nat():
         listener = target.tcp.listen(80)
         conn = yield listener.accept()
         data = yield from conn.recv_exactly(3)
-        yield from conn.send(data + b"!")
+        conn.write(data + b"!")
         conn.close()
         return conn.remote_ip
 
     def client():
         conn = yield from endpoint.tcp.open_connection(target.primary_address(), 80)
-        yield from conn.send(b"GET")
+        conn.write(b"GET")
         return (yield from conn.recv_exactly(4))
 
     server_proc = net.sim.spawn(server())

@@ -102,12 +102,12 @@ class TestTcpHandshakeAndData:
             listener = b.tcp.listen(80)
             conn = yield listener.accept()
             data = yield from conn.recv_exactly(5)
-            yield from conn.send(data[::-1])
+            conn.write(data[::-1])
             conn.close()
 
         def client():
             conn = yield from a.tcp.open_connection(b.primary_address(), 80)
-            yield from conn.send(b"hello")
+            conn.write(b"hello")
             result = yield from conn.recv_exactly(5)
             conn.close()
             yield from conn.wait_closed()
@@ -142,7 +142,7 @@ class TestTcpHandshakeAndData:
 
         def client():
             conn = yield from a.tcp.open_connection(b.primary_address(), 80)
-            yield from conn.send(payload)
+            conn.write(payload)
             conn.close()
 
         server_proc = net.sim.spawn(server())
@@ -162,7 +162,7 @@ class TestTcpHandshakeAndData:
 
         def client():
             conn = yield from a.tcp.open_connection(b.primary_address(), 80)
-            yield from conn.send(payload)
+            conn.write(payload)
             conn.close()
 
         server_proc = net.sim.spawn(server())
@@ -176,7 +176,7 @@ class TestTcpHandshakeAndData:
         def server():
             listener = b.tcp.listen(80)
             conn = yield listener.accept()
-            yield from conn.send(b"bye")
+            conn.write(b"bye")
             conn.close()
 
         def client():
@@ -214,37 +214,10 @@ class TestTcpHandshakeAndData:
 
 
 class TestTcpFlowControl:
-    def test_receiver_window_limits_sender(self):
-        """A non-reading receiver forces the sender to block: back pressure."""
-        net, a, b = simple_pair(bandwidth_bps=100e6, delay=0.001)
-        listener = b.tcp.listen(80, rcv_buffer=4096)
-
-        def server():
-            conn = yield listener.accept()
-            yield 5.0  # do not read for a long time
-            data = yield from conn.recv_exactly(40000)
-            return data
-
-        sent_progress = []
-
-        def client():
-            conn = yield from a.tcp.open_connection(b.primary_address(), 80,
-                                                    snd_buffer=8192)
-            payload = b"F" * 40000
-            yield from conn.send(payload)
-            sent_progress.append(net.sim.now)
-            conn.close()
-
-        server_proc = net.sim.spawn(server())
-        net.sim.spawn(client())
-        net.run()
-        assert server_proc.result == b"F" * 40000
-        # The sender could not finish before the receiver started reading.
-        assert sent_progress[0] > 5.0
-
     def test_write_never_waits_and_may_pass_the_buffer_capacity(self):
-        """``write`` is the control channel's path: it appends at once,
-        and the receiver's window still paces what goes out."""
+        """``write`` is the only send path: it appends at once, and the
+        receiver's window paces what goes out, so a receiver that does
+        not read stalls the sender on the wire."""
         net, a, b = simple_pair(bandwidth_bps=100e6, delay=0.001)
         listener = b.tcp.listen(80, rcv_buffer=4096)
 
@@ -256,8 +229,7 @@ class TestTcpFlowControl:
         buffered = []
 
         def client():
-            conn = yield from a.tcp.open_connection(b.primary_address(), 80,
-                                                    snd_buffer=8192)
+            conn = yield from a.tcp.open_connection(b.primary_address(), 80)
             conn.write(b"W" * 40000)
             buffered.append((net.sim.now, len(conn.snd_buffer)))
             yield 1.0
@@ -293,7 +265,7 @@ class TestTcpFlowControl:
 
         def client():
             conn = yield from a.tcp.open_connection(b.primary_address(), 80)
-            yield from conn.send(b"Z" * 10000)
+            conn.write(b"Z" * 10000)
             conn.close()
 
         server_proc = net.sim.spawn(server())
@@ -338,7 +310,7 @@ class TestTcpStateMachine:
         def client():
             conn = yield from a.tcp.open_connection(b.primary_address(), 80)
             conns["client"] = conn
-            yield from conn.send(b"x")
+            conn.write(b"x")
             conn.close()
             yield from conn.wait_closed()
 
@@ -354,7 +326,7 @@ class TestTcpStateMachine:
         def server():
             listener = b.tcp.listen(80)
             conn = yield listener.accept()
-            yield from conn.send(b"ok")
+            conn.write(b"ok")
             conn.close()
 
         def client():
@@ -373,12 +345,12 @@ def test_tcp_works_across_routers():
         listener = dst.tcp.listen(8080)
         conn = yield listener.accept()
         request = yield from conn.recv_exactly(4)
-        yield from conn.send(request * 2)
+        conn.write(request * 2)
         conn.close()
 
     def client():
         conn = yield from src.tcp.open_connection(dst.primary_address(), 8080)
-        yield from conn.send(b"data")
+        conn.write(b"data")
         result = yield from conn.recv_exactly(8)
         conn.close()
         return result
@@ -471,12 +443,12 @@ class TestStructuredCarriage:
             listener = dst.tcp.listen(8080)
             conn = yield listener.accept()
             request = yield from conn.recv_exactly(3000)
-            yield from conn.send(request[::-1])
+            conn.write(request[::-1])
             conn.close()
 
         def client():
             conn = yield from src.tcp.open_connection(dst.primary_address(), 8080)
-            yield from conn.send(bytes(range(250)) * 12)
+            conn.write(bytes(range(250)) * 12)
             reply = yield from conn.recv_exactly(3000)
             conn.close()
             return reply

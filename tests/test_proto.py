@@ -236,7 +236,7 @@ class TestFraming:
         def client():
             conn = yield from a.tcp.open_connection(b.primary_address(), 7000)
             # A frame header promising 100 bytes, then close early.
-            yield from conn.send((100).to_bytes(4, "big") + b"short")
+            conn.write((100).to_bytes(4, "big") + b"short")
             conn.close()
 
         server_proc = net.sim.spawn(server(), name="server")
@@ -259,7 +259,7 @@ class TestFraming:
 
         def client():
             conn = yield from a.tcp.open_connection(b.primary_address(), 7000)
-            yield from conn.send((2**30).to_bytes(4, "big"))
+            conn.write((2**30).to_bytes(4, "big"))
             yield 1.0
             conn.close()
 

@@ -42,7 +42,7 @@ class TestTcpUnderLoss:
 
         def client():
             conn = yield from a.tcp.open_connection(b.primary_address(), 80)
-            yield from conn.send(payload)
+            conn.write(payload)
             conn.close()
 
         server_proc = net.sim.spawn(server(), name="server")
@@ -66,13 +66,13 @@ class TestTcpUnderLoss:
             listener = b.tcp.listen(80)
             conn = yield listener.accept()
             received = yield from conn.recv_exactly(len(up))
-            yield from conn.send(down)
+            conn.write(down)
             conn.close()
             return received
 
         def client():
             conn = yield from a.tcp.open_connection(b.primary_address(), 80)
-            yield from conn.send(up)
+            conn.write(up)
             received = yield from conn.recv_exactly(len(down))
             return received
 
@@ -147,7 +147,7 @@ class TestSessionFailures:
             conn = yield from testbed.target_host.tcp.open_connection(
                 descriptor.controller_addr, descriptor.controller_port
             )
-            yield from conn.send(b"\x00\x00\x00\x04GET ")
+            conn.write(b"\x00\x00\x00\x04GET ")
             yield 1.0
             conn.close()
 

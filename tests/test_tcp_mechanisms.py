@@ -63,7 +63,7 @@ def test_fast_retransmit_recovers_single_loss_quickly():
     def client():
         conn = yield from a.tcp.open_connection(b.primary_address(), 80)
         finish["conn"] = conn
-        yield from conn.send(b"F" * total)
+        conn.write(b"F" * total)
         conn.close()
 
     net.sim.spawn(server(), name="server")
@@ -96,7 +96,7 @@ def test_zero_window_probe_keeps_connection_alive():
 
     def client():
         conn = yield from a.tcp.open_connection(b.primary_address(), 80)
-        yield from conn.send(b"Z" * 6000)
+        conn.write(b"Z" * 6000)
         conn.close()
 
     net.sim.spawn(server(), name="server")
@@ -119,14 +119,14 @@ def test_time_wait_then_port_reuse():
         while True:
             conn = yield listener.accept()
             request = yield from conn.recv_exactly(4)
-            yield from conn.send(request[::-1])
+            conn.write(request[::-1])
             conn.close()
 
     def client():
         for round_index in range(2):
             conn = a.tcp.connect(b.primary_address(), 80, src_port=51000)
             yield from conn.wait_established()
-            yield from conn.send(b"ping")
+            conn.write(b"ping")
             reply = yield from conn.recv_exactly(4)
             assert reply == b"gnip"
             conn.close()
@@ -155,7 +155,7 @@ def test_rtt_estimator_converges():
 
     def client():
         conn = yield from a.tcp.open_connection(b.primary_address(), 80)
-        yield from conn.send(b"R" * 60_000)
+        conn.write(b"R" * 60_000)
         conn.close()
         yield from conn.wait_closed()
         state["srtt"] = conn.srtt
@@ -182,7 +182,7 @@ def test_double_loss_still_delivers():
 
     def client():
         conn = yield from a.tcp.open_connection(b.primary_address(), 80)
-        yield from conn.send(b"D" * total)
+        conn.write(b"D" * total)
         conn.close()
 
     net.sim.spawn(server(), name="server")
@@ -243,7 +243,7 @@ def test_bulk_sender_sends_no_window_limited_runts():
 
     def client():
         conn = yield from a.tcp.open_connection(b.primary_address(), 80)
-        yield from conn.send(b"S" * total)
+        conn.write(b"S" * total)
         conn.close()
 
     net.sim.spawn(server(), name="server")

@@ -220,7 +220,7 @@ def _client(conn, messages, log):
         yield from conn.wait_established()
         for message in messages:
             log["sent"] += message
-            yield from conn.send(message)
+            conn.write(message)
             while len(log["received"]) < len(log["sent"]):
                 chunk = yield from conn.recv()
                 if not chunk:
@@ -243,7 +243,7 @@ def _server(listener, pause, log):
                 break
             log["received"] += chunk
             log["sent"] += chunk
-            yield from conn.send(chunk)
+            conn.write(chunk)
         conn.close()
         yield from conn.wait_closed()
     except TcpError as error:

@@ -553,6 +553,24 @@ class TestRollups:
         assert total.quantile(0.5) == pytest.approx(0.05, rel=0.11)
         assert rollup_percentiles(warehouse, "c1", "rtt_s")["p99"] == math.inf
 
+    def test_missing_sample_value_in_query_and_rollup(self, tmp_path):
+        """NaN is the warehouse's missing float: a rollup skips it before
+        sketching, as a query does, instead of failing to bucket it."""
+        warehouse = Warehouse(str(tmp_path / "wh"))
+        writer = warehouse.begin_campaign("c1")
+        writer.add_rows("samples", [
+            _sample_row(i, value=math.nan if i == 2 else 0.01 * (i + 1))
+            for i in range(5)
+        ])
+        writer.commit(close=True)
+        [row] = (Query(warehouse, "samples").group_by("endpoint")
+                 .agg(p99=("p99", "value")).run().rows)
+        rollups = build_rollups(warehouse, "c1")
+        sketch = rollups["endpoints"]["ep0"].sketches["rtt_s"]
+        assert sketch.count == rollups["total"].sketches["rtt_s"].count == 4
+        assert sketch.quantile(0.99) == row["p99"]
+        assert rollup_percentiles(warehouse, "c1", "rtt_s")["p99"] == row["p99"]
+
     def test_rollup_percentiles_unknown_stream(self, tmp_path):
         warehouse = Warehouse(str(tmp_path / "wh"))
         aggregator = RecordingAggregator(campaign="c1")

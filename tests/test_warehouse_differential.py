@@ -53,7 +53,9 @@ _SAMPLE_ROWS = st.lists(st.fixed_dictionaries({
     "endpoint": st.sampled_from(_STRINGS),
     "stream": st.sampled_from(["rtt_s", "bw_bps"]),
     "seq": st.integers(0, 100),
-    "value": st.one_of(_SMALL_FLOATS, st.sampled_from([0.0, -0.0, 1e-9])),
+    # NaN marks a missing value: rollups and queries skip it.
+    "value": st.one_of(_SMALL_FLOATS,
+                       st.sampled_from([0.0, -0.0, 1e-9, math.nan])),
 }), max_size=40)
 
 

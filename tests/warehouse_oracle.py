@@ -237,9 +237,10 @@ def fold_segments(warehouse: Warehouse, campaign: str) -> ResultAggregator:
                             if meta["name"].startswith(COUNTER_PREFIX)]
             for index in range(data.rows):
                 if table == "samples":
-                    partial.fold_sample(data.cell("endpoint", index),
-                                        data.cell("stream", index),
-                                        data.cell("value", index))
+                    value = data.cell("value", index)
+                    if value == value:  # NaN: the value is missing
+                        partial.fold_sample(data.cell("endpoint", index),
+                                            data.cell("stream", index), value)
                     continue
                 counters = {}
                 for column in counter_cols:
