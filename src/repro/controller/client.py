@@ -728,27 +728,26 @@ class ControllerServer:
         # monitor at session setup (AuthFail.code == ERR_MONITOR_REJECTED).
         self.monitor_rejections: list[str] = []
         self._listener = None
-        self._accept_proc = None
 
     def start(self) -> "ControllerServer":
         self._listener = self.node.tcp.listen(self.port)
-        self._accept_proc = self.node.spawn(self._accept_loop(), name="ctl-accept")
+        self._listener.accept().then(self._on_accept)
         return self
 
-    def _accept_loop(self) -> Generator:
-        while True:
-            conn = yield self._listener.accept()
-            _Handshake(self, MessageStream(conn))
+    def _on_accept(self, conn) -> None:
+        if self._listener is None:
+            return  # handed over as stop() ran: nobody serves it
+        _Handshake(self, MessageStream(conn))
+        self._listener.accept().then(self._on_accept)
 
     def wait_endpoint(self) -> Event:
         """Event yielding the next authenticated EndpointHandle."""
         return self.endpoints.get()
 
     def stop(self) -> None:
-        if self._accept_proc is not None:
-            self._accept_proc.kill()
         if self._listener is not None:
             self._listener.close()
+            self._listener = None
 
 
 class _Handshake:

@@ -119,9 +119,9 @@ class Testbed(World):
         self.rendezvous_servers.append(self.rendezvous)
         return self.rendezvous
 
-    def connect_endpoint(self, descriptor: ExperimentDescriptor):
+    def connect_endpoint(self, descriptor: ExperimentDescriptor) -> None:
         """Point the endpoint directly at a controller (no rendezvous)."""
-        return self.endpoint.connect_to_controller(
+        self.endpoint.connect_to_controller(
             descriptor.controller_addr,
             descriptor.controller_port,
             descriptor.hash(),

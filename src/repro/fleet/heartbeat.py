@@ -27,7 +27,7 @@ same-seed runs.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator, Protocol
+from typing import TYPE_CHECKING, Protocol
 
 if TYPE_CHECKING:
     from repro.fleet.pool import EndpointPool
@@ -62,26 +62,23 @@ class HeartbeatMonitor:
         self.depart_after = depart_after
         self.sim = pool.sim
         self._obs = pool.sim.obs
-        self._proc = None
+        self._timer = None
 
-    # -- process plumbing -----------------------------------------------------
+    # -- the sweep timer ------------------------------------------------------
 
     def start(self) -> "HeartbeatMonitor":
-        if self._proc is None:
-            self._proc = self.sim.spawn(
-                self._sweep_loop(), name="heartbeat-monitor"
-            )
+        if self._timer is None:
+            self._timer = self.sim.schedule(self.interval, self._tick)
         return self
 
     def stop(self) -> None:
-        if self._proc is not None:
-            self._proc.kill()
-            self._proc = None
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
 
-    def _sweep_loop(self) -> Generator:
-        while True:
-            yield self.interval
-            self.sweep()
+    def _tick(self) -> None:
+        self.sweep()
+        self._timer = self.sim.schedule(self.interval, self._tick)
 
     # -- the decision procedure -----------------------------------------------
 

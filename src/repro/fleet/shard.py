@@ -138,10 +138,6 @@ def subscribe_endpoint(endpoint, sharded: ShardedRendezvous,
     channels = channels if channels is not None else list(
         endpoint.config.trusted_key_ids
     )
-    procs = []
     for index in sorted({sharded.shard_index(ch) for ch in channels}):
         server = sharded.servers[index]
-        procs.append(endpoint.start_rendezvous(
-            server.node.primary_address(), server.port
-        ))
-    return procs
+        endpoint.start_rendezvous(server.node.primary_address(), server.port)

@@ -12,8 +12,8 @@ the keys it trusts to sign experiment certificates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Generator, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.crypto.chain import CertificateChain, ChainError
 from repro.netsim.node import Node
@@ -85,11 +85,10 @@ class RendezvousServer:
         self.restarts = 0
         self.running = False
         self._listener = None
-        self._accept_proc = None
 
     def start(self) -> "RendezvousServer":
         self._listener = self.node.tcp.listen(self.port)
-        self._accept_proc = self.node.spawn(self._accept_loop(), name="rdz-accept")
+        self._listener.accept().then(self._on_accept)
         self.running = True
         return self
 
@@ -103,12 +102,8 @@ class RendezvousServer:
         if not self.running:
             return
         self.running = False
-        if self._accept_proc is not None:
-            self._accept_proc.kill()
-            self._accept_proc = None
-        if self._listener is not None:
-            self._listener.close()
-            self._listener = None
+        self._listener.close()
+        self._listener = None
         for subscriber in list(self.subscribers):
             subscriber.alive = False
             subscriber.stream.conn.abort()
@@ -128,10 +123,11 @@ class RendezvousServer:
                            experiments=len(self.experiments))
         return self.start()
 
-    def _accept_loop(self) -> Generator:
-        while True:
-            conn = yield self._listener.accept()
-            _Connection(self, MessageStream(conn))
+    def _on_accept(self, conn) -> None:
+        if self._listener is None:
+            return  # handed over as stop() ran: nobody serves it
+        _Connection(self, MessageStream(conn))
+        self._listener.accept().then(self._on_accept)
 
     # -- publication ----------------------------------------------------------
 

@@ -671,25 +671,19 @@ def _finished_star_campaign(count: int = 20) -> FleetTestbed:
 
 class TestProcessCensus:
     def test_no_writer_process_outlives_a_campaign(self):
-        """Control frames go straight into TCP, and every control-plane
-        consumer (the controller's handshake and handle, the rendezvous
-        server, the endpoint's Auth wait and its session) has frames
-        pushed to it, so no process exists only to move frames. Per
-        endpoint the campaign leaves two: the supervisor
-        ``epN-supervise`` and the rendezvous subscription loop
-        ``epN-rendezvous``."""
-        count = 20
-        fleet = _finished_star_campaign(count)
+        """Processes run experiments and nothing else. Control frames go
+        straight into TCP; every control-plane consumer has frames pushed
+        to it; the endpoint's dials, subscription and heartbeat, both
+        accept loops, the pool's router and the heartbeat monitor are
+        continuations. So once the campaign driver and its job workers
+        finish, no process is left alive."""
+        fleet = _finished_star_campaign(20)
         gc.collect()
         live = sorted(
             obj.name for obj in gc.get_objects()
             if isinstance(obj, Process) and obj.alive and obj._sim is fleet.sim
         )
-        assert not [name for name in live if "writer" in name]
-        assert not [name for name in live if name in (
-            "ctl-reader", "rdz-serve", "auth-recv", "ctl-handshake",
-        ) or name.endswith("-commands")]
-        assert len(live) <= 2 * count
+        assert live == []
 
 
 class TestDroppedWorld:
