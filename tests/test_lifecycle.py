@@ -427,7 +427,7 @@ class TestChurnDeterminism:
 # re-dial. Recorded before the pool's moves became one transition table;
 # a change to a lifecycle metric, event, field or call order moves it.
 TELEMETRY_GOLDEN = (
-    "11f17b5a37b28c55b25fe370ca5f558c1ab13cf425a65240e82c3376bab40fa5"
+    "d2fe6f935f871968f15460ef3740de3414ee6b7dd366e324c0fa7e985096fdf0"
 )
 
 
