@@ -19,7 +19,7 @@ still be scheduled via ``sendto_at``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Optional, Union
+from typing import Generator, Union
 
 from repro.controller.client import EndpointHandle
 from repro.filtervm.program import FilterProgram

@@ -14,7 +14,7 @@ from typing import Generator, Optional
 
 from repro.controller.client import EndpointHandle
 from repro.netsim.clock import NANOSECONDS
-from repro.proto.constants import ST_CONNECT_FAILED, ST_OK
+from repro.proto.constants import ST_CONNECT_FAILED
 
 
 @dataclass

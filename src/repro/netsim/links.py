@@ -20,7 +20,7 @@ traffic sharing an access link.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
 from collections import deque

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.netsim.clock import HostClock
 from repro.netsim.kernel import Simulator

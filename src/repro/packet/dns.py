@@ -9,7 +9,7 @@ decoding with compression pointers.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.util.byteio import DecodeError
 

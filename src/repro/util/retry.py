@@ -42,8 +42,3 @@ class RetryPolicy:
         if self.jitter > 0:
             delay *= 1.0 + rng.uniform(-self.jitter, self.jitter)
         return delay
-
-    def delays(self, rng: Random):
-        """Iterate the full schedule (``max_attempts`` delays)."""
-        for attempt in range(self.max_attempts):
-            yield self.delay_for(attempt, rng)

@@ -1,7 +1,5 @@
 """Tests for the BSD-socket compatibility layer (§3.5 future work)."""
 
-import pytest
-
 from repro.compat import CompatError, CompatStack
 from repro.core.testbed import Testbed
 from repro.experiments.servers import start_http_server, start_udp_echo

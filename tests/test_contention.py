@@ -1,7 +1,5 @@
 """Tests for priority contention (§3.3): preemption, suspension, resume."""
 
-import pytest
-
 from repro.core.testbed import Testbed
 from repro.controller.session import Experimenter
 from repro.endpoint.contention import ContentionManager

@@ -6,7 +6,6 @@ must produce a DecodeError (or equivalent typed error) — never an
 IndexError, struct.error, infinite loop, or silent nonsense.
 """
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto.certificate import Certificate

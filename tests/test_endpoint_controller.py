@@ -11,7 +11,6 @@ from repro.controller.client import CommandError
 from repro.controller.clocksync import estimate_clock
 from repro.endpoint.memory import (
     OFF_ADDR_IP,
-    OFF_BUF_CAPACITY,
     OFF_CAPS,
     OFF_CLOCK,
     SCRATCH_START,

@@ -1,7 +1,5 @@
 """Unit tests for endpoint internals: memory region, send queue, auth."""
 
-import struct
-
 import pytest
 
 from repro.core.testbed import Testbed

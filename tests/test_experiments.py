@@ -23,7 +23,7 @@ from repro.packet.icmp import IcmpMessage
 from repro.packet.ipv4 import PROTO_ICMP, IPv4Packet
 from repro.packet.dns import RCODE_NXDOMAIN
 from repro.proto.messages import CaptureRecord
-from repro.util.inet import format_ip, parse_ip
+from repro.util.inet import parse_ip
 
 
 def multi_hop_testbed(hop_count=3, access_delay=0.01, **kwargs):

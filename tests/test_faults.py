@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from repro.controller.client import RpcTimeout, SessionClosed
+from repro.controller.client import RpcTimeout
 from repro.controller.recovery import ResilientHandle
 from repro.core.testbed import Testbed
 from repro.endpoint.sendqueue import SendQueue

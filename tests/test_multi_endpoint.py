@@ -13,7 +13,6 @@ import pytest
 from repro.controller.client import ControllerServer
 from repro.controller.clocksync import estimate_clock
 from repro.controller.session import Experimenter
-from repro.core.testbed import Testbed
 from repro.endpoint.config import EndpointConfig
 from repro.endpoint.endpoint import Endpoint
 from repro.netsim.topology import Network

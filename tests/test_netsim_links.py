@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.netsim.kernel import Simulator
 from repro.netsim.links import LINK_OVERHEAD_BYTES
 from repro.netsim.topology import Network
 from repro.netsim.trace import PacketTrace

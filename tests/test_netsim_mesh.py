@@ -1,8 +1,6 @@
 """Topology/routing tests beyond linear chains: meshes, shortest paths,
 and route recomputation."""
 
-import pytest
-
 from repro.netsim.topology import Network
 from repro.packet.icmp import ICMP_ECHO_REPLY
 from repro.packet.ipv4 import IPv4Packet, PROTO_RAW_TEST

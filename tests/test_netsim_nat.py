@@ -2,7 +2,7 @@
 
 from repro.netsim.nat import natted_topology
 from repro.packet.icmp import ICMP_ECHO_REPLY, ICMP_TIME_EXCEEDED
-from repro.packet.ipv4 import PROTO_ICMP, PROTO_UDP, IPv4Packet
+from repro.packet.ipv4 import PROTO_UDP, IPv4Packet
 from repro.packet.udp import UdpDatagram
 
 

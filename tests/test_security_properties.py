@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto.chain import CertificateChain, ChainError, build_delegated_chain
-from repro.crypto.keys import KeyPair, object_hash
+from repro.crypto.keys import KeyPair
 from repro.endpoint.auth import AuthError, verify_auth
 from repro.proto.constants import PROTOCOL_VERSION
 from repro.proto.messages import Auth, Hello

@@ -4,8 +4,6 @@ zero-window probing, TIME_WAIT, and RTT estimation."""
 import pytest
 
 from repro.core.testbed import Testbed
-from repro.netsim.kernel import Simulator
-from repro.netsim.links import Link
 from repro.netsim.node import Node
 from repro.netsim.topology import Network
 from repro.packet.ipv4 import IPv4Packet, PROTO_TCP
