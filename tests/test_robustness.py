@@ -194,6 +194,31 @@ class TestSessionFailures:
         assert [conn.state for conn in conns] == [CLOSED, CLOSED]
 
 
+class TestEndpointEndedSession:
+    def test_both_ends_close_once_the_simulator_drains(self):
+        """The endpoint ends the session (here on the controller's Bye)
+        and closes its end; the controller's handle closes its own end
+        on that FIN, so neither is left half-open."""
+        testbed = Testbed()
+        server, descriptor = testbed.make_controller()
+        conns = []
+
+        def driver():
+            handle = yield server.wait_endpoint()
+            conns.append(handle.stream.conn)
+            conns.extend(_peer_of(testbed.endpoint_host, handle.stream.conn))
+            yield from handle.read_clock()
+            handle.bye()
+            return handle
+
+        testbed.connect_endpoint(descriptor)
+        handle = testbed.sim.run_process(driver(), timeout=60.0)
+        testbed.sim.run()  # drain
+        assert handle.closed and handle.end_reason == "bye"
+        assert testbed.endpoint.sessions == {}
+        assert [conn.state for conn in conns] == [CLOSED, CLOSED]
+
+
 class TestSupervisedGiveUp:
     """A supervised dial to a port nobody listens on backs off with
     seeded jitter, then gives up; a controller dial and a rendezvous
