@@ -44,7 +44,6 @@ if __name__ == "__main__":
 
 from repro.controller.client import SessionBudget
 from repro.experiments.campaign import ping_job
-from repro.fleet.pool import MisbehaviorPolicy
 from repro.fleet.scheduler import CrossValidation
 from repro.fleet.testbed import FleetTestbed
 from repro.netsim.faults import FaultPlan
@@ -101,7 +100,7 @@ def run_point(
         rpc_timeout=2.0,
         timeout=1_000_000.0,
         session_budget=SessionBudget(),
-        misbehavior=MisbehaviorPolicy(),
+        misbehavior=True,
         cross_validate=CrossValidation(fraction=0.1, k=4),
     )
     wall_s = time.perf_counter() - run_start

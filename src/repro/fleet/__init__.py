@@ -33,7 +33,6 @@ from repro.fleet.aggregate import (
 from repro.fleet.heartbeat import HeartbeatMonitor
 from repro.fleet.pool import (
     EndpointPool,
-    MisbehaviorPolicy,
     PooledEndpoint,
     PoolError,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "EndpointPool",
     "FleetTestbed",
     "HeartbeatMonitor",
-    "MisbehaviorPolicy",
     "PoolError",
     "PooledEndpoint",
     "QuantileSketch",

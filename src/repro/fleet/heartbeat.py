@@ -8,17 +8,18 @@ talks to, §3.2). Each shard keeps a
 :meth:`~repro.fleet.shard.ShardedRendezvous.liveness` merges them.
 
 The controller side closes the loop: a :class:`HeartbeatMonitor` sweeps
-the merged registry every ``interval`` simulated seconds and compares
-each pooled endpoint's freshness (time since its latest beacon, or since
-adoption if it never beaconed) against two thresholds:
+the merged registry once per beacon ``interval`` (the world's
+``heartbeat_interval``) and compares each pooled endpoint's freshness
+(time since its latest beacon, or since adoption if it never beaconed)
+against two thresholds, both counted in beats of that interval:
 
-- ``stale_after``: the endpoint is presumed churning — the pool drains
-  it (no new work; in-flight jobs finish or fail on their own). If a
-  fresh beacon arrives later, the endpoint is undrained and takes work
-  again.
-- ``depart_after``: the endpoint is presumed gone — the pool removes it,
-  pinned jobs targeting it fail fast (``ENDPOINT_DEPARTED``), and a
-  rejoin is handled as a fresh adoption.
+- :data:`STALE_BEATS` (3) missed: the endpoint is presumed churning —
+  the pool drains it (no new work; in-flight jobs finish or fail on
+  their own). If a fresh beacon arrives later, the endpoint is undrained
+  and takes work again.
+- :data:`DEPART_BEATS` (10) missed: the endpoint is presumed gone — the
+  pool removes it, pinned jobs targeting it fail fast
+  (``ENDPOINT_DEPARTED``), and a rejoin is handled as a fresh adoption.
 
 Sweeps iterate endpoints in sorted name order and all timing comes from
 the simulator clock, so monitored campaigns stay byte-identical across
@@ -31,6 +32,11 @@ from typing import TYPE_CHECKING, Protocol
 
 if TYPE_CHECKING:
     from repro.fleet.pool import EndpointPool
+
+# Beacon intervals of silence after which an endpoint is drained, and
+# after which it is removed.
+STALE_BEATS = 3
+DEPART_BEATS = 10
 
 
 class LivenessSource(Protocol):
@@ -47,19 +53,12 @@ class HeartbeatMonitor:
         pool: "EndpointPool",
         source: LivenessSource,
         interval: float = 5.0,
-        stale_after: float = 15.0,
-        depart_after: float = 60.0,
     ) -> None:
-        if stale_after <= 0 or depart_after <= stale_after:
-            raise ValueError(
-                "need 0 < stale_after < depart_after "
-                f"(got {stale_after=} {depart_after=})"
-            )
         self.pool = pool
         self.source = source
         self.interval = interval
-        self.stale_after = stale_after
-        self.depart_after = depart_after
+        self.stale_after = STALE_BEATS * interval
+        self.depart_after = DEPART_BEATS * interval
         self.sim = pool.sim
         self._obs = pool.sim.obs
         self._timer = None

@@ -385,9 +385,9 @@ class CampaignScheduler:
             if pooled is None:
                 continue
             self._harvest_deferred(pooled)
-            if self.pool.misbehavior is not None:
+            if self.pool.misbehavior:
                 self._harvest_misbehavior(pooled)
-        if self.pool.misbehavior is not None:
+        if self.pool.misbehavior:
             self.report.misbehavior = self.pool.misbehavior_summary()
         if span is not None:
             span.end(completed=self.report.jobs_completed,
@@ -568,8 +568,8 @@ class CampaignScheduler:
             self._harvest_misbehavior(pooled)
             # Every failed attempt is weak evidence against the endpoint
             # it failed on (a stalling adversary surfaces as repeated
-            # RpcTimeouts); the pool's policy weighs it (no-op when
-            # scoring is off).
+            # RpcTimeouts); the pool weighs it (no-op when scoring is
+            # off).
             self.pool.report_misbehavior(pooled.name, "job-failure",
                                          detail=job.error or "")
             if self._obs.enabled:

@@ -43,13 +43,17 @@ LinkLike = Union[Link, LinkDirection]
 #: Adversary behaviors :meth:`FaultPlan.byzantine` can assign, in the
 #: round-robin order used when a plan seeds several adversaries.
 BYZANTINE_BEHAVIORS = ("stall", "flood", "fabricate", "desequence", "tamper")
-# A flood adversary sends FLOOD_RECORDS records per PollData, one burst
-# every FLOOD_INTERVAL * U(0.5, 1.5) seconds; a desequence adversary
-# sends one illegal frame every DESEQUENCE_INTERVAL * U(0.5, 1.5)
-# seconds; a fabricate adversary pads each reply with FABRICATE_RECORDS
-# invented records.
+# A stall adversary swallows each reqid-bearing command with probability
+# STALL_PROB; a flood adversary sends FLOOD_RECORDS records of
+# FLOOD_RECORD_BYTES random bytes per PollData, one burst every
+# FLOOD_INTERVAL * U(0.5, 1.5) seconds; a desequence adversary sends one
+# illegal frame every DESEQUENCE_INTERVAL * U(0.5, 1.5) seconds; a
+# fabricate adversary pads each reply with FABRICATE_RECORDS invented
+# records.
+STALL_PROB = 0.35
 FLOOD_INTERVAL = 0.05
 FLOOD_RECORDS = 32
+FLOOD_RECORD_BYTES = 512
 DESEQUENCE_INTERVAL = 0.25
 FABRICATE_RECORDS = 4
 
@@ -86,8 +90,6 @@ class ByzantineAdversary:
         "endpoint_name",
         "behavior",
         "rng",
-        "stall_prob",
-        "flood_record_bytes",
     )
 
     def __init__(
@@ -96,8 +98,6 @@ class ByzantineAdversary:
         endpoint_name: str,
         behavior: str,
         rng: Random,
-        stall_prob: float = 0.35,
-        flood_record_bytes: int = 512,
     ) -> None:
         if behavior not in BYZANTINE_BEHAVIORS:
             raise ValueError(f"unknown byzantine behavior {behavior!r}")
@@ -105,8 +105,6 @@ class ByzantineAdversary:
         self.endpoint_name = endpoint_name
         self.behavior = behavior
         self.rng = rng
-        self.stall_prob = stall_prob
-        self.flood_record_bytes = flood_record_bytes
 
     def _activate(self, sim: Simulator) -> None:
         plan = self.plan
@@ -144,7 +142,7 @@ class ByzantineAdversary:
         if getattr(message, "reqid", None) is None:
             return False
         sim = session.endpoint.node.sim
-        if self.rng.random() >= self.stall_prob:
+        if self.rng.random() >= STALL_PROB:
             return False
         self._activate(sim)
         return True
@@ -195,7 +193,7 @@ class ByzantineAdversary:
                 CaptureRecord(
                     sktid=rng.randrange(8),
                     timestamp=rng.getrandbits(48),
-                    data=rng.randbytes(self.flood_record_bytes),
+                    data=rng.randbytes(FLOOD_RECORD_BYTES),
                 )
                 for _ in range(FLOOD_RECORDS)
             )

@@ -1,8 +1,10 @@
 """Deterministic discrete-event simulation kernel.
 
-The simulator drives everything in this repository: links, protocol stacks,
-endpoints, controllers, and rendezvous servers are all simulated processes
-exchanging events in virtual time.
+The simulator drives everything in this repository in virtual time. Links,
+protocol stacks, endpoints, controllers and rendezvous servers run as
+timer callbacks and event continuations; only experiments (job workers,
+the campaign driver, experiment servers, baselines and Byzantine fault
+loops) are simulated processes.
 
 Design:
 

@@ -47,10 +47,10 @@ def event_to_json_dict(event: ObsEvent) -> dict:
 
 
 class RingBufferSink:
-    """Keeps the most recent ``capacity`` events in memory."""
+    """Keeps the most recent :data:`DEFAULT_RING_CAPACITY` events in memory."""
 
-    def __init__(self, capacity: int = DEFAULT_RING_CAPACITY) -> None:
-        self._events: deque[ObsEvent] = deque(maxlen=capacity)
+    def __init__(self) -> None:
+        self._events: deque[ObsEvent] = deque(maxlen=DEFAULT_RING_CAPACITY)
         self.total_recorded = 0
 
     def record(self, event: ObsEvent) -> None:

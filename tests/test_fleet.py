@@ -34,7 +34,6 @@ from repro.fleet import (
     EndpointPool,
     CrossValidation,
     FleetTestbed,
-    MisbehaviorPolicy,
     QuantileSketch,
     TokenBucket,
     shard_for,
@@ -306,7 +305,7 @@ class TestFleetCampaign:
     def test_late_failure_on_an_endpoints_last_job_reaches_the_report(self):
         """The failed Result lands after ``quick`` — ep0's only job — has
         completed, so no job completion on ep0 is left to harvest it; the
-        end-of-campaign sweep must, with or without a MisbehaviorPolicy."""
+        end-of-campaign sweep must, with or without misbehavior scoring."""
         fleet = FleetTestbed(endpoint_count=2, seed=1)
 
         def quick(handle, ctx):
@@ -380,7 +379,7 @@ def _golden_byzantine():
         jobs, max_concurrency=8,
         retry_policy=RetryPolicy(max_attempts=3, base_delay=0.5, jitter=0.1),
         **_FAILOVER,
-        session_budget=SessionBudget(), misbehavior=MisbehaviorPolicy(),
+        session_budget=SessionBudget(), misbehavior=True,
         cross_validate=CrossValidation(fraction=0.25, k=3),
     )
 
@@ -451,25 +450,34 @@ RETIRED_OPTIONS = {
     "recovery_policy", "endpoint_reconnect_policy",
 }
 
-# Settings no caller set, retired into module constants, as (function,
-# parameters) pairs: names such as `priority`, `network`, `access_delay`
-# and `start` live on in other signatures.
+# Settings no caller set, or only tests did, retired into module
+# constants or values derived from the world, as (function, parameters)
+# pairs: names such as `priority`, `network`, `access_delay` and `start`
+# live on in other signatures. The pool takes none of the fields the
+# retired MisbehaviorPolicy had.
 RETIRED_PARAMETERS = {
     "EndpointConfig.__init__": {
         "max_sockets", "auth_timeout", "reconnect_policy", "reconnect_seed",
         "session_violation_budget", "session_decode_budget"},
     "SessionBudget.__init__": {
-        "max_streamed_bytes", "max_violations", "max_decode_errors"},
-    "MisbehaviorPolicy.__init__": {
-        "weights", "default_weight", "quarantine_score", "depart_score"},
+        "max_streamed_bytes", "max_violations", "max_decode_errors",
+        "max_streamed_records"},
+    "EndpointPool.__init__": {
+        "quarantine_backoff", "half_life", "weights", "default_weight",
+        "quarantine_score", "depart_score"},
+    "EndpointPool.report_misbehavior": {"weight"},
+    "HeartbeatMonitor.__init__": {"stale_after", "depart_after"},
     "CrossValidation.__init__": {"fingerprint", "audit_pinned"},
     "CampaignContext.__init__": {"extras"},
-    "World.run_campaign": {"priority", "quarantine_backoff", "burst"},
+    "World.run_campaign": {
+        "priority", "quarantine_backoff", "burst", "heartbeat_depart_after",
+        "warehouse_events"},
     "CampaignScheduler.__init__": {"burst"},
     "TokenBucket.__init__": {"burst"},
     "World.make_controller": {"controller_host"},
     "World.enable_telemetry": {"ring_capacity"},
     "Observability.ensure_ring_sink": {"capacity"},
+    "RingBufferSink.__init__": {"capacity"},
     "Testbed.start_rendezvous": {"host"},
     "Testbed.run_experiment": {"priority"},
     "FleetTestbed.__init__": {
@@ -485,7 +493,7 @@ RETIRED_PARAMETERS = {
     "FaultPlan.byzantine": {"start", "tuning"},
     "ByzantineAdversary.__init__": {
         "start", "flood_interval", "flood_records", "fabricate_records",
-        "desequence_interval"},
+        "desequence_interval", "stall_prob", "flood_record_bytes"},
 }
 
 
@@ -534,8 +542,11 @@ class TestOneCampaignDriver:
 
     def test_testbeds_share_the_driver_and_retired_options_stay_gone(self):
         assert Testbed.run_campaign is FleetTestbed.run_campaign
-        # <= 17 campaign parameters, plus self.
-        assert len(inspect.signature(Testbed.run_campaign).parameters) <= 18
+        # <= 15 campaign parameters, plus self.
+        assert len(inspect.signature(Testbed.run_campaign).parameters) <= 16
+        # Misbehavior scoring is a bool now; its policy object is gone.
+        assert not hasattr(repro.fleet, "MisbehaviorPolicy")
+        assert not hasattr(repro.fleet.pool, "MisbehaviorPolicy")
         # Not exported by their packages, so named here.
         functions = {
             function.__qualname__: function

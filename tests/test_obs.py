@@ -24,6 +24,7 @@ from repro.obs import (
     read_jsonl,
 )
 from repro.obs.report import format_report
+from repro.obs.sinks import DEFAULT_RING_CAPACITY
 from repro.packet.ipv4 import IPv4Packet, PROTO_RAW_TEST
 
 
@@ -104,14 +105,16 @@ def test_event_bus_ring_sink_and_select():
 
 
 def test_ring_sink_is_bounded():
-    ring = RingBufferSink(capacity=4)
+    ring = RingBufferSink()
     obs = Observability(enabled=True)
     obs.add_sink(ring)
-    for index in range(10):
+    emitted = DEFAULT_RING_CAPACITY + 6
+    for index in range(emitted):
         obs.emit("kernel", "tick", index=index)
-    assert len(ring) == 4
-    assert ring.total_recorded == 10
-    assert [event.fields["index"] for event in ring.events()] == [6, 7, 8, 9]
+    assert len(ring) == DEFAULT_RING_CAPACITY
+    assert ring.total_recorded == emitted
+    kept = [event.fields["index"] for event in ring.events()]
+    assert kept == list(range(6, emitted))
 
 
 def test_span_records_duration_and_events():

@@ -590,11 +590,12 @@ class TestRollups:
 def _run_fleet(tmp_path, tag, seed=3, events=False):
     fleet = FleetTestbed(endpoint_count=6, shards=2, operator_count=3,
                          seed=seed)
+    if events:  # a campaign persists events when telemetry is on
+        fleet.enable_telemetry()
     root = str(tmp_path / tag)
     report = fleet.run_campaign(
         [ping_job(f"ping-{i}", count=2) for i in range(6)],
-        campaign_name="itest", max_concurrency=4,
-        warehouse=root, warehouse_events=events,
+        campaign_name="itest", max_concurrency=4, warehouse=root,
     )
     return Warehouse(root), report
 
@@ -604,6 +605,7 @@ class TestCampaignIntegration:
         warehouse, report = _run_fleet(tmp_path, "wh")
         manifest = warehouse.manifest("itest")
         assert manifest.state == "closed"
+        assert manifest.total_rows("events") == 0  # telemetry was off
         assert manifest.total_rows("campaigns") == 1
         assert manifest.total_rows("results") == report.jobs_completed
         agg = report.aggregator
