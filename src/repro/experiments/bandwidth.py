@@ -68,53 +68,58 @@ def measure_uplink_bandwidth(
     Use as ``result = yield from measure_uplink_bandwidth(handle, node)``.
     """
     sink = UdpSink(controller_node, sink_port).start()
-    error: Optional[str] = None
-    issued = 0
     try:
-        status = yield from handle.nopen_udp(
-            sktid,
-            locport=0,
-            remaddr=controller_node.primary_address(),
-            remport=sink_port,
-        )
-        handle.expect_ok(status, "nopen(udp)")
-        t0 = yield from handle.read_clock()
-        if immediate:
-            due = 0  # a time in the past: send upon command arrival (§3.1)
-        else:
-            due = t0 + int(lead_time * NANOSECONDS)
-        payload_base = b"B" * (payload_size - 2)
-        for index in range(packet_count):
-            data = index.to_bytes(2, "big") + payload_base
+        error: Optional[str] = None
+        issued = 0
+        try:
+            status = yield from handle.nopen_udp(
+                sktid,
+                locport=0,
+                remaddr=controller_node.primary_address(),
+                remport=sink.port,
+            )
+            handle.expect_ok(status, "nopen(udp)")
+            t0 = yield from handle.read_clock()
             if immediate:
-                # Pipelined: the endpoint transmits each datagram as soon as
-                # its command arrives, so control delivery and measurement
-                # traffic share the access link — the contention the paper's
-                # future-scheduling design avoids.
-                handle.nsend_nowait(sktid, due, data)
+                due = 0  # a time in the past: send upon command arrival (§3.1)
             else:
-                status = yield from handle.nsend(sktid, due, data)
-                handle.expect_ok(status, "nsend")
-            issued += 1
-    except RECOVERABLE as exc:
-        # Partial result: report what the sink observed of the packets
-        # that were scheduled before the session/command failed.
-        error = f"{type(exc).__name__}: {exc}"
-    # Wait for the burst to drain to the sink.
-    if issued:
-        deadline = controller_node.sim.now + lead_time + settle_time
-        while sink.count < issued and controller_node.sim.now < deadline:
-            yield 0.1
-    yield from handle.close_quietly(sktid)
-    arrivals = sink.arrivals
-    measured = sink.observed_rate_bps(WIRE_OVERHEAD)
-    return BandwidthResult(
-        measured_bps=measured,
-        packets_sent=issued,
-        packets_received=len(arrivals),
-        burst_span=(arrivals[-1][0] - arrivals[0][0]) if len(arrivals) > 1 else 0.0,
-        first_arrival=arrivals[0][0] if arrivals else 0.0,
-        scheduled_lead=0.0 if immediate else lead_time,
-        partial=error is not None,
-        error=error,
-    )
+                due = t0 + int(lead_time * NANOSECONDS)
+            payload_base = b"B" * (payload_size - 2)
+            for index in range(packet_count):
+                data = index.to_bytes(2, "big") + payload_base
+                if immediate:
+                    # Pipelined: the endpoint transmits each datagram as soon as
+                    # its command arrives, so control delivery and measurement
+                    # traffic share the access link — the contention the paper's
+                    # future-scheduling design avoids.
+                    handle.nsend_nowait(sktid, due, data)
+                else:
+                    status = yield from handle.nsend(sktid, due, data)
+                    handle.expect_ok(status, "nsend")
+                issued += 1
+        except RECOVERABLE as exc:
+            # Partial result: report what the sink observed of the packets
+            # that were scheduled before the session/command failed.
+            error = f"{type(exc).__name__}: {exc}"
+        # Wait for the burst to drain to the sink.
+        if issued:
+            deadline = controller_node.sim.now + lead_time + settle_time
+            while sink.count < issued and controller_node.sim.now < deadline:
+                yield 0.1
+        yield from handle.close_quietly(sktid)
+        arrivals = sink.arrivals
+        measured = sink.observed_rate_bps(WIRE_OVERHEAD)
+        return BandwidthResult(
+            measured_bps=measured,
+            packets_sent=issued,
+            packets_received=len(arrivals),
+            burst_span=(arrivals[-1][0] - arrivals[0][0]) if len(arrivals) > 1 else 0.0,
+            first_arrival=arrivals[0][0] if arrivals else 0.0,
+            scheduled_lead=0.0 if immediate else lead_time,
+            partial=error is not None,
+            error=error,
+        )
+    finally:
+        # On success, on a RECOVERABLE failure and when the job worker is
+        # killed alike, the sink gives its port back with the job.
+        sink.stop()

@@ -114,16 +114,15 @@ def bandwidth_job(
 ) -> CampaignJob:
     """An uplink bandwidth estimate as a campaign job.
 
-    The controller-side UDP sink listens on a port drawn from the
-    campaign's allocator, so any number of concurrent bandwidth jobs
-    coexist on the controller host without listener collisions.
+    The controller-side UDP sink binds an ephemeral port on the controller
+    host, so any number of concurrent bandwidth jobs coexist there without
+    listener collisions, and each job gives its port back when it ends.
     """
 
     def run(handle, ctx: CampaignContext) -> Generator:
-        if ctx.controller_host is None or ctx.allocate_port is None:
+        if ctx.controller_host is None:
             raise SessionClosed(
-                "bandwidth_job needs a campaign context with a "
-                "controller host and port allocator"
+                "bandwidth_job needs a campaign context with a controller host"
             )
         result = yield from measure_uplink_bandwidth(
             handle,
@@ -132,7 +131,7 @@ def bandwidth_job(
             payload_size=payload_size,
             lead_time=lead_time,
             settle_time=settle_time,
-            sink_port=ctx.allocate_port(),
+            sink_port=0,
         )
         if result.partial and result.packets_received == 0:
             raise SessionClosed(result.error or "bandwidth run saw no packets")

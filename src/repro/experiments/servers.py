@@ -1,17 +1,21 @@
 """Simulated server applications for experiment targets.
 
-These run as plain processes on simulated hosts (they are *not* PacketLab
-components) and give experiments something realistic to measure against:
-UDP echo, a UDP sink that records arrival times (the paper's bandwidth
-server), a DNS authoritative server, and a minimal HTTP server.
+They run on simulated hosts (they are *not* PacketLab components) and give
+experiments something realistic to measure against: UDP echo, a UDP sink
+that records arrival times (the paper's bandwidth server), a DNS
+authoritative server, and a minimal HTTP server. The echo, DNS and HTTP
+servers are processes that live as long as the simulation. The sink lives
+as long as the job that started it: it runs in no process, and ``stop()``
+gives its port back.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Generator, Optional
 
+from repro.netsim.kernel import Event
 from repro.netsim.node import Node
+from repro.netsim.stack.udp import UdpSocket
 from repro.packet.dns import DnsMessage, DnsRecord, RCODE_NXDOMAIN
 from repro.util.byteio import DecodeError
 
@@ -28,23 +32,44 @@ def start_udp_echo(node: Node, port: int, prefix: bytes = b"") -> None:
     node.spawn(server(), name=f"udp-echo:{port}")
 
 
-@dataclass
 class UdpSink:
-    """Records (sim_time, size, payload) for every datagram received."""
+    """Records ``(sim_time, size)`` for every datagram received.
 
-    node: Node
-    port: int
-    arrivals: list[tuple[float, int, bytes]] = field(default_factory=list)
+    A push consumer, like the endpoint's UDP socket: each datagram's
+    continuation records it and re-arms ``recvfrom``. Port 0 binds an
+    ephemeral port (read it from ``port``); ``stop()`` closes the socket.
+    """
+
+    def __init__(self, node: Node, port: int) -> None:
+        self.node = node
+        self.port = port
+        self.arrivals: list[tuple[float, int]] = []
+        self._sock: Optional[UdpSocket] = None
+        self._waiting: Optional[Event] = None
 
     def start(self) -> "UdpSink":
-        def server() -> Generator:
-            sock = self.node.udp.bind(self.port)
-            while True:
-                payload, _src_ip, _src_port, _ = yield sock.recvfrom()
-                self.arrivals.append((self.node.sim.now, len(payload), payload))
-
-        self.node.spawn(server(), name=f"udp-sink:{self.port}")
+        self._sock = self.node.udp.bind(self.port)
+        self.port = self._sock.port
+        self._recvfrom()
         return self
+
+    def stop(self) -> None:
+        """Close the socket and drop the pending receive; idempotent."""
+        sock, self._sock = self._sock, None
+        if sock is not None:
+            sock.close()
+            self._waiting.drop_waiter(self._on_datagram)
+            self._waiting = None
+
+    def _recvfrom(self) -> None:
+        self._waiting = self._sock.recvfrom()
+        self._waiting.then(self._on_datagram)
+
+    def _on_datagram(self, item: tuple) -> None:
+        if self._sock is None:
+            return
+        self.arrivals.append((self.node.sim.now, len(item[0])))
+        self._recvfrom()
 
     @property
     def count(self) -> int:
@@ -60,7 +85,7 @@ class UdpSink:
         if last_time <= first_time:
             return 0.0
         bits = sum(
-            (size + wire_overhead) * 8 for _, size, _ in self.arrivals[1:]
+            (size + wire_overhead) * 8 for _, size in self.arrivals[1:]
         )
         return bits / (last_time - first_time)
 

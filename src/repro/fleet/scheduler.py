@@ -45,7 +45,6 @@ class CampaignContext:
     sim: Any
     controller_host: Any = None
     target_address: int = 0
-    allocate_port: Optional[Callable[[], int]] = None
     attempt: int = 0
 
 
@@ -510,7 +509,6 @@ class CampaignScheduler:
             sim=self.context.sim,
             controller_host=self.context.controller_host,
             target_address=self.context.target_address,
-            allocate_port=self.context.allocate_port,
             attempt=job.attempts,
         )
         try:

@@ -280,7 +280,6 @@ class World:
                 sim=self.sim,
                 controller_host=self.controller_host,
                 target_address=self.target_address,
-                allocate_port=self.allocate_port,
             )
             scheduler = CampaignScheduler(
                 pool,

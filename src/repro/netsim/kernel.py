@@ -64,7 +64,7 @@ class Timer:
 
     def __init__(self, time: float, callback: Callable[..., None], args: tuple):
         self.time = time
-        self._callback = callback
+        self._callback: Optional[Callable[..., None]] = callback
         self._args = args
         self.cancelled = False
         # The simulator whose heap stores this timer while it can still
@@ -75,6 +75,10 @@ class Timer:
     def cancel(self) -> None:
         if not self.cancelled:
             self.cancelled = True
+            # The entry waits in the heap until popped or purged; like
+            # asyncio's Handle.cancel, let it pin nothing meanwhile.
+            self._callback = None
+            self._args = ()
             sim = self._sim
             if sim is not None:
                 sim._note_cancel()

@@ -1,4 +1,5 @@
-"""Per-endpoint heap census of a star ping campaign.
+"""Heap censuses: per endpoint of a star ping campaign, per job of a
+bandwidth campaign.
 
 Two questions about what one more endpoint costs the process:
 
@@ -15,18 +16,28 @@ Two questions about what one more endpoint costs the process:
 
 The campaign is the ``star_ping`` perf workload at ``N`` endpoints: one
 3-probe ping job per endpoint, 256 in flight, on a heap scheduler.
-``TestFootprint`` in ``tests/test_fleet.py`` holds a 20-endpoint census
-to its bounds.
+
+One question about what one more job costs: *retained*, what a
+bandwidth campaign's world still reaches once it has gone quiet, by
+type. The collector does not track the ``bytes`` a sink might keep, so
+this census walks the world rather than the collector's list. A
+finished job should leave nothing, so a campaign's memory scales with
+its concurrency, not its job count; the script prints both campaigns'
+totals after the star census.
+
+``TestFootprint`` in ``tests/test_fleet.py`` holds a 20-endpoint star
+census to its bounds, and a 6-job bandwidth census to the 2-job one.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import types
 from collections import Counter
 from dataclasses import dataclass
 
-from repro.experiments.campaign import ping_job
+from repro.experiments.campaign import bandwidth_job, ping_job
 from repro.fleet.testbed import FleetTestbed
 
 
@@ -97,6 +108,47 @@ def star_ping_census(endpoints: int, seed: int = 7) -> Census:
     return Census(endpoints, tracked, garbage)
 
 
+# Modules, classes and code are shared by every world, not retained by
+# one; a world reaches other worlds' objects only through them.
+_NOT_THE_WORLDS = (types.ModuleType, type, types.CodeType,
+                   types.BuiltinFunctionType)
+
+
+def _reachable(root: object) -> list:
+    """Every object ``root`` reaches, tracked by the collector or not.
+    A function counts its closure and defaults, not its module's
+    globals."""
+    seen: dict[int, object] = {}
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, _NOT_THE_WORLDS):
+            continue
+        seen[id(obj)] = obj
+        if isinstance(obj, types.FunctionType):
+            stack.extend(obj.__closure__ or ())
+            stack.extend(obj.__defaults__ or ())
+        else:
+            stack.extend(gc.get_referents(obj))
+    return list(seen.values())
+
+
+def bandwidth_census(jobs: int, endpoints: int = 4, concurrency: int = 2,
+                     seed: int = 7) -> Counter:
+    """Run ``jobs`` bandwidth jobs over a star of ``endpoints``, let the
+    world go quiet, and count by type what it still reaches."""
+    fleet = FleetTestbed(endpoint_count=endpoints, topology="star",
+                         seed=seed)
+    report = fleet.run_campaign(
+        [bandwidth_job(f"bw-{index}") for index in range(jobs)],
+        max_concurrency=concurrency,
+    )
+    assert report.jobs_completed == jobs, report.jobs_completed
+    # Long enough for every close, TIME_WAIT included, to finish.
+    fleet.sim.run(until=fleet.sim.now + 600.0)
+    return _by_type(_reachable(fleet))
+
+
 def _table(title: str, counts: Counter, endpoints: int, top: int) -> str:
     lines = [f"{title} ({sum(counts.values())} objects, "
              f"{sum(counts.values()) / endpoints:.1f} per endpoint)",
@@ -121,6 +173,12 @@ def main(argv=None) -> int:
     print()
     print(_table("found by gc.collect() (collector off during the run)",
                  census.garbage, census.endpoints, args.top))
+    print()
+    few, many = bandwidth_census(2), bandwidth_census(6)
+    extra = sum(many.values()) - sum(few.values())
+    print(f"retained after a bandwidth campaign: {sum(few.values())} "
+          f"objects after 2 jobs, {sum(many.values())} after 6 "
+          f"({extra / 4:+.1f} per extra job)")
     return 0
 
 

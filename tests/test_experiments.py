@@ -230,6 +230,36 @@ class TestBandwidth:
         assert result_immediate.measured_bps < result_scheduled.measured_bps * 0.8
 
 
+    def test_sink_gives_its_port_back_on_every_exit(self):
+        """The controller-side sink lives as long as its measurement: it
+        is closed after a finished run and when the worker running the
+        measurement is killed mid-burst."""
+        testbed = Testbed()
+        controller = testbed.controller_host
+
+        def measure(handle):
+            return measure_uplink_bandwidth(
+                handle, controller, packet_count=5, lead_time=1.0,
+                settle_time=1.0, sink_port=0,
+            )
+
+        def experiment(handle):
+            result = yield from measure(handle)
+            after_run = sorted(controller.udp._sockets)
+            worker = testbed.sim.spawn(measure(handle), name="bw-worker")
+            yield 0.5  # inside the lead time: the burst is not sent yet
+            during = sorted(controller.udp._sockets)
+            worker.kill()
+            return result, after_run, during, sorted(controller.udp._sockets)
+
+        result, after_run, during, after_kill = testbed.run_experiment(
+            experiment
+        )
+        assert result.packets_received == 5
+        assert after_run == [] and after_kill == []
+        assert len(during) == 1
+
+
 class TestDns:
     def test_resolves_a_record(self):
         testbed = Testbed()

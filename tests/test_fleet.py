@@ -14,7 +14,7 @@ import json
 import math
 
 import pytest
-from footprint import star_ping_census
+from footprint import bandwidth_census, star_ping_census
 
 import repro.core
 import repro.endpoint
@@ -680,6 +680,14 @@ def _finished_star_campaign(count: int = 20) -> FleetTestbed:
     return fleet
 
 
+def _live_processes(fleet: FleetTestbed) -> list[str]:
+    gc.collect()
+    return sorted(
+        obj.name for obj in gc.get_objects()
+        if isinstance(obj, Process) and obj.alive and obj._sim is fleet.sim
+    )
+
+
 class TestProcessCensus:
     def test_no_writer_process_outlives_a_campaign(self):
         """Processes run experiments and nothing else. Control frames go
@@ -689,12 +697,19 @@ class TestProcessCensus:
         continuations. So once the campaign driver and its job workers
         finish, no process is left alive."""
         fleet = _finished_star_campaign(20)
-        gc.collect()
-        live = sorted(
-            obj.name for obj in gc.get_objects()
-            if isinstance(obj, Process) and obj.alive and obj._sim is fleet.sim
+        assert _live_processes(fleet) == []
+
+    def test_no_sink_outlives_a_bandwidth_campaign(self):
+        """A bandwidth job's UDP sink runs in no process and lives as long
+        as its job: a finished campaign leaves no process alive and no
+        UDP port bound on the controller host."""
+        fleet = FleetTestbed(endpoint_count=4, topology="star")
+        report = fleet.run_campaign(
+            [bandwidth_job(f"bw-{i}") for i in range(6)], max_concurrency=2,
         )
-        assert live == []
+        assert report.jobs_completed == 6
+        assert _live_processes(fleet) == []
+        assert sorted(fleet.controller_host.udp._sockets) == []
 
 
 class TestDroppedWorld:
@@ -750,3 +765,10 @@ class TestFootprint:
                 if census.garbage[name]}
         assert left == {}
         assert census.tracked_per_endpoint <= 160
+
+    def test_a_finished_bandwidth_job_leaves_nothing(self):
+        """Memory scales with a campaign's concurrency, not its job count:
+        once the world is quiet, six bandwidth jobs leave it holding
+        exactly what two leave, so no sink, socket or arrival list of a
+        finished job is still reached."""
+        assert bandwidth_census(6) == bandwidth_census(2)

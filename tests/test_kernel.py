@@ -1,6 +1,7 @@
 """Unit tests for the discrete-event kernel."""
 
 import random
+import weakref
 
 import pytest
 
@@ -34,6 +35,32 @@ def test_cancelled_timer_does_not_fire():
     timer.cancel()
     sim.run()
     assert seen == []
+
+
+def test_cancelled_timer_pins_neither_its_callback_nor_its_args():
+    """A cancelled entry waits in the heap for lazy deletion. Meanwhile
+    it must not keep what it would have called alive, as asyncio's
+    Handle.cancel does not (an answered RPC's deadline held its pending
+    request, event and response for the whole RPC timeout)."""
+
+    class Owner:
+        def on_timeout(self, argument):
+            raise AssertionError("a cancelled timer fired")
+
+    class Argument:
+        pass
+
+    sim = Simulator()
+    owner, argument = Owner(), Argument()
+    owner_ref, argument_ref = weakref.ref(owner), weakref.ref(argument)
+    timer = sim.schedule(5.0, owner.on_timeout, argument)
+    del owner, argument
+    assert owner_ref() is not None and argument_ref() is not None
+    timer.cancel()
+    assert [entry[2] for entry in sim._heap] == [timer]  # still stored
+    assert owner_ref() is None and argument_ref() is None
+    sim.run()
+    assert sim._heap == [] and sim._cancelled == 0
 
 
 def test_cannot_schedule_in_past():

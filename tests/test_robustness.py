@@ -1,11 +1,17 @@
 """Robustness and failure-injection tests across the stack."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.testbed import Testbed
 from repro.endpoint.endpoint import AUTH_TIMEOUT
-from repro.netsim.stack.tcp import CLOSE_WAIT, CLOSED, ESTABLISHED, FIN_WAIT_2
+from repro.netsim.stack.tcp import (
+    CLOSE_WAIT,
+    CLOSED,
+    ESTABLISHED,
+    FIN_WAIT_2,
+    ConnectionTimeout,
+)
 from repro.netsim.topology import Network
 from repro.proto.framing import MAX_FRAME
 from repro.rendezvous.server import RendezvousServer
@@ -21,8 +27,14 @@ class TestTcpUnderLoss:
         seed=st.integers(0, 10_000),
         loss=st.floats(min_value=0.0, max_value=0.25),
     )
+    # At this loss the sender's retransmissions run out: it ends CLOSED
+    # with ConnectionTimeout, while the receiver, which nothing tells,
+    # stays ESTABLISHED holding the first 7 300 bytes.
+    @example(seed=642, loss=0.25)
     def test_bulk_transfer_integrity_any_loss(self, seed, loss):
-        """Whatever the loss pattern, TCP delivers the bytes intact.
+        """Whatever the loss pattern, TCP never delivers a wrong byte:
+        either the bytes arrive intact, or the sender's connection failed
+        with ConnectionTimeout and the receiver holds a prefix of them.
 
         This property caught a real protocol bug during development: after
         a go-back-N rewind, ACKs above snd_nxt were discarded and the
@@ -34,21 +46,34 @@ class TestTcpUnderLoss:
                  delay=0.005)
         net.compute_routes()
         payload = bytes(range(256)) * 100  # 25.6 kB
+        received = bytearray()
+        client_conns = []
 
         def server():
             listener = b.tcp.listen(80)
             conn = yield listener.accept()
-            return (yield from conn.recv_exactly(len(payload)))
+            while len(received) < len(payload):
+                chunk = yield from conn.recv(len(payload) - len(received))
+                if not chunk:
+                    return
+                received.extend(chunk)
 
         def client():
-            conn = yield from a.tcp.open_connection(b.primary_address(), 80)
+            conn = a.tcp.connect(b.primary_address(), 80)
+            client_conns.append(conn)
+            try:
+                yield from conn.wait_established()
+            except ConnectionTimeout:
+                return
             conn.write(payload)
             conn.close()
 
-        server_proc = net.sim.spawn(server(), name="server")
+        net.sim.spawn(server(), name="server")
         net.sim.spawn(client(), name="client")
         net.run(until=1200.0)
-        assert server_proc.result == payload
+        if bytes(received) != payload:
+            assert isinstance(client_conns[0].error, ConnectionTimeout)
+            assert payload.startswith(bytes(received))
 
     @settings(max_examples=8, deadline=None)
     @given(seed=st.integers(0, 10_000))
