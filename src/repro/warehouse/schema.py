@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Iterable, Optional
+from typing import Any, Optional
 
 # Bump when the record layout below changes shape incompatibly.
 SCHEMA_VERSION = 1
@@ -265,24 +265,27 @@ def event_row(campaign: str, seq: int, event: Any) -> dict:
 # -- column planning ----------------------------------------------------------
 
 
-def plan_columns(schema: TableSchema, rows: Iterable[dict]) -> list[str]:
+def plan_columns(schema: TableSchema, rows: list[dict]) -> list[str]:
     """Fixed columns in schema order, then dynamic ones sorted by name.
 
     Sorting the dynamic tail keeps the physical layout a pure function
     of row *content*, never of dict insertion order — one of the things
-    the byte-identical-segments guarantee rests on.
+    the byte-identical-segments guarantee rests on. The rows' keys are
+    united in C; only a key the table has no column for sends the check
+    back through the rows, to name the first such key in row order.
     """
     names = schema.fixed_names()
-    fixed = set(names)
-    extra: set[str] = set()
-    for row in rows:
-        for key in row:
-            if key in fixed:
-                continue
-            if not schema.dynamic or not key.startswith(COUNTER_PREFIX):
-                raise SchemaError(
-                    f"table {schema.name!r} has no column {key!r}"
-                )
-            extra.add(key)
+    extra = set().union(*rows).difference(names)
+    if extra and not (schema.dynamic and all(
+            isinstance(key, str) and key.startswith(COUNTER_PREFIX)
+            for key in extra)):
+        fixed = set(names)
+        for row in rows:
+            for key in row:
+                if key in fixed:
+                    continue
+                if not schema.dynamic or not key.startswith(COUNTER_PREFIX):
+                    raise SchemaError(
+                        f"table {schema.name!r} has no column {key!r}"
+                    )
     return names + sorted(extra)
-
