@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+from bisect import bisect_left
 from collections import Counter
 from functools import reduce
 from itertools import repeat
@@ -30,6 +31,15 @@ from typing import Iterable, Optional
 # a few hundred buckets.
 GROWTH = 1.1
 _LOG_GROWTH = math.log(GROWTH)
+
+# {k: the smallest float whose bucket is at least k}: what
+# QuantileSketch.extend counts a batch's buckets against. Keys are
+# buckets between two a batch reached, so ~15 000 at most.
+_EDGES: dict[int, Optional[float]] = {}
+# Floats on either side of an edge that must fall on its side of it.
+_EDGE_WINDOW = 8
+# Above this, an int can sit between an edge and the float it rounds to.
+_EXACT_INTS = 2.0 ** 53
 
 # Version stamp for the JSONL export layout (jsonl_lines/export_jsonl).
 # v2 added the stamp itself plus the full mergeable ``state`` of every
@@ -75,7 +85,18 @@ class QuantileSketch:
         self.buckets[index] = self.buckets.get(index, 0) + 1
 
     def extend(self, values: Iterable[float]) -> None:
-        """Batch ``observe``: the same state, a C-level pass per field."""
+        """Batch ``observe``: the same state, a C-level pass per field.
+
+        ``values`` hold no NaN; every caller drops missing values first.
+        Buckets are counted by threshold, not value by value: the batch's
+        least and greatest positive values name its first and last
+        bucket, and each bucket between starts at its exact lower edge
+        (:func:`_edge`). One bucket takes every positive value; two
+        adjacent ones split at one edge in a single comparison pass; a
+        wider span is sorted and cut at each edge by bisection. A batch
+        spanning more buckets than it has values, or an edge that
+        ``math.log`` is not monotone around, is counted value by value.
+        """
         values = list(values)
         if not values:
             return
@@ -89,10 +110,33 @@ class QuantileSketch:
         self.underflow += len(values) - len(positive)
         if high == math.inf:
             positive = [v for v in positive if v != math.inf]
-        for index, count in Counter(map(math.floor, map(
+        if not positive:
+            return
+        if high >= _EXACT_INTS:
+            # log() buckets an int by the float it rounds to; compare that.
+            positive = list(map(float, positive))
+        first = _bucket(low if low > 0.0 else min(positive))
+        last = _bucket(high if high != math.inf else max(positive))
+        edges = ([_edge(k) for k in range(first + 1, last + 1)]
+                 if last - first <= len(positive) else None)
+        if edges is None or None in edges:
+            counts = Counter(map(math.floor, map(
                 operator.truediv, map(math.log, positive),
-                repeat(_LOG_GROWTH)))).items():
-            self.buckets[index] = self.buckets.get(index, 0) + count
+                repeat(_LOG_GROWTH))))
+        elif not edges:
+            counts = {first: len(positive)}
+        elif len(edges) == 1:
+            upper = sum(map(edges[0].__le__, positive))
+            counts = {first: len(positive) - upper, last: upper}
+        else:
+            ordered = sorted(positive)
+            cuts = [0, *(bisect_left(ordered, edge) for edge in edges),
+                    len(ordered)]
+            counts = {index: cut - start for index, start, cut
+                      in zip(range(first, last + 1), cuts, cuts[1:])}
+        for index, count in counts.items():
+            if count:
+                self.buckets[index] = self.buckets.get(index, 0) + count
 
     def merge(self, other: "QuantileSketch") -> None:
         self.count += other.count
@@ -158,6 +202,39 @@ class QuantileSketch:
             "p90": self.quantile(0.90),
             "p99": self.quantile(0.99),
         }
+
+
+def _bucket(value: float) -> int:
+    """The bucket ``observe`` puts a positive finite value in."""
+    return math.floor(math.log(value) / _LOG_GROWTH)
+
+
+def _edge(k: int) -> Optional[float]:
+    """The smallest float whose bucket is at least ``k``, or None if
+    ``math.log`` is not monotone within ``_EDGE_WINDOW`` floats of it
+    (then no threshold reproduces per-value bucketing there).
+
+    ``k`` must be at most the largest float's bucket. The search
+    starts at ``exp(k * log(GROWTH))`` and steps one float at a time;
+    the answer is memoized in ``_EDGES``.
+    """
+    if k in _EDGES:
+        return _EDGES[k]
+    tiny = math.ulp(0.0)
+    edge = max(math.exp(k * _LOG_GROWTH), tiny)
+    while edge > tiny and _bucket(edge) >= k:
+        edge = math.nextafter(edge, 0.0)
+    while _bucket(edge) < k:
+        edge = math.nextafter(edge, math.inf)
+    below = above = edge
+    for _ in range(_EDGE_WINDOW):
+        below = max(math.nextafter(below, 0.0), tiny)
+        above = math.nextafter(above, math.inf)
+        if (below < edge and _bucket(below) >= k) or _bucket(above) < k:
+            edge = None
+            break
+    _EDGES[k] = edge
+    return edge
 
 
 class CounterSet:

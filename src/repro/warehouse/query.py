@@ -7,11 +7,19 @@ column data is touched. Surviving segments decode only the columns the
 query references, and each predicate narrows the segment's *selection
 vector* (its matching rows) in one pass over its column: a string
 predicate becomes a per-vocabulary-code table the codes map through,
-free when every code passes. Matched rows are partitioned by group key
-once, in row order, and each aggregate consumes a group's whole value
-list: sums add sequentially (builtin ``sum`` compensates on 3.12), and
-percentiles come from :class:`~repro.fleet.aggregate.QuantileSketch` —
-one sketch per group, not a sort. Missing float group cells group under
+free when every code passes, and a selection that keeps every row stays
+``range(rows)``. Matched rows are partitioned by group key once, in row
+order, by :func:`~repro.warehouse.segments.partition`: where each key's
+rows form one contiguous run, as in a segment holding one endpoint,
+each group gets a slice of the selection (a ``range`` of the whole
+segment's) and its cells are gathered by slicing the column; keys
+that interleave take the append loop. A lone string group-by column is
+partitioned on its int codes, and each distinct code looked up in the
+vocabulary once. Each aggregate consumes a group's whole value list:
+sums add sequentially (builtin ``sum`` compensates on 3.12), and
+percentiles come from :class:`~repro.fleet.aggregate.QuantileSketch`,
+whose ``extend`` counts buckets by threshold against exact bucket
+edges, not one ``log`` per value. Missing float group cells group under
 ``None``, as does a column the segment never saw; groups come back
 sorted by key value, ``None`` first.
 
@@ -364,7 +372,7 @@ class Query:
 
     def _select_rows(self, data) -> range | list[int]:
         """The segment's selection vector: the rows every predicate
-        matches."""
+        matches, still ``range(rows)`` if that is all of them."""
         rows = data.header.rows
         selected = range(rows)
         for pred in self._predicates:
@@ -382,7 +390,9 @@ class Query:
                 hits = pred.test(cells)
                 if pred.op == "!=":  # NaN fails the others by itself
                     hits = map(and_, hits, map(eq, cells, cells))
-            selected = list(compress(selected, hits))
+            narrowed = list(compress(selected, hits))
+            if len(narrowed) < len(selected):  # else keep the range
+                selected = narrowed
         return selected
 
     def _project(self, data, selected, raw_rows: list,
@@ -453,10 +463,18 @@ class Query:
                     sketch.extend(values)
         return partial
 
-    def _partition(self, data, selected: list) -> dict[tuple, list]:
-        """{group key: its selected rows}, keys in the order first seen."""
+    def _partition(self, data, selected: range | list[int]
+                   ) -> dict[tuple, Any]:
+        """{group key: its selected rows}, keys in the order first seen.
+        A lone string column groups by its codes, each distinct code
+        looked up in the vocabulary once."""
         if not self._group:
             return {(): selected}
+        if len(self._group) == 1 and self._group[0] in data.codes:
+            vocab = data.dicts[self._group[0]]
+            codes = _gather_codes(data, self._group[0], selected)
+            return {(vocab[code],): rows
+                    for code, rows in partition(codes, selected).items()}
         keys = []
         for name in self._group:
             cells = _gather(data, name, selected)
@@ -465,7 +483,7 @@ class Query:
                 cells = [cell if cell == cell else None for cell in cells]
             keys.append(cells)
         if len(keys) > 1:
-            return partition(zip(*keys), selected)
+            return partition(list(zip(*keys)), selected)
         return {(key,): rows
                 for key, rows in partition(keys[0], selected).items()}
 
@@ -512,15 +530,26 @@ def _keepable(partial: dict[tuple, _Partial]) -> bool:
                     for values in part.values.values()) <= _PARTIAL_VALUES)
 
 
-def _gather(data, name: str, selected: list) -> list:
-    """The cells of ``name`` at the selected rows (None where the
-    segment has no such column)."""
+def _gather_codes(data, name: str, selected: range | list[int]) -> array:
+    """The codes of string column ``name`` at the selected rows."""
+    codes = data.codes[name]
+    if isinstance(selected, range):
+        return codes[selected.start:selected.stop]
+    return array("q", map(codes.__getitem__, selected))
+
+
+def _gather(data, name: str, selected: range | list[int]) -> list:
+    """The cells of ``name`` at the selected rows, a list of row
+    indexes or a contiguous ``range`` of them (None where the segment
+    has no such column)."""
     if name in data.codes:
         return list(map(data.dicts[name].__getitem__,
-                        map(data.codes[name].__getitem__, selected)))
+                        _gather_codes(data, name, selected)))
     column = data.columns.get(name)
     if column is None:
         return [None] * len(selected)
+    if isinstance(selected, range):
+        return column[selected.start:selected.stop].tolist()
     return list(map(column.__getitem__, selected))
 
 

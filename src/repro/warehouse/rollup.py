@@ -24,7 +24,9 @@ from __future__ import annotations
 
 import json
 import os
-from itertools import compress
+from array import array
+from itertools import compress, repeat
+from operator import add, eq, mul
 from typing import Optional
 
 from repro.fleet.aggregate import ResultAggregator, Rollup
@@ -36,6 +38,7 @@ from repro.warehouse.segments import (
     _has_nan,
     decode_columns,
     partition,
+    read_segment,
 )
 
 ROLLUPS_FILE = "rollups.json"
@@ -102,20 +105,26 @@ def _fold_segment(aggregator: ResultAggregator, path: str, table: str) -> None:
             })
     elif table == "samples":
         # Each sketch takes its values in row order, as fold_sample does;
-        # a missing value (NaN) is skipped, as a query skips it.
-        columns = decode_columns(path, ("endpoint", "stream", "value"))
-        endpoints, streams, values = (
-            columns["endpoint"], columns["stream"], columns["value"])
+        # a missing value (NaN) is skipped, as a query skips it. Rows
+        # are grouped on dictionary codes: the stream's, and one int
+        # per (endpoint, stream) pair.
+        data = read_segment(path, ("endpoint", "stream", "value"))
+        endpoints, streams = data.dicts["endpoint"], data.dicts["stream"]
+        values, stream_codes = data.columns["value"], data.codes["stream"]
+        pairs = array("q", map(add, map(mul, data.codes["endpoint"],
+                                        repeat(len(streams))),
+                               stream_codes))
         if _has_nan(values):
-            kept = [value == value for value in values]
-            endpoints, streams, values = (
-                list(compress(cells, kept))
-                for cells in (endpoints, streams, values))
-        for stream, part in partition(streams, values).items():
-            aggregator.total.sketch(stream).extend(part)
-        for (endpoint, stream), part in partition(
-                zip(endpoints, streams), values).items():
-            aggregator.endpoint(endpoint).sketch(stream).extend(part)
+            kept = list(map(eq, values, values))
+            values, pairs, stream_codes = (
+                array(cells.typecode, compress(cells, kept))
+                for cells in (values, pairs, stream_codes))
+        for code, part in partition(stream_codes, values).items():
+            aggregator.total.sketch(streams[code]).extend(part)
+        for pair, part in partition(pairs, values).items():
+            endpoint, stream = divmod(pair, len(streams))
+            aggregator.endpoint(endpoints[endpoint]).sketch(
+                streams[stream]).extend(part)
     else:
         raise WarehouseError(f"no rollup defined over table {table!r}")
 

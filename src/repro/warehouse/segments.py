@@ -43,7 +43,7 @@ from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import islice, repeat
-from typing import Any, Iterable, Iterator, Optional
+from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from repro.util.memo import BoundedMemo
 from repro.warehouse.schema import (
@@ -298,8 +298,27 @@ def decode_columns(path: str, columns: Optional[Iterable[str]] = None
     return out
 
 
-def partition(keys: Iterable, items: Iterable) -> dict[Any, list]:
-    """{key: [its items, in order]}, keys in the order first seen."""
+def partition(keys: Sequence, items: Sequence) -> dict[Any, Sequence]:
+    """{key: its items, in order}, keys in the order first seen.
+
+    ``keys`` and ``items`` are sequences of one length (a list, an
+    ``array`` or a ``range``), and each key equals itself. When each
+    key's rows are one contiguous run, as they are in a segment holding
+    one endpoint, the runs are found and proven in C —
+    ``dict.fromkeys`` names the keys, ``index`` finds where each run
+    starts and a slice's ``count`` proves it whole — and each key gets
+    a slice of ``items`` (a ``range`` when ``items`` is one).
+    Otherwise, as for interleaved keys, every item is appended to its
+    key's list.
+    """
+    starts = []
+    start = 0
+    for key in dict.fromkeys(keys):
+        start = keys.index(key, start)
+        starts.append(start)
+    bounds = list(zip(starts, starts[1:] + [len(keys)]))
+    if all(keys[lo:hi].count(keys[lo]) == hi - lo for lo, hi in bounds):
+        return {keys[lo]: items[lo:hi] for lo, hi in bounds}
     parts: dict[Any, list] = defaultdict(list)
     for key, item in zip(keys, items):
         parts[key].append(item)
@@ -667,12 +686,20 @@ def _compacted_parts(schema: TableSchema, pieces: list[tuple],
 
 
 def _merged_meta(name: str, kind: str, pieces: list[tuple]) -> dict:
-    """Zone map (and dictionary) of one column over the pieces, from
-    the cells each piece holds."""
+    """Zone map (and dictionary) of one column over the pieces: a whole
+    input's from its header, which holds what the same computation over
+    its cells gave when it was written, and a cut piece's from the cells
+    it holds."""
     zones, vocab = [], set()
     for path, header, lo, hi in pieces:
         stored = header.column(name)
         if stored is None:  # a dynamic column this input never saw
+            continue
+        if lo == 0 and hi == header.rows:
+            if kind == STR:
+                vocab.update(stored["dict"])
+            else:
+                zones.append((stored["zmin"], stored["zmax"]))
             continue
         with open(path, "rb") as fh:
             cells = _read_cells(fh, header, stored, lo, hi)

@@ -7,7 +7,8 @@ the query layer (predicates, group-by percentiles, zone-map pruning),
 materialized rollups (aggregator path == segment-rebuild path), the
 ``run_campaign(warehouse=...)`` integration with byte-identical
 same-seed persistence, the schema-versioned JSONL export round-trip,
-hypothesis properties of ``QuantileSketch.merge``, and the CLI.
+hypothesis properties of ``QuantileSketch.merge``, ``partition``
+against the loop it replaced, and the CLI.
 """
 
 from __future__ import annotations
@@ -16,11 +17,13 @@ import json
 import math
 import os
 import tracemalloc
+from array import array
+from operator import ne
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from warehouse_oracle import RowQuery
+from warehouse_oracle import RowQuery, partition_loop
 
 from repro.experiments.campaign import ping_job
 from repro.fleet import FleetTestbed
@@ -52,7 +55,7 @@ from repro.warehouse import segments as segments_module
 from repro.warehouse.cli import main as warehouse_cli
 from repro.warehouse.query import _PARTIAL_GROUPS, _PARTIAL_VALUES
 from repro.warehouse.schema import RESULTS, SAMPLES, SchemaError
-from repro.warehouse.segments import MEMO_ENTRIES, zone_overlaps
+from repro.warehouse.segments import MEMO_ENTRIES, partition, zone_overlaps
 
 
 # -- segment format -----------------------------------------------------------
@@ -675,6 +678,78 @@ class TestQueryMemo:
             del reads[:]
             assert got.rows == want.rows
             assert got.stats == want.stats
+
+
+# -- grouping rows by key -----------------------------------------------------
+
+# Keys as runs (a key may come back after another, interleaving them),
+# drawn one per row from a few values, or one key throughout.
+_RUN_KEYS = st.lists(st.tuples(st.integers(0, 5), st.integers(1, 6)),
+                     max_size=6).map(
+    lambda runs: [key for key, length in runs for _ in range(length)])
+_KEYS = st.one_of(
+    _RUN_KEYS,
+    st.lists(st.integers(0, 3), max_size=40),
+    st.tuples(st.integers(0, 5), st.integers(0, 30)).map(
+        lambda spec: [spec[0]] * spec[1]),
+)
+
+
+class TestPartition:
+    """``partition`` against the dict-of-lists loop it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(keys=_KEYS, form=st.sampled_from(["list", "array", "tuples"]),
+           as_range=st.booleans())
+    def test_matches_loop(self, keys, form, as_range):
+        keyed = (array("q", keys) if form == "array" else
+                 [(key % 2, str(key)) for key in keys] if form == "tuples"
+                 else keys)
+        items = (range(len(keys)) if as_range
+                 else [0.5 * index for index in range(len(keys))])
+        got = partition(keyed, items)
+        want = partition_loop(keyed, items)
+        assert list(got) == list(want)
+        assert [list(members) for members in got.values()] == list(
+            want.values())
+        # Whole runs come back as slices of the items; interleaved keys
+        # as the loop's lists.
+        changes = sum(map(ne, keys, keys[1:]))
+        kind = (type(items) if changes + 1 == len(want) else list)
+        assert all(type(members) is kind for members in got.values())
+
+    def test_query_on_interleaved_segment_takes_the_loop(self, tmp_path,
+                                                         monkeypatch):
+        """A segment whose endpoints run in blocks groups by slices of
+        its rows; one that interleaves them groups row by row, and both
+        answer as the row loop does."""
+        warehouse = Warehouse(str(tmp_path / "wh"))
+        writer = warehouse.begin_campaign("c", segment_rows=8)
+        writer.add_rows("samples", [
+            _sample_row(seq, endpoint=endpoint, value=0.001 * (seq + 1))
+            for seq, endpoint in enumerate("aaaabbbb" + "abababab")])
+        writer.commit(close=True)
+        members = []
+
+        def spy(keys, items):
+            parts = partition(keys, items)
+            members.append({type(rows) for rows in parts.values()})
+            return parts
+
+        monkeypatch.setattr(query_module, "partition", spy)
+        for predicates in ([], [("seq", "<", 6)], [("seq", ">=", 3)]):
+            results = []
+            for kind in (Query, RowQuery):
+                query = kind(warehouse, "samples", ["c"])
+                for predicate in predicates:
+                    query.where(*predicate)
+                results.append(query.group_by("endpoint").agg(
+                    n="count", total=("sum", "value"),
+                    p99=("p99", "value")).run())
+            got, want = results
+            assert got.rows == want.rows
+            assert got.stats == want.stats
+        assert members[:2] == [{range}, {list}]
 
 
 # -- campaign names -----------------------------------------------------------

@@ -7,7 +7,7 @@ replaced. Over generated tables with NaN and ``""`` cells and dynamic
 rows, sums, percentiles, statistics, segment bytes and rollup state,
 bit for bit — queries both on a fresh ``Warehouse`` and on one whose
 memo earlier queries filled. ``QuantileSketch.extend`` must leave the
-state repeated ``observe`` calls leave.
+state repeated ``observe`` calls leave, at and around every bucket edge.
 """
 
 from __future__ import annotations
@@ -15,13 +15,14 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
+import sys
 import tempfile
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from warehouse_oracle import RowQuery, encode_rows, fold_segments, iter_segment_rows
 
-from repro.fleet.aggregate import QuantileSketch
+from repro.fleet.aggregate import _EDGES, GROWTH, QuantileSketch, _edge
 from repro.warehouse import Query, Warehouse, build_rollups, encode_segment
 from repro.warehouse.query import OPS
 from repro.warehouse.schema import RESULTS, TABLES, SchemaError
@@ -227,23 +228,116 @@ _VALUES = st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                    max_size=60)
 
 
+def _observed_bucket(value: float) -> int:
+    """The bucket ``observe`` puts one positive finite value in."""
+    sketch = QuantileSketch()
+    sketch.observe(value)
+    return next(iter(sketch.buckets))
+
+
+# Every bucket a positive finite float can land in, subnormals included.
+_K_LOW = _observed_bucket(math.ulp(0.0))
+_K_HIGH = _observed_bucket(sys.float_info.max)
+_KS = st.integers(_K_LOW, _K_HIGH)
+
+
+def _step(value: float, ulps: int) -> float:
+    """``value`` moved ``ulps`` floats up (or down), staying positive."""
+    for _ in range(abs(ulps)):
+        value = math.nextafter(value, math.inf if ulps > 0 else 0.0)
+    return max(value, math.ulp(0.0))
+
+
+@st.composite
+def _near(draw, k: int) -> float:
+    """A value at ``GROWTH**k`` or a few floats either side of it."""
+    return _step(max(GROWTH ** k, math.ulp(0.0)), draw(st.integers(-4, 4)))
+
+
+@st.composite
+def _one_bucket(draw):
+    k = draw(st.integers(_K_LOW, _K_HIGH - 1))
+    # Below the normal range a bucket may hold no float: then both
+    # edges are one float, and the values that float alone.
+    low = _edge(k)
+    high = max(low, math.nextafter(_edge(k + 1), 0.0))
+    return draw(st.lists(st.floats(low, high) | st.sampled_from([low, high]),
+                         min_size=1, max_size=40))
+
+
+@st.composite
+def _two_buckets(draw):
+    k = draw(st.integers(_K_LOW + 1, _K_HIGH))
+    return draw(st.lists(_near(k), min_size=1, max_size=40))
+
+
+@st.composite
+def _many_buckets(draw):
+    k = draw(st.integers(_K_LOW, _K_HIGH - 12))
+    return draw(st.lists(st.integers(k, k + 12).flatmap(_near),
+                         min_size=1, max_size=60))
+
+
+# Values at and around bucket edges: within one bucket, straddling one
+# edge, across many; subnormals, values near the largest float, and
+# ints past 2**53 (an int sits between an edge and the float it rounds
+# to); mixed with zeros, negatives and +inf, which no bucket takes.
+_EDGE_VALUES = st.lists(st.one_of(
+    _one_bucket(), _two_buckets(), _many_buckets(),
+    st.lists(st.floats(math.ulp(0.0), sys.float_info.min), max_size=40),
+    st.lists(st.floats(sys.float_info.max / 4, sys.float_info.max),
+             max_size=40),
+    st.lists(st.integers(386, 400).flatmap(
+        lambda k: st.integers(-3, 3).map(lambda d: int(_edge(k)) + d)),
+        max_size=40),
+    st.lists(st.sampled_from([0.0, -1.0, math.inf]), max_size=3),
+), max_size=3).map(lambda batches: [v for batch in batches for v in batch])
+
+
+def _assert_extend_equals_observe(before, values):
+    batch, single = QuantileSketch(), QuantileSketch()
+    for value in before:
+        batch.observe(value)
+        single.observe(value)
+    batch.extend(values)
+    for value in values:
+        single.observe(value)
+    assert _bits(batch.state_dict()) == _bits(single.state_dict())
+    # The sum is sequential addition, bit for bit.
+    total = 0.0
+    for value in before + values:
+        total += value
+    assert struct.pack("<d", batch.sum) == struct.pack("<d", total)
+
+
 class TestSketchExtend:
     @settings(max_examples=200, deadline=None)
     @given(_VALUES, _VALUES)
     def test_extend_equals_repeated_observe(self, before, values):
-        batch, single = QuantileSketch(), QuantileSketch()
-        for value in before:
-            batch.observe(value)
-            single.observe(value)
-        batch.extend(values)
-        for value in values:
-            single.observe(value)
-        assert _bits(batch.state_dict()) == _bits(single.state_dict())
-        # The sum is sequential addition, bit for bit.
-        total = 0.0
-        for value in before + values:
-            total += value
-        assert struct.pack("<d", batch.sum) == struct.pack("<d", total)
+        _assert_extend_equals_observe(before, values)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_VALUES, _EDGE_VALUES)
+    # The second int is one below bucket 388's edge, and rounds to it.
+    @example([], [11_000_000_000_000_000, 11_491_106_279_508_215])
+    @example([], [math.ulp(0.0), sys.float_info.min, sys.float_info.max])
+    def test_extend_at_bucket_edges(self, before, values):
+        _assert_extend_equals_observe(before, values)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_KS, max_size=20))
+    def test_memoized_edges_are_exact(self, ks):
+        """Each memoized edge is the least float of its bucket or
+        above: the float below it lands lower. Every bucket from the
+        smallest subnormal's to the largest float's is drawn from."""
+        for k in ks + [_K_LOW, _K_HIGH]:
+            _edge(k)
+        for k, edge in list(_EDGES.items()):
+            # math.log is monotone here; None only marks where it is not.
+            assert edge is not None, k
+            assert _observed_bucket(edge) >= k
+            if edge > math.ulp(0.0):
+                assert _observed_bucket(math.nextafter(edge, 0.0)) < k
 
 
 class TestSegmentEncoding:
@@ -291,6 +385,8 @@ class TestCompactionAndRollups:
     @given(results=_RESULT_ROWS, samples=_SAMPLE_ROWS,
            segment_rows=st.integers(1, 6), target=st.integers(1, 25))
     @example(results=_CUT_RESULTS, samples=[], segment_rows=3, target=4)
+    # Every piece whole: zone maps and dictionaries from input headers.
+    @example(results=_CUT_RESULTS, samples=[], segment_rows=3, target=6)
     def test_compacted_bytes_equal_encoding_oracle_rows(
             self, results, samples, segment_rows, target):
         with tempfile.TemporaryDirectory() as root:

@@ -17,6 +17,7 @@ results bit for bit:
   missing cells omitted, the form compaction used to re-encode.
 - :func:`fold_segments` rebuilds rollups with one ``fold_result`` or
   ``fold_sample`` call per row.
+- :func:`partition_loop` groups items by key with one append per item.
 """
 
 from __future__ import annotations
@@ -258,3 +259,11 @@ def fold_segments(warehouse: Warehouse, campaign: str) -> ResultAggregator:
                                     data.cell("ok", index), counters)
             merged.merge(partial)
     return merged
+
+
+def partition_loop(keys: Iterable, items: Iterable) -> dict[Any, list]:
+    """{key: [its items, in order]}, keys in the order first seen."""
+    parts: dict[Any, list] = {}
+    for key, item in zip(keys, items):
+        parts.setdefault(key, []).append(item)
+    return parts
