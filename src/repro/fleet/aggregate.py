@@ -24,7 +24,7 @@ from bisect import bisect_left
 from collections import Counter
 from functools import reduce
 from itertools import repeat
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 # Bucket boundaries grow by 10% per bucket: quantile estimates carry at
 # most ~5% relative error, and a sketch spanning 1 ns .. 100 s needs only
@@ -88,6 +88,8 @@ class QuantileSketch:
         """Batch ``observe``: the same state, a C-level pass per field.
 
         ``values`` hold no NaN; every caller drops missing values first.
+        A sequence (a list, or a column's ``array`` slice) is read in
+        place; any other iterable is copied to a list first.
         Buckets are counted by threshold, not value by value: the batch's
         least and greatest positive values name its first and last
         bucket, and each bucket between starts at its exact lower edge
@@ -97,7 +99,8 @@ class QuantileSketch:
         spanning more buckets than it has values, or an edge that
         ``math.log`` is not monotone around, is counted value by value.
         """
-        values = list(values)
+        if not isinstance(values, Sequence):
+            values = list(values)
         if not values:
             return
         low, high = min(values), max(values)

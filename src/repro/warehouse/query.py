@@ -79,7 +79,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from itertools import compress, repeat
 from operator import add, and_, eq, ge, gt, le, lt, ne
-from typing import Any, Iterable, Optional, Union
+from typing import Any, Iterable, Optional, Sequence, Union
 
 from repro.fleet.aggregate import QuantileSketch
 from repro.warehouse.schema import TABLES, SchemaError
@@ -538,10 +538,11 @@ def _gather_codes(data, name: str, selected: range | list[int]) -> array:
     return array("q", map(codes.__getitem__, selected))
 
 
-def _gather(data, name: str, selected: range | list[int]) -> list:
+def _gather(data, name: str, selected: range | list[int]) -> Sequence:
     """The cells of ``name`` at the selected rows, a list of row
-    indexes or a contiguous ``range`` of them (None where the segment
-    has no such column)."""
+    indexes or a contiguous ``range`` of them: a list (None where the
+    segment has no such column), or a numeric column's ``range`` as a
+    slice of its array."""
     if name in data.codes:
         return list(map(data.dicts[name].__getitem__,
                         _gather_codes(data, name, selected)))
@@ -549,7 +550,7 @@ def _gather(data, name: str, selected: range | list[int]) -> list:
     if column is None:
         return [None] * len(selected)
     if isinstance(selected, range):
-        return column[selected.start:selected.stop].tolist()
+        return column[selected.start:selected.stop]
     return list(map(column.__getitem__, selected))
 
 

@@ -295,14 +295,19 @@ _EDGE_VALUES = st.lists(st.one_of(
 
 
 def _assert_extend_equals_observe(before, values):
-    batch, single = QuantileSketch(), QuantileSketch()
+    """``extend`` over a list, and over an iterator it must copy, leaves
+    what one ``observe`` per value leaves."""
+    batch, streamed, single = QuantileSketch(), QuantileSketch(), QuantileSketch()
     for value in before:
         batch.observe(value)
+        streamed.observe(value)
         single.observe(value)
     batch.extend(values)
+    streamed.extend(iter(values))
     for value in values:
         single.observe(value)
     assert _bits(batch.state_dict()) == _bits(single.state_dict())
+    assert _bits(streamed.state_dict()) == _bits(single.state_dict())
     # The sum is sequential addition, bit for bit.
     total = 0.0
     for value in before + values:
