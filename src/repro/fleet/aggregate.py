@@ -87,17 +87,14 @@ class QuantileSketch:
     def extend(self, values: Iterable[float]) -> None:
         """Batch ``observe``: the same state, a C-level pass per field.
 
-        ``values`` hold no NaN; every caller drops missing values first.
-        A sequence (a list, or a column's ``array`` slice) is read in
-        place; any other iterable is copied to a list first.
-        Buckets are counted by threshold, not value by value: the batch's
-        least and greatest positive values name its first and last
-        bucket, and each bucket between starts at its exact lower edge
-        (:func:`_edge`). One bucket takes every positive value; two
-        adjacent ones split at one edge in a single comparison pass; a
-        wider span is sorted and cut at each edge by bisection. A batch
-        spanning more buckets than it has values, or an edge that
-        ``math.log`` is not monotone around, is counted value by value.
+        ``values`` hold no NaN (callers drop missing values) and are read
+        in place if a sequence. Buckets are counted by threshold: the
+        least and greatest positive values name the first and last
+        bucket; one bucket takes them all, two split at the upper one's
+        exact lower edge (:func:`_edge`) in one comparison pass, more
+        are sorted and cut at each edge by bisection. A span of more
+        buckets than values, or an edge ``math.log`` is not monotone
+        around, is counted value by value.
         """
         if not isinstance(values, Sequence):
             values = list(values)
